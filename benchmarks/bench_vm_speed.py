@@ -1,24 +1,21 @@
-"""Wall-clock engine benchmark: the three VM execution tiers.
+"""Wall-clock engine benchmark: the VM execution tiers.
 
 Times the selected VM execution engines (reference tree-walker,
-closure-compiled tier, generated-source codegen tier) on the bundled
-workloads, verifies the runs are bit-identical (output and full
-``RuntimeStats``) while it is at it, and writes the results to
-``BENCH_vm.json`` at the repo root -- the repo's performance
-trajectory.  Future PRs regress-check against the recorded geomeans.
+generated-source codegen tier) on the bundled workloads, verifies the
+runs are bit-identical (output and full ``RuntimeStats``) while it is
+at it, and writes the results to ``BENCH_vm.json`` at the repo root --
+the repo's performance trajectory.  Future changes regress-check
+against the recorded geomeans.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_vm_speed.py
     PYTHONPATH=src python benchmarks/bench_vm_speed.py \
-        --engines interp,compiled,codegen \
-        --workloads 164gzip,183equake,456hmmer \
-        --min-speedup 2 --min-codegen-vs-compiled 1.5
+        --workloads 164gzip,183equake,456hmmer --min-speedup 3
 
-Exit status is non-zero when any engine pair diverges, the
-compiled-vs-interp geomean falls below ``--min-speedup``, or the
-codegen-vs-compiled geomean falls below ``--min-codegen-vs-compiled``
-(CI's perf-smoke gates).
+Exit status is non-zero when any engine pair diverges, or when any
+engine's geomean speedup over the first (reference) engine falls
+below ``--min-speedup`` (CI's perf-smoke gate).
 
 Timing methodology: each engine is timed as min-of-N fresh VM runs over
 a once-compiled program (compilation excluded).  The fast tiers get
@@ -48,8 +45,8 @@ from repro.workloads import all_names, get  # noqa: E402
 
 MAX_INSTRUCTIONS = 100_000_000
 
-#: Three-engine default: the full tier ladder, slowest first.
-DEFAULT_ENGINES = "interp,compiled,codegen"
+#: Default: the reference tree-walker, then the codegen tier.
+DEFAULT_ENGINES = "interp,codegen"
 
 
 def _compile(workload, label):
@@ -112,12 +109,8 @@ def main(argv=None):
     parser.add_argument("--interp-repeats", type=int, default=1, metavar="N",
                         help="timing repeats for the tree-walker (default 1)")
     parser.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                        help="fail (exit 1) if the compiled-vs-interp "
-                             "geomean speedup is below X")
-    parser.add_argument("--min-codegen-vs-compiled", type=float, default=None,
-                        metavar="X",
-                        help="fail (exit 1) if the codegen-vs-compiled "
-                             "geomean speedup is below X")
+                        help="fail (exit 1) if any engine's geomean "
+                             "speedup over the reference engine is below X")
     args = parser.parse_args(argv)
 
     known = list(all_names())
@@ -156,16 +149,12 @@ def main(argv=None):
             row = {"workload": name, "label": label, "identical": same}
             for engine in engines:
                 row[f"{engine}_s"] = round(times[engine], 4)
-            # Pairwise speedups vs. the slowest-first reference plus the
-            # tier-over-tier step, matching the geomeans below.
+            # Speedups vs. the slowest-first reference, matching the
+            # geomeans below.
             for engine in engines[1:]:
                 row[f"speedup_{engine}_vs_{reference}"] = round(
                     times[reference] / times[engine], 2
                 ) if times[engine] else math.inf
-            if "compiled" in times and "codegen" in times:
-                row["speedup_codegen_vs_compiled"] = round(
-                    times["compiled"] / times["codegen"], 2
-                ) if times["codegen"] else math.inf
             rows.append(row)
             flag = "" if same else "  << STATS MISMATCH"
             cells = " ".join(f"{e}={times[e]:7.2f}s" for e in engines)
@@ -177,16 +166,13 @@ def main(argv=None):
         key = f"speedup_{engine}_vs_{reference}"
         geomeans[f"{engine}_vs_{reference}"] = round(
             _geomean(r[key] for r in rows if key in r), 2)
-    if "compiled" in engines and "codegen" in engines:
-        geomeans["codegen_vs_compiled"] = round(
-            _geomean(r["speedup_codegen_vs_compiled"] for r in rows), 2)
     for pair, value in geomeans.items():
         print(f"{'GEOMEAN':12s} {pair:28s} {value:5.2f}x")
 
     document = {
         "benchmark": "vm-engine-speedup",
-        "description": "VM execution tiers (tree-walker / closure tier / "
-                       "codegen tier), min-of-N wall-clock per fresh VM run",
+        "description": "VM execution tiers (tree-walker / codegen tier), "
+                       "min-of-N wall-clock per fresh VM run",
         "max_instructions": MAX_INSTRUCTIONS,
         "engines": engines,
         "repeats": {e: (args.interp_repeats if e == "interp"
@@ -195,10 +181,6 @@ def main(argv=None):
         "results": rows,
         "geomeans": geomeans,
     }
-    # Back-compat top-level field: the PR-3 trajectory point is the
-    # compiled-vs-interp geomean; keep the key meaning stable.
-    if "compiled_vs_interp" in geomeans:
-        document["geomean_speedup"] = geomeans["compiled_vs_interp"]
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
@@ -209,18 +191,11 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     if args.min_speedup is not None:
-        got = geomeans.get("compiled_vs_interp")
-        if got is None or got < args.min_speedup:
-            print(f"error: compiled-vs-interp geomean {got} is below the "
-                  f"required {args.min_speedup:g}x", file=sys.stderr)
-            return 1
-    if args.min_codegen_vs_compiled is not None:
-        got = geomeans.get("codegen_vs_compiled")
-        if got is None or got < args.min_codegen_vs_compiled:
-            print(f"error: codegen-vs-compiled geomean {got} is below the "
-                  f"required {args.min_codegen_vs_compiled:g}x",
-                  file=sys.stderr)
-            return 1
+        for pair, got in geomeans.items():
+            if got < args.min_speedup:
+                print(f"error: {pair} geomean {got} is below the "
+                      f"required {args.min_speedup:g}x", file=sys.stderr)
+                return 1
     return 0
 
 

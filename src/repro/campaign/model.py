@@ -30,7 +30,7 @@ from ..core.config import InstrumentationConfig, MODES
 from ..core.mechanism import get_mechanism, mechanism_names
 from ..errors import ConfigError
 from ..experiments.runner import JobRequest
-from ..vm.engines import ENGINES
+from ..vm.engines import DEFAULT_ENGINE, ENGINES
 from ..workloads import Workload
 
 #: Check-filter selections an instance may request.  ``ranges`` is
@@ -72,7 +72,7 @@ class Instance:
     mechanism: str
     filters: Tuple[str, ...] = ()
     mode: str = "full"
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     extension_point: str = "VectorizerStart"
     config_overrides: Mapping[str, object] = field(default_factory=dict)
 
@@ -168,7 +168,7 @@ class Instance:
 
     # -- construction helpers ------------------------------------------
     @classmethod
-    def from_label(cls, label: str, engine: str = "compiled",
+    def from_label(cls, label: str, engine: str = DEFAULT_ENGINE,
                    extension_point: str = "VectorizerStart") -> "Instance":
         """Parse a ``CONFIG_LABELS``-style label into an instance."""
         if label == "baseline":
@@ -198,7 +198,7 @@ class Instance:
         explicit ``{"mechanism": ..., "filters": ..., "mode": ...}``
         form; unknown keys are rejected so typos fail loudly."""
         doc = dict(doc)
-        engine = _check_engine(str(doc.pop("engine", "compiled")))
+        engine = _check_engine(str(doc.pop("engine", DEFAULT_ENGINE)))
         extension_point = str(doc.pop("extension_point", "VectorizerStart"))
         if "label" in doc:
             label = str(doc.pop("label"))
@@ -301,7 +301,7 @@ class CampaignSpec:
 
 def standard_instances(
     labels: Iterable[str],
-    engines: Iterable[str] = ("compiled",),
+    engines: Iterable[str] = (DEFAULT_ENGINE,),
 ) -> List[Instance]:
     """Canonical instances for a labels x engines product (the shape
     both the fuzz oracle's matrices and the bundled campaign specs
@@ -313,7 +313,7 @@ def standard_instances(
 def axes_instances(
     mechanisms: Iterable[str],
     filters: Iterable[str] = ("dominance",),
-    engines: Iterable[str] = ("compiled",),
+    engines: Iterable[str] = (DEFAULT_ENGINE,),
     modes: Iterable[str] = ("full",),
     extension_points: Iterable[str] = ("VectorizerStart",),
 ) -> List[Instance]:

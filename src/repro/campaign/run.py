@@ -11,10 +11,10 @@ independent); execution then:
 * **batches** the shard through :meth:`ExperimentEngine.run_many`, so
   worker processes stay busy across cell boundaries and baselines are
   scheduled before the instrumented cells that validate against them;
-* **resumes** from the content-addressed disk cache: with an
-  engine-keyed cache every cell (including ``interp`` ones) persists,
-  so a re-run of an interrupted campaign recomputes only the missing
-  cells, bit-identically.
+* **resumes** from the content-addressed disk cache: cache keys carry
+  the VM engine, so every cell (of any engine) persists under its own
+  key, and a re-run of an interrupted campaign recomputes only the
+  missing cells, bit-identically.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Instrument-as-a-service: a long-lived HTTP/JSON daemon.
 
 ``python -m repro serve`` turns the reproduction into a small service
-backed by one shared :class:`ExperimentEngine` (worker pool + engine-
-keyed content-addressed cache): submit MiniC source or a named workload
+backed by one shared :class:`ExperimentEngine` (worker pool +
+content-addressed cache): submit MiniC source or a named workload
 plus an instance spec, get back the full ``BenchResult`` statistics --
 identical to what ``repro run``/``repro bench`` compute, and served
 from cache when any previous job (or campaign) already computed the
@@ -25,7 +25,8 @@ Endpoints (all JSON):
     ``{"ok": …, "cached": …, "result": <BenchResult JSON>}``.
 
 Errors are structured: 400 with ``{"error": ...}`` for bad requests
-(unknown mechanism/workload, malformed JSON), 404 for unknown paths.
+(unknown mechanism/engine/workload, malformed JSON), 404 for unknown
+paths.
 The server is intentionally plain ``http.server`` -- no new
 dependencies -- and serializes job execution with a lock (the engine
 itself fans out over worker processes)."""

@@ -8,7 +8,7 @@ and targets as bundled workload names or inline sources::
     [axes]                      # instances = product of the axes
     mechanisms = ["baseline", "softbound", "lowfat"]
     filters    = ["unopt", "dominance", "ranges"]
-    engines    = ["compiled", "interp", "codegen"]
+    engines    = ["codegen", "interp"]
 
     [[instance]]                # ...plus explicit extras (optional)
     label = "softbound-meta"

@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the runtime statistics summary")
     run_p.add_argument("--dump-codegen", default=None, metavar="DIR",
                        help="with --engine codegen: write the generated "
-                            "Python source of every compiled function "
+                            "Python source of every executed function "
                             "into DIR (numbered, IR block names as "
                             "comments)")
 
@@ -366,8 +366,7 @@ def _run_fuzz(args) -> int:
     if args.count <= 0:
         raise ConfigError("--count must be positive")
     jobs = resolve_jobs(args.jobs)
-    # The cache is opt-in for fuzzing: only an explicit --cache-dir is
-    # used (and the oracle still refuses it for multi-engine matrices).
+    # The cache is opt-in for fuzzing: only an explicit --cache-dir is used.
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -490,7 +489,7 @@ def _run_campaign(args) -> int:
     from .experiments.runner import engine_from_args
 
     spec = load_spec(args.spec)
-    engine = engine_from_args(args, engine_keyed_cache=True)
+    engine = engine_from_args(args)
     runner = CampaignRunner(spec, engine,
                             shard_index=args.shard_index,
                             shard_count=args.shard_count)
@@ -538,7 +537,7 @@ def _run_serve(args) -> int:
     from .campaign import make_server
     from .experiments.runner import engine_from_args
 
-    engine = engine_from_args(args, engine_keyed_cache=True)
+    engine = engine_from_args(args)
     server, _ = make_server(args.host, args.port, engine,
                             default_max_instructions=args.max_instructions,
                             verbose=args.verbose)

@@ -40,6 +40,7 @@ from .opt.instcombine import InstCombine
 from .opt.pass_manager import PassManager
 from .opt.pipeline import build_pipeline
 from .opt.simplifycfg import SimplifyCFG
+from .vm.engines import DEFAULT_ENGINE
 from .vm.interpreter import VirtualMachine
 from .vm.stats import RuntimeStats
 
@@ -173,7 +174,7 @@ def make_vm(
     program: CompiledProgram,
     max_instructions: Optional[int] = 500_000_000,
     lf_region_capacity: Optional[int] = None,
-    engine: str = "compiled",
+    engine: str = DEFAULT_ENGINE,
     profile: bool = False,
     dump_codegen: Optional[str] = None,
 ) -> VirtualMachine:
@@ -195,7 +196,7 @@ def run_program(
     entry: str = "main",
     max_instructions: Optional[int] = 500_000_000,
     lf_region_capacity: Optional[int] = None,
-    engine: str = "compiled",
+    engine: str = DEFAULT_ENGINE,
     profile: bool = False,
     dump_codegen: Optional[str] = None,
 ) -> RunResult:

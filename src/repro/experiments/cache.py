@@ -32,20 +32,18 @@ from typing import Iterator, Optional
 
 from .. import __version__
 
-#: Bump when the BenchResult JSON schema changes incompatibly; old
-#: entries then miss instead of deserializing garbage.  Version 3:
-#: TargetStatistics gained the hoist counters and static verdicts, and
-#: InstrumentationConfig gained ``opt_hoist`` (part of every job key).
-CACHE_FORMAT_VERSION = 3
+#: Bump when the BenchResult JSON schema or the key derivation changes
+#: incompatibly; old entries then miss instead of deserializing
+#: garbage.  Version 3: TargetStatistics gained the hoist counters and
+#: static verdicts, and InstrumentationConfig gained ``opt_hoist``.
+#: Version 4: every key carries the VM execution engine.
+CACHE_FORMAT_VERSION = 4
 
 #: Payload fields that do not influence the measured result: the
 #: reference output is itself a deterministic function of the keyed
-#: inputs (it is the baseline run's output), the timeout only bounds
-#: the job's wall clock, and the VM execution engine is bit-identical
-#: by contract (the closure-compiled tier produces exactly the tree-
-#: walker's RuntimeStats), so results cached under either engine
-#: replay for both.
-_NON_KEY_FIELDS = ("reference_output", "timeout", "engine")
+#: inputs (it is the baseline run's output), and the timeout only
+#: bounds the job's wall clock.
+_NON_KEY_FIELDS = ("reference_output", "timeout")
 
 
 def default_cache_dir() -> Path:
@@ -60,20 +58,14 @@ def default_cache_dir() -> Path:
     return Path(base) / "repro-bench"
 
 
-def job_key(payload: dict, engine_keyed: bool = False) -> str:
+def job_key(payload: dict) -> str:
     """Content hash of a job payload (minus the non-key fields).
 
-    With ``engine_keyed=True`` the VM execution engine *is* part of the
-    key: campaigns that deliberately sweep both VM tiers partition the
-    cache per engine, so a shard resuming an ``interp`` instance can
-    never be served a ``compiled`` entry (and vice versa) -- which is
-    what keeps mixed-engine campaign results honest while still fully
-    resumable.  The default, engine-agnostic key encodes the two tiers'
-    bit-identical-statistics contract: either engine's result answers
-    for both."""
+    The VM execution engine is part of the key: each engine caches
+    and resumes its own cells, so a result is only ever served to a
+    request for the engine that computed it -- which keeps the
+    engine-differential comparison honest even over a warm cache."""
     keyed = {k: v for k, v in payload.items() if k not in _NON_KEY_FIELDS}
-    if engine_keyed:
-        keyed["engine"] = payload.get("engine", "compiled")
     keyed["repro_version"] = __version__
     keyed["cache_format"] = CACHE_FORMAT_VERSION
     blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))

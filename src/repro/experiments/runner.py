@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.config import InstrumentationConfig
 from ..driver import CompileOptions, compile_program, run_program
 from ..errors import CacheVerificationError
+from ..vm.engines import DEFAULT_ENGINE, ENGINE_DESCRIPTIONS, ENGINES
 from ..workloads import Workload
 from .cache import ResultCache, default_cache_dir, job_key
 from .common import MAX_INSTRUCTIONS, BenchResult, config_for
@@ -63,7 +64,7 @@ class JobRequest:
 
     ``engine`` overrides the engine-wide VM execution tier
     (``vm_engine``) for this one job, which lets a single batch mix
-    ``compiled`` and ``interp`` cells -- the differential fuzzing
+    ``codegen`` and ``interp`` cells -- the differential fuzzing
     oracle schedules the whole engine matrix through one
     :meth:`ExperimentEngine.run_many` wave this way.
     """
@@ -112,7 +113,7 @@ def _execute_payload(payload: dict) -> BenchResult:
     run = run_program(program,
                       max_instructions=payload["max_instructions"],
                       lf_region_capacity=payload["lf_region_capacity"],
-                      engine=payload.get("engine", "compiled"))
+                      engine=payload["engine"])
     reference = payload["reference_output"]
     if payload["label"] == "baseline" and run.ok:
         output_ok = True
@@ -173,8 +174,7 @@ class ExperimentEngine:
         max_instructions: int = MAX_INSTRUCTIONS,
         job_timeout: Optional[float] = None,
         verify_cache: bool = False,
-        vm_engine: str = "compiled",
-        engine_keyed_cache: bool = False,
+        vm_engine: str = DEFAULT_ENGINE,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -182,13 +182,6 @@ class ExperimentEngine:
         self.job_timeout = job_timeout
         self.verify_cache = verify_cache
         self.vm_engine = vm_engine
-        #: campaign mode: partition the disk cache per VM engine so a
-        #: mixed-engine batch caches (and resumes) every cell, and no
-        #: cell can ever be served another engine's stored stats.  Off
-        #: (the default), the cache is engine-agnostic and per-request
-        #: engine overrides bypass it entirely (the fuzz oracle's
-        #: differential setting).
-        self.engine_keyed_cache = engine_keyed_cache
         self.executed_jobs = 0
         self._memo: Dict[str, BenchResult] = {}
         self._payloads: Dict[str, dict] = {}
@@ -234,18 +227,14 @@ class ExperimentEngine:
 
         def admit(request: JobRequest) -> str:
             payload = self._payload(request)
-            # ``engine`` is a non-key cache field (the two VM tiers are
-            # bit-identical by contract), but the in-process memo must
-            # keep mixed-engine batches apart or the second engine's
-            # cells would be served from the first's results -- which
-            # would make any engine-differential comparison vacuous.
-            key = f"{job_key(payload)}|{payload['engine']}"
+            # One engine-qualified key names the job in the memo and
+            # on disk, so mixed-engine batches never alias each other.
+            key = job_key(payload)
             if key in self._memo or key in pending_baselines \
                     or key in pending_rest:
                 return key
             self._payloads[key] = payload
-            cached = (self.cache.get(self._disk_key(payload))
-                      if self._cache_covers(payload) else None)
+            cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 self._memo[key] = BenchResult.from_json(cached)
                 self._disk_hits.append(key)
@@ -305,37 +294,14 @@ class ExperimentEngine:
             "engine": request.engine or self.vm_engine,
         }
 
-    def _disk_key(self, payload: dict) -> str:
-        return job_key(payload, engine_keyed=self.engine_keyed_cache)
-
     def fingerprint(self, request: JobRequest) -> str:
-        """A shard-stable content key for ``request``.
+        """The content key of ``request``: its memo and disk-cache key.
 
-        Always engine-qualified, independent of request order and of
-        this engine's cache mode -- the campaign layer assigns cells to
-        shards by hashing this, so every shard of a sweep agrees on the
-        partition without coordination."""
-        return job_key(self._payload(request), engine_keyed=True)
-
-    def _cache_covers(self, payload: dict) -> bool:
-        """Whether the disk cache may serve/store this job's result.
-
-        Engine-agnostic mode (the default): the cache speaks for the
-        engine-wide ``vm_engine`` only.  Per-request engine overrides
-        bypass it, because serving (or storing) an override's result
-        under the engine-agnostic key would let a ``compiled`` entry
-        answer an ``interp`` job, and the whole point of mixed-engine
-        batches is to *check* that those agree.
-
-        Engine-keyed mode (campaigns): every job is covered -- the key
-        itself carries the engine, so mixed-engine shards cache every
-        cell without any risk of cross-engine serving.
-        """
-        if self.cache is None:
-            return False
-        if self.engine_keyed_cache:
-            return True
-        return payload["engine"] == self.vm_engine
+        Engine-qualified and independent of request order -- the
+        campaign layer also assigns cells to shards by hashing this,
+        so every shard of a sweep agrees on the partition without
+        coordination."""
+        return job_key(self._payload(request))
 
     def _execute(self, pending: Dict[str, dict]) -> None:
         if not pending:
@@ -350,9 +316,8 @@ class ExperimentEngine:
             result = self._materialize(payload, outcome)
             self._memo[key] = result
             self.executed_jobs += 1
-            if self._cache_covers(payload) and result.status != "failed":
-                self.cache.put(self._disk_key(payload), result.to_json(),
-                               describe={
+            if self.cache is not None and result.status != "failed":
+                self.cache.put(key, result.to_json(), describe={
                     "workload": payload["workload"],
                     "label": payload["label"],
                     "extension_point": payload["extension_point"],
@@ -449,12 +414,10 @@ def add_cache_arguments(parser) -> None:
 
 def add_vm_engine_argument(parser) -> None:
     """``--engine`` (the VM execution tier)."""
-    from ..vm.engines import ENGINE_DESCRIPTIONS, ENGINES
-
     tiers = "; ".join(f"'{name}' is the {desc}"
                       for name, desc in ENGINE_DESCRIPTIONS.items())
     parser.add_argument(
-        "--engine", default="compiled", choices=ENGINES,
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINES,
         help=f"VM execution engine: {tiers}; results are bit-identical")
 
 
@@ -476,15 +439,13 @@ def resolve_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
-def engine_from_args(args, engine_keyed_cache: bool = False,
+def engine_from_args(args,
                      require_cache_dir: bool = False) -> ExperimentEngine:
     """Build the engine an argparse namespace describes.
 
-    ``engine_keyed_cache`` turns on the per-VM-engine cache partition
-    (campaign / serve mode).  With ``require_cache_dir`` the disk cache
-    is opt-in: it is only built when ``--cache-dir`` was passed
-    explicitly (the fuzz oracle's setting -- differential runs must not
-    silently reuse a stale default cache)."""
+    With ``require_cache_dir`` the disk cache is opt-in: it is only
+    built when ``--cache-dir`` was passed explicitly (differential
+    runs must not silently reuse a stale default cache)."""
     cache = None
     if not args.no_cache:
         if args.cache_dir:
@@ -496,8 +457,7 @@ def engine_from_args(args, engine_keyed_cache: bool = False,
         cache=cache,
         job_timeout=args.job_timeout,
         verify_cache=args.verify_cache,
-        vm_engine=getattr(args, "engine", "compiled"),
-        engine_keyed_cache=engine_keyed_cache,
+        vm_engine=getattr(args, "engine", DEFAULT_ENGINE),
     )
 
 

@@ -16,10 +16,10 @@ results five ways:
     (output lines, exit status, or a spurious violation/fault) -- the
     transparency property the paper's evaluation rests on;
 ``engine-divergence``
-    any registered execution tier (closure-compiled, reference
-    tree-walker, source-codegen) disagrees with the first engine on
-    any observable *or any counter* for the same cell (all tiers are
-    bit-identical by contract);
+    any registered execution tier (source-codegen, reference
+    tree-walker) disagrees with the first engine on any observable
+    *or any counter* for the same cell (all tiers are bit-identical by
+    contract);
 ``filter-invariant``
     check-elimination filters broke a counting invariant: dynamic
     checks must satisfy ranges <= dominance <= unfiltered for each
@@ -37,7 +37,7 @@ from ..errors import ConfigError
 from ..experiments.cache import ResultCache
 from ..experiments.common import BenchResult
 from ..experiments.runner import ExperimentEngine, JobRequest
-from ..vm.engines import ENGINES
+from ..vm.engines import DEFAULT_ENGINE, ENGINES
 from ..workloads import Workload
 from .generator import CoverageReport, GeneratedProgram
 
@@ -111,7 +111,7 @@ FULL_MATRIX = Matrix.from_instances("full", standard_instances(
 
 QUICK_MATRIX = Matrix.from_instances("quick", standard_instances(
     ("baseline", "softbound", "lowfat"),
-    engines=("compiled",),
+    engines=(DEFAULT_ENGINE,),
 ))
 
 MATRICES: Dict[str, Matrix] = {m.name: m for m in (FULL_MATRIX, QUICK_MATRIX)}
@@ -204,8 +204,8 @@ class FuzzReport:
 
 
 #: Fields that must agree bit-for-bit across VM engines for the same
-#: (program, label) cell.  This is the closure-compiled tier's
-#: "bit-identical statistics" contract, enforced at fuzzing scale.
+#: (program, label) cell.  This is the engines' "bit-identical
+#: statistics" contract, enforced at fuzzing scale.
 #: ``static`` covers the whole compile-side TargetStatistics -- in
 #: particular, the hoist transform's hoisted/coalesced/synthesized
 #: counts must be deterministic across independent compilations.
@@ -234,10 +234,9 @@ class DifferentialOracle:
 
     ``jobs`` fans the matrix out over worker processes (the underlying
     :class:`ExperimentEngine` schedules baselines first, then the rest
-    in one wave).  A disk ``cache`` is refused for multi-engine
-    matrices: the cache is engine-agnostic by contract, so it would
-    satisfy the second engine's cells from the first engine's stored
-    results and turn the engine comparison into a tautology.
+    in one wave).  A disk ``cache`` keys every cell by its engine, so
+    each engine's cells are cached and served apart and the engine
+    comparison stays meaningful over a warm cache.
     """
 
     def __init__(
@@ -256,11 +255,6 @@ class DifferentialOracle:
                 raise ConfigError(
                     f"unknown fuzz matrix {matrix!r}; "
                     f"choose from {', '.join(sorted(MATRICES))}")
-        if cache is not None and len(matrix.engines) > 1:
-            raise ConfigError(
-                "a result cache cannot be used with a multi-engine "
-                "matrix: cache keys are engine-agnostic, so cached "
-                "results would make the engine comparison vacuous")
         self.matrix = matrix
         self._instances = matrix.instances()
         self.engine = ExperimentEngine(

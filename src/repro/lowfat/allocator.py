@@ -109,7 +109,7 @@ class LowFatAllocator:
             alloc.freed = True
             return
         # Mark the (about-to-be-dead) object freed before unmapping so
-        # stale per-site caches in the compiled engine reject it via
+        # stale per-site caches in the codegen engine reject it via
         # the cheap ``freed`` flag instead of a global epoch bump; the
         # slot itself is recycled with a fresh Allocation on reuse.
         alloc.freed = True

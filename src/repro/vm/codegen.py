@@ -1,13 +1,10 @@
-"""Source-generation tier of the VM (``--engine codegen``).
+"""Source-generation execution tier of the VM (``--engine codegen``).
 
-Third execution tier, one step past the closure tier in
-:mod:`.compile`: each IR function is translated *once* into a single
-Python source string and ``exec``-ed, so hot code runs as real
-compiled bytecode over real local variables instead of lists of
-closures over frame-slot lists:
+The default engine.  Each IR function is translated *once* into a
+single Python source string and ``exec``-ed, so hot code runs as real
+compiled bytecode over real local variables:
 
-* SSA values live in plain locals ``v<slot>`` (``LOAD_FAST``) instead
-  of ``frame[slot]`` list indexing;
+* SSA values live in plain locals ``v<slot>`` (``LOAD_FAST``);
 * basic blocks dispatch through a ``while True`` loop over an
   ``if __b == <idx>: ... elif`` jump table on the block index;
   single-predecessor blocks are inlined at their unique branch site
@@ -16,51 +13,59 @@ closures over frame-slot lists:
 * phi moves become per-edge tuple assignments
   (``v3, v7 = <e1>, <e2>``), which are parallel by construction;
 * icmp/fcmp/binops/casts/GEPs are inlined as expressions, with
-  branch-free sign correction (``(x ^ half) - half``) instead of
-  per-value ``if`` closures, and single-use pure values fused
-  textually into their consumer;
-* loads/stores keep the closure tier's per-site inline cache, as
-  module-level cache variables validated against ``Memory.epoch``;
+  branch-free sign correction (``(x ^ half) - half``), and single-use
+  pure values fused textually into their consumer;
+* loads/stores carry a per-site inline cache of the last allocation
+  they hit, as module-level cache variables validated against
+  ``Memory.epoch``;
 * cycle/opcode charges are block-batched into plain *local*
   accumulators (``__cy``, ``__o_<opcode>``, ...) flushed once per
   frame by a zero-cost ``try/finally``; only the absolute instruction
   count ``__ins`` is published to ``RuntimeStats`` eagerly -- before
   every call (callees check the budget against it) and at frame exit.
-  Raising statements keep the closure tier's static rollback: a
-  ``try/except`` subtracts the not-yet-executed suffix of the block
-  from the accumulators before re-raising, and call statements resync
-  ``__ins`` from the callee's exactly-published count.
 
-The statistics contract is identical to :mod:`.compile` (see its
-docstring): field-for-field :class:`RuntimeStats` equality with the
-tree-walker at every observable point, including the instant a
-``MemoryFault``/exit escapes.  Fusion and inlining decisions only move
-*when* a pure expression is computed, never what is charged, so this
-tier may fuse differently (e.g. depth-capped) without observable
-effect.  Operands that evaluate a function address or unloaded global
-(``"f"`` descriptors) are never fused or folded, exactly like the
-closure tier, because their evaluation order is program-visible.
+Statistics contract: field-for-field :class:`RuntimeStats` equality
+with the tree-walker at every observable point.  The only points
+where statistics are observable are the end of a run and the moment a
+``MemoryFault`` / ``MemSafetyViolation`` / ``ProgramAbort`` / exit
+request escapes the VM -- native helpers only ever *add* to the
+counters, none reads them.  Every statement that can raise (loads,
+stores, allocas, integer division, every call) therefore carries a
+*static rollback*: a ``try/except`` subtracts the pre-computed charges
+of exactly the not-yet-executed suffix of the block from the
+accumulators before re-raising, and call statements resync ``__ins``
+from the callee's exactly-published count.  Fusion and inlining
+decisions only move *when* a pure expression is computed, never what
+is charged, so fusion may be depth-capped without observable effect.
+Operands that evaluate a function address or unloaded global (``"f"``
+descriptors) are never fused or folded, because their evaluation order
+is program-visible: function addresses are assigned lazily at first
+evaluation, like the tree-walker does.
+
+Profiling (``profile=True``) specializes the emission.  Charges of
+instructions the instrumentation inserted (``meta["mi"]``) also feed a
+per-frame ``__mi`` accumulator, batched and rolled back like every
+other counter, and ``mi`` calls into natives add the ``stats.cycles``
+delta they cause (static cost plus the runtime's internal charges).
+``instrumentation_cycles`` thereby equals the tree-walker's
+per-instruction attribution; unprofiled emission is unaffected.
 
 Per-function source and code objects are cached on the
 :class:`Function` itself (``fn._codegen_cache``): the emitter runs per
 VM (bindings like native impls and global addresses are per-VM), but
 when the generated source is unchanged the expensive ``compile()``
 call is skipped and only a fresh namespace is ``exec``-ed.
-
-Profiling (``profile=True``) needs per-site cycle attribution that
-block-batching cannot provide without the closure tier's specialized
-batches; the VM transparently falls back to the closure tier in that
-case and records the reason (see ``VirtualMachine.call_function``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import os
 import re
 import struct
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import MemoryFault, VMError
 from ..ir.instructions import (
@@ -103,7 +108,6 @@ from ..ir.values import (
     Value,
 )
 from . import costs
-from .compile import _DIV_OPS, _PURE_CASTS, _FunctionCompiler
 from .memory import SparsePages
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -140,16 +144,191 @@ _FCMP_SYM = {
     "une": "!=",
 }
 
+_DIV_OPS = frozenset(("sdiv", "udiv", "srem", "urem"))
+#: Casts that cannot raise (``fptosi``/``fptoui`` blow up on NaN/inf).
+_PURE_CASTS = frozenset((
+    "trunc", "zext", "sext", "ptrtoint", "inttoptr", "bitcast",
+    "fptrunc", "fpext", "sitofp", "uitofp",
+))
+
+_ICMP_OPS = {
+    "eq": operator.eq, "ne": operator.ne,
+    "ult": operator.lt, "ule": operator.le,
+    "ugt": operator.gt, "uge": operator.ge,
+    "slt": operator.lt, "sle": operator.le,
+    "sgt": operator.gt, "sge": operator.ge,
+}
+
+
+# -- scalar semantics, for constant folding and bound helpers ----------
+
+def _float_binop_fn(op: str) -> Optional[Callable]:
+    if op == "fadd":
+        return operator.add
+    if op == "fsub":
+        return operator.sub
+    if op == "fmul":
+        return operator.mul
+    if op == "fdiv":
+        inf = float("inf")
+
+        def fdiv(x, y):
+            return x / y if y != 0.0 else inf
+
+        return fdiv
+    if op == "frem":
+        fmod = math.fmod
+        nan = float("nan")
+
+        def frem(x, y):
+            return fmod(x, y) if y != 0.0 else nan
+
+        return frem
+    return None
+
+
+def _int_binop_fn(op: str, bits: int, mask: int) -> Optional[Callable]:
+    if op == "add":
+        return lambda x, y: (x + y) & mask
+    if op == "sub":
+        return lambda x, y: (x - y) & mask
+    if op == "mul":
+        return lambda x, y: (x * y) & mask
+    if op == "and":
+        return operator.and_
+    if op == "or":
+        return operator.or_
+    if op == "xor":
+        return operator.xor
+    if op == "shl":
+        return lambda x, y: (x << (y % bits)) & mask
+    if op == "lshr":
+        return lambda x, y: x >> (y % bits)
+    if op == "ashr":
+        half, full = 1 << (bits - 1), 1 << bits
+
+        def ashr(x, y):
+            if x >= half:
+                x -= full
+            return (x >> (y % bits)) & mask
+
+        return ashr
+    if op in ("sdiv", "srem"):
+        half, full = 1 << (bits - 1), 1 << bits
+        srem = op == "srem"
+
+        def sdiv(x, y):
+            if x >= half:
+                x -= full
+            if y >= half:
+                y -= full
+            if y == 0:
+                raise MemoryFault(0, 0, "integer division by zero")
+            q = abs(x) // abs(y)
+            if (x < 0) != (y < 0):
+                q = -q
+            return (x - q * y if srem else q) & mask
+
+        return sdiv
+    if op in ("udiv", "urem"):
+        urem = op == "urem"
+
+        def udiv(x, y):
+            if y == 0:
+                raise MemoryFault(0, 0, "integer division by zero")
+            return (x % y if urem else x // y) & mask
+
+        return udiv
+    return None
+
+
+def _icmp_fn(inst: ICmp) -> Callable:
+    pred = inst.predicate
+    op = _ICMP_OPS[pred]
+    if pred not in _ICMP_SIGNED:
+        return lambda x, y: 1 if op(x, y) else 0
+    ty = inst.lhs.type
+    bits = ty.bits if isinstance(ty, IntType) else 64
+    half, full = 1 << (bits - 1), 1 << bits
+
+    def f(x, y):
+        if x >= half:
+            x -= full
+        if y >= half:
+            y -= full
+        return 1 if op(x, y) else 0
+
+    return f
+
+
+def _cast_fn(op: str, src_ty, dst_ty) -> Optional[Callable]:
+    """Scalar conversion for a cast; None means identity."""
+    if op == "trunc":
+        assert isinstance(dst_ty, IntType)
+        mask = dst_ty.mask
+        return lambda x: x & mask
+    if op == "zext":
+        return None
+    if op == "sext":
+        assert isinstance(src_ty, IntType) and isinstance(dst_ty, IntType)
+        half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
+        dmask = dst_ty.mask
+
+        def sext(x):
+            if x >= half:
+                x -= full
+            return x & dmask
+
+        return sext
+    if op == "ptrtoint":
+        mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
+        return lambda x: x & mask
+    if op == "inttoptr":
+        return lambda x: x & U64_MASK
+    if op == "bitcast":
+        if isinstance(src_ty, IntType) and isinstance(dst_ty, FloatType):
+            fmt = "<f" if dst_ty.bits == 32 else "<d"
+            nbytes = dst_ty.bits // 8
+            unpack = struct.unpack
+            return lambda x: unpack(fmt, x.to_bytes(nbytes, "little"))[0]
+        if isinstance(src_ty, FloatType) and isinstance(dst_ty, IntType):
+            fmt = "<f" if src_ty.bits == 32 else "<d"
+            pack = struct.pack
+            from_bytes = int.from_bytes
+            return lambda x: from_bytes(pack(fmt, x), "little")
+        return None
+    if op in ("fptrunc", "fpext"):
+        return float
+    if op in ("fptosi", "fptoui"):
+        assert isinstance(dst_ty, IntType)
+        mask = dst_ty.mask
+        return lambda x: int(x) & mask
+    if op == "sitofp":
+        assert isinstance(src_ty, IntType)
+        half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
+
+        def sitofp(x):
+            if x >= half:
+                x -= full
+            return float(x)
+
+        return sitofp
+    if op == "uitofp":
+        return float
+    raise VMError(f"cast {op}")  # pragma: no cover - unknown cast opcode
+
 
 def _env_signature(vm: "VirtualMachine") -> Tuple:
     """Everything the emitter consults on the VM that can change the
     *generated source or bindings*: loaded-global addresses (constant
-    folding + getter shape) and native implementations (inline-charge
-    shape + bound impl identity).  Two VMs with equal signatures get
+    folding + getter shape), native implementations (inline-charge
+    shape + bound impl identity) and the profiling switch (cycle
+    attribution code).  Two VMs with equal signatures get
     byte-identical source and may share the cached emission."""
     return (
         tuple((id(g), a) for g, a in vm.global_addresses.items()),
         tuple((n, id(f)) for n, f in vm.natives.items()),
+        vm.stats.profile,
     )
 
 
@@ -194,8 +373,7 @@ def _global_getter(vm: "VirtualMachine", value: GlobalVariable):
 
 class CodegenFunction:
     """One IR function translated to generated Python source, bound to
-    one VM.  ``execute`` mirrors ``CompiledFunction.execute``
-    (argument padding/truncation included)."""
+    one VM."""
 
     __slots__ = ("vm", "fn", "arg_count", "source", "_run")
 
@@ -253,7 +431,7 @@ class CodegenFunction:
         n = self.arg_count
         if len(args) == n:
             return self._run(*args)
-        # Same semantics as the closure tier's zip over arg slots:
+        # Same semantics as the tree-walker's zip over the formals:
         # extra arguments are dropped, missing ones read as None.
         return self._run(*(list(args) + [None] * n)[:n])
 
@@ -262,7 +440,7 @@ class _SourceEmitter:
     """Builds the source string plus the exec namespace for one
     function.
 
-    Operand descriptors mirror the closure tier: ``("s", slot)`` for
+    Operand descriptors: ``("s", slot)`` for
     locals, ``("c", value)`` for compile-time constants, ``("p", expr,
     depth)`` for fused pure expressions, ``("f", expr, depth)`` for
     impure expressions (function addresses, unloaded globals,
@@ -325,13 +503,16 @@ class _SourceEmitter:
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
-        self._charges: List[Tuple[str, int, int, int]] = []
+        self._charges: List[Tuple[str, int, int, int, bool]] = []
         self._steps: List[Tuple[List[str], Optional[int], bool]] = []
         # Function-wide deferred-charge accumulators: opcode -> local
         # name (insertion-ordered, so generated source is stable).
         self._acc_names: Dict[str, str] = {}
         self._has_loads = False
         self._has_stores = False
+        # Profiling: attribute instrumentation cycles into ``__mi``.
+        self.profile = stats.profile
+        self._has_mi = False
 
     # -- driver --------------------------------------------------------
     def emit(self) -> Tuple[str, Dict[str, object]]:
@@ -459,7 +640,7 @@ class _SourceEmitter:
 
     def _new_site(self) -> Tuple[str, str, str, str, str, str]:
         """Fresh per-site inline-cache variables (module-level, so
-        they persist across calls like the closure cells do):
+        they persist across calls):
         allocation, low bound, inclusive high bound (pre-adjusted by
         the access size so the hit test is one chained comparison),
         epoch stamp, the allocation's backing bytearray (None when it
@@ -506,7 +687,7 @@ class _SourceEmitter:
             return ("f", f"{name}()", 1)
         if isinstance(value, Function):
             # Lazy, evaluation-order-preserving address assignment,
-            # exactly like the closure tier.
+            # exactly like the tree-walker.
             name = self._bind(value)
             return ("f", f"__fa({name})", 1)
         name = self._bind(_raiser0(VMError(f"cannot evaluate value {value!r}")))
@@ -540,8 +721,8 @@ class _SourceEmitter:
 
     # -- step / charge bookkeeping -------------------------------------
     def _charge(self, opcode: str, cycles: int,
-                loads: int = 0, stores: int = 0) -> None:
-        self._charges.append((opcode, cycles, loads, stores))
+                loads: int = 0, stores: int = 0, mi: bool = False) -> None:
+        self._charges.append((opcode, cycles, loads, stores, mi))
 
     def _step(self, lines: List[str], raising: bool = False,
               call: bool = False) -> None:
@@ -576,15 +757,38 @@ class _SourceEmitter:
         self._pending = {}
 
     @staticmethod
-    def _aggregate(charges) -> Tuple[int, int, Tuple, int, int]:
-        cyc = loads = stores = 0
+    def _aggregate(charges) -> Tuple[int, int, Tuple, int, int, int]:
+        cyc = loads = stores = micyc = 0
         counts: Dict[str, int] = {}
-        for op, c, ld, st in charges:
+        for op, c, ld, st, mi in charges:
             cyc += c
             loads += ld
             stores += st
+            if mi:
+                micyc += c
             counts[op] = counts.get(op, 0) + 1
-        return cyc, len(charges), tuple(counts.items()), loads, stores
+        return (cyc, len(charges), tuple(counts.items()), loads, stores,
+                micyc)
+
+    def _mi_lines(self, op: str, micyc: int) -> List[str]:
+        """``__mi`` update for the instrumentation-owned share of a
+        charge batch (profiling only)."""
+        if not (self.profile and micyc):
+            return []
+        self._has_mi = True
+        return [f"__mi {op} {micyc}"]
+
+    def _attributed(self, inst: Instruction, lines: List[str]) -> List[str]:
+        """Wrap the lines of a native call so that, when profiling an
+        ``mi`` call, its whole ``stats.cycles`` delta (static cost plus
+        the runtime's internal charges) goes to ``__mi`` -- the
+        tree-walker's per-instruction delta.  Nothing is attributed on
+        a raise, also like the tree-walker."""
+        if not (self.profile and "mi" in inst.meta):
+            return lines
+        self._has_mi = True
+        return (["__m0 = __stats.cycles"] + lines
+                + ["__mi += __stats.cycles - __m0"])
 
     def _finalize_block(self) -> List[str]:
         charges = self._charges
@@ -594,7 +798,7 @@ class _SourceEmitter:
             # locals (flushed once per frame by the function's
             # ``finally``); only ``__ins`` carries the running absolute
             # instruction count, for budget checks and callees.
-            cyc, n, items, loads, stores = self._aggregate(charges)
+            cyc, n, items, loads, stores, micyc = self._aggregate(charges)
             if cyc:
                 out.append(f"__cy += {cyc}")
             out.append(f"__ins += {n}")
@@ -606,12 +810,13 @@ class _SourceEmitter:
             if stores:
                 self._has_stores = True
                 out.append(f"__sta += {stores}")
+            out.extend(self._mi_lines("+=", micyc))
         for lines, ci, is_call in self._steps:
             if ci is None:
                 out.extend(lines)
                 continue
             suffix = charges[ci:]
-            cyc, n, items, loads, stores = self._aggregate(suffix)
+            cyc, n, items, loads, stores, micyc = self._aggregate(suffix)
             if is_call:
                 # Publish the exact instruction count to the callee,
                 # resync afterwards (the callee's own ``finally``
@@ -634,6 +839,7 @@ class _SourceEmitter:
                 handler.append(f"__lda -= {loads}")
             if stores:
                 handler.append(f"__sta -= {stores}")
+            handler.extend(self._mi_lines("-=", micyc))
             out.append("try:")
             out.extend("    " + ln for ln in body)
             out.append("except BaseException:")
@@ -652,11 +858,12 @@ class _SourceEmitter:
         for _ in phis:
             # Charged with the block batch, after the moves ran --
             # matching the tree-walker's evaluate-then-charge order.
-            self._charges.append(("phi", 0, 0, 0))
+            self._charges.append(("phi", 0, 0, 0, False))
         for inst in block.instructions[len(phis):]:
             if inst is term_inst:
                 self._charges.append(
-                    (inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode], 0, 0))
+                    (inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode], 0, 0,
+                     False))
                 break
             self._compile_instruction(inst)
         # The terminator may consume a pending fused expression, so
@@ -669,29 +876,34 @@ class _SourceEmitter:
 
     def _compile_instruction(self, inst) -> None:
         cls = type(inst)
+        mi = "mi" in inst.meta
         if cls is Load:
-            self._charge("load", costs.INSTRUCTION_COSTS["load"], loads=1)
+            self._charge("load", costs.INSTRUCTION_COSTS["load"], loads=1,
+                         mi=mi)
             self._compile_load(inst)
         elif cls is Store:
-            self._charge("store", costs.INSTRUCTION_COSTS["store"], stores=1)
+            self._charge("store", costs.INSTRUCTION_COSTS["store"], stores=1,
+                         mi=mi)
             self._compile_store(inst)
         elif cls is BinOp:
-            self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
+            self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
+                         mi=mi)
             self._compile_binop(inst)
         elif cls is GEP:
-            self._charge("gep", 1)
+            self._charge("gep", 1, mi=mi)
             self._compile_gep(inst)
         elif cls is ICmp:
-            self._charge("icmp", 1)
+            self._charge("icmp", 1, mi=mi)
             self._compile_icmp(inst)
         elif cls is FCmp:
-            self._charge("fcmp", 2)
+            self._charge("fcmp", 2, mi=mi)
             self._compile_fcmp(inst)
         elif cls is Cast:
-            self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
+            self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
+                         mi=mi)
             self._compile_cast(inst)
         elif cls is Select:
-            self._charge("select", 1)
+            self._charge("select", 1, mi=mi)
             self._compile_select(inst)
         elif cls is Call:
             self._compile_call(inst)
@@ -699,7 +911,7 @@ class _SourceEmitter:
             # munmap-style natives): the cached ``__E`` goes stale.
             self._epoch_fresh = False
         elif cls is Alloca:
-            self._charge("alloca", 2)
+            self._charge("alloca", 2, mi=mi)
             self._compile_alloca(inst)
         elif cls is Phi:
             # A phi past the leading run: the tree-walker dispatches
@@ -733,7 +945,7 @@ class _SourceEmitter:
         if op in _DIV_OPS:
             # Division traps on zero -- always a standalone raising
             # statement, never fused or const-folded.
-            f = _FunctionCompiler._int_binop_fn(op, bits, mask)
+            f = _int_binop_fn(op, bits, mask)
             name = self._bind(f)
             self._step(
                 [f"v{self.slots[inst]} = "
@@ -741,7 +953,7 @@ class _SourceEmitter:
                 raising=True)
             return
         if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._int_binop_fn(op, bits, mask)
+            f = _int_binop_fn(op, bits, mask)
             if f is None:
                 name = self._bind(VMError(f"int binop {op}"))
                 self._step([f"raise {name}"], raising=True)
@@ -778,7 +990,7 @@ class _SourceEmitter:
 
     def _compile_fbinop(self, inst: BinOp, op: str, a: Tuple, b: Tuple) -> None:
         if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._float_binop_fn(op)
+            f = _float_binop_fn(op)
             self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
             return
         ae, be = self._expr(a), self._expr(b)
@@ -810,7 +1022,7 @@ class _SourceEmitter:
         a = self._operand(inst.lhs)
         b = self._operand(inst.rhs)
         if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._icmp_fn(inst)
+            f = _icmp_fn(inst)
             self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
             return
         pred = inst.predicate
@@ -877,7 +1089,7 @@ class _SourceEmitter:
                 raising=True)
             return
         if v[0] == "c" and op in _PURE_CASTS:
-            f = _FunctionCompiler._cast_fn(op, src_ty, dst_ty)
+            f = _cast_fn(op, src_ty, dst_ty)
             if f is None:
                 self._sink_value(inst, v, (v,))
             else:
@@ -897,7 +1109,7 @@ class _SourceEmitter:
         elif op == "inttoptr":
             desc = ("p", f"({ve} & {U64_MASK})", d)
         elif op == "bitcast":
-            f = _FunctionCompiler._cast_fn(op, src_ty, dst_ty)
+            f = _cast_fn(op, src_ty, dst_ty)
             if f is None:
                 self._sink_value(inst, v, (v,))
                 return
@@ -995,9 +1207,9 @@ class _SourceEmitter:
             e = f"(({self._expr(base)}{terms}{tail}) & {U64_MASK})"
             self._sink_value(inst, ("p", e, d), (base,))
             return
-        # An "f" operand leaked in: materialize here, preserving the
-        # closure tier's evaluation order (single-term shape evaluates
-        # the index before the base; multi-term evaluates base first).
+        # An "f" operand leaked in: materialize here, in a fixed
+        # evaluation order (single-term shape evaluates the index
+        # before the base; multi-term evaluates base first).
         dst = self.slots[inst]
         if len(var_terms) == 1:
             (_, scale, _) = var_terms[0]
@@ -1204,8 +1416,8 @@ class _SourceEmitter:
                     if site is not None:
                         args.append(self._bind(site))
                     fname = self._bind(fn)
-                    self._step(
-                        [f"{tgt}__call({fname}, [{', '.join(args)}])"],
+                    self._step(self._attributed(
+                        inst, [f"{tgt}__call({fname}, [{', '.join(args)}])"]),
                         raising=True, call=True)
                     return
                 key = f"native:{fn.name}"
@@ -1214,14 +1426,14 @@ class _SourceEmitter:
                 if site is not None:
                     args.append(self._bind(site))
                 iname = self._bind(impl)
-                self._step([
+                self._step(self._attributed(inst, [
                     f"__args = [{', '.join(args)}]",
                     f"__stats.cycles += {cost}",
                     "__stats.instructions += 1",
                     f"__oc[{key!r}] += 1",
                     "__stats.calls += 1",
                     f"{tgt}{iname}(__vm, __args)",
-                ], raising=True, call=True)
+                ]), raising=True, call=True)
                 return
             # Direct call of a defined function or declaration: the
             # static "call" charge joins the batch.  Defined functions
@@ -1351,8 +1563,8 @@ class _SourceEmitter:
 
     def _transition(self, pred: BasicBlock, succ: BasicBlock, depth: int,
                     out: List[str]) -> None:
-        # Same order as CompiledFunction.execute: terminator decided,
-        # then budget check, then phi moves, then the next block.
+        # Terminator decided, then budget check, then phi moves, then
+        # the next block -- the tree-walker's order.
         out.append(_BUDGET_CHECK)
         out.append(_BUDGET_RAISE)
         moves = self._moves_lines(pred, succ)
@@ -1402,6 +1614,8 @@ class _SourceEmitter:
             accs.append("__lda")
         if self._has_stores:
             accs.append("__sta")
+        if self._has_mi:
+            accs.append("__mi")
         for i in range(0, len(accs), 8):
             lines.append(ind + " = ".join(accs[i:i + 8]) + " = 0")
         for ln in self._moves_lines(None, fn.entry):
@@ -1425,6 +1639,9 @@ class _SourceEmitter:
             lines.append(ind * 2 + "__stats.loads += __lda")
         if self._has_stores:
             lines.append(ind * 2 + "__stats.stores += __sta")
+        if self._has_mi:
+            lines.append(
+                ind * 2 + "__stats.instrumentation_cycles += __mi")
         for opcode, name in self._acc_names.items():
             # Guarded: ``Counter[k] += 0`` would insert a zero-count
             # key the tree-walker never creates.
@@ -1435,9 +1652,8 @@ class _SourceEmitter:
     def _slots_needing_init(self) -> List[int]:
         """Locals that could be read before assignment on some path
         (cross-block uses, or in-block use before the defining
-        instruction): pre-set to None so they behave like the closure
-        tier's ``[None] * nslots`` frame instead of raising
-        UnboundLocalError."""
+        instruction): pre-set to None so such a read yields None
+        instead of raising UnboundLocalError."""
         fn = self.fn
         def_block: Dict[Value, BasicBlock] = {}
         for block in fn.blocks:

@@ -66,6 +66,7 @@ from ..ir.values import (
     Value,
 )
 from . import costs
+from .engines import DEFAULT_ENGINE, ENGINES
 from .memory import (
     Allocation,
     GlobalsAllocator,
@@ -80,10 +81,6 @@ FUNCTION_SEGMENT_BASE = 0x2000
 U64_MASK = (1 << 64) - 1
 _LOAD_COST = costs.INSTRUCTION_COSTS["load"]
 _STORE_COST = costs.INSTRUCTION_COSTS["store"]
-
-# Canonical engine registry lives in .engines; re-exported here for
-# backwards compatibility (CLI builders and campaign code import it).
-from .engines import ENGINES  # noqa: E402
 
 # Per-predicate comparison dispatch: one operator call per executed
 # icmp instead of building and indexing a ten-entry table.
@@ -116,7 +113,7 @@ class VirtualMachine:
         stats: Optional[RuntimeStats] = None,
         max_instructions: Optional[int] = 500_000_000,
         install_default_libc: bool = True,
-        engine: str = "compiled",
+        engine: str = DEFAULT_ENGINE,
         profile: bool = False,
     ):
         if engine not in ENGINES:
@@ -125,8 +122,8 @@ class VirtualMachine:
         self.module = module
         self.stats = stats or RuntimeStats()
         if profile:
-            # Must be set before any function is compiled/executed: the
-            # compiled tier specializes its charging closures on it.
+            # Must be set before any function is emitted/executed: the
+            # codegen tier specializes its generated source on it.
             self.stats.profile = True
         self.max_instructions = max_instructions
         self.memory = Memory()
@@ -150,16 +147,11 @@ class VirtualMachine:
         self._frame_cleanups: List[List[Callable[[], None]]] = []
         self._exit_code: Optional[int] = None
         self._globals_loaded = False
-        # Lazy per-function closure-compilation cache (compiled engine).
-        self._compiled: Dict[Function, "CompiledFunction"] = {}
         # Lazy per-function source-generation cache (codegen engine).
         self._codegen: Dict[Function, object] = {}
         # Set by the driver (``--dump-codegen``): directory receiving
-        # one generated-source file per compiled function.
+        # one generated-source file per emitted function.
         self.codegen_dump_dir: Optional[str] = None
-        # Set when engine="codegen" transparently falls back to the
-        # closure tier (profiling needs per-site cycle attribution).
-        self.codegen_fallback_reason: Optional[str] = None
         if install_default_libc:
             install_libc(self)
 
@@ -265,76 +257,17 @@ class VirtualMachine:
                 self.stats.charge(f"native:{fn.name}", costs.call_cost(fn.name))
                 return impl(self, args)
             raise VMError(f"call to undefined function @{fn.name}")
-        self.stats.calls += 1
-        if self.engine == "compiled":
-            return self._run_function_compiled(fn, args)
         if self.engine == "codegen":
-            if self.stats.profile:
-                # Per-site cycle attribution requires the closure
-                # tier's profile-specialized batches; fall back and
-                # record why (stats stay bit-identical either way).
-                if self.codegen_fallback_reason is None:
-                    self.codegen_fallback_reason = (
-                        "profile=True: per-site cycle attribution "
-                        "requires the closure tier")
-                return self._run_function_compiled(fn, args)
-            return self._run_function_codegen(fn, args)
+            return self._codegen_direct_call(fn, args)
+        self.stats.calls += 1
         return self._run_function(fn, args)
 
-    # -- the main loop -----------------------------------------------------------
-    def _run_function(self, fn: Function, args: List) -> Optional[object]:
-        frame: Dict[Value, object] = {}
-        for formal, actual in zip(fn.args, args):
-            frame[formal] = actual
-        self.stack.push_frame()
-        self._frame_cleanups.append([])
-        try:
-            return self._interpret(fn, frame)
-        finally:
-            for action in reversed(self._frame_cleanups.pop()):
-                action()
-            self.stack.pop_frame()
-
-    def _run_function_compiled(self, fn: Function, args: List) -> Optional[object]:
-        compiled = self._compiled.get(fn)
-        if compiled is None:
-            from .compile import CompiledFunction
-
-            compiled = CompiledFunction(self, fn)
-            self._compiled[fn] = compiled
-        self.stack.push_frame()
-        self._frame_cleanups.append([])
-        try:
-            return compiled.execute(args)
-        finally:
-            for action in reversed(self._frame_cleanups.pop()):
-                action()
-            self.stack.pop_frame()
-
-    def _run_function_codegen(self, fn: Function, args: List) -> Optional[object]:
-        compiled = self._codegen.get(fn)
-        if compiled is None:
-            from .codegen import CodegenFunction
-
-            compiled = CodegenFunction(self, fn, index=len(self._codegen))
-            self._codegen[fn] = compiled
-        self.stack.push_frame()
-        self._frame_cleanups.append([])
-        try:
-            return compiled.execute(args)
-        finally:
-            for action in reversed(self._frame_cleanups.pop()):
-                action()
-            self.stack.pop_frame()
-
     def _codegen_direct_call(self, fn: Function, args: List) -> Optional[object]:
-        """Direct-call fast path bound into generated source (``__dc``).
+        """Run a defined function on the codegen tier.
 
-        The emitter uses this only for direct calls to defined,
-        non-native functions, where :meth:`call_function`'s native /
-        declaration / engine dispatch is statically dead (generated
-        code never runs under ``profile=True`` -- ``call_function``
-        falls back to the closure tier before any of it executes), so
+        Also bound into generated source (``__dc``) for direct calls
+        to defined, non-native functions, where :meth:`call_function`'s
+        native / declaration / engine dispatch is statically dead, so
         the whole prologue collapses to the call counter plus the
         codegen frame push.
         """
@@ -349,6 +282,20 @@ class VirtualMachine:
         self._frame_cleanups.append([])
         try:
             return compiled.execute(args)
+        finally:
+            for action in reversed(self._frame_cleanups.pop()):
+                action()
+            self.stack.pop_frame()
+
+    # -- the main loop -----------------------------------------------------------
+    def _run_function(self, fn: Function, args: List) -> Optional[object]:
+        frame: Dict[Value, object] = {}
+        for formal, actual in zip(fn.args, args):
+            frame[formal] = actual
+        self.stack.push_frame()
+        self._frame_cleanups.append([])
+        try:
+            return self._interpret(fn, frame)
         finally:
             for action in reversed(self._frame_cleanups.pop()):
                 action()

@@ -156,7 +156,7 @@ class Memory:
         #: map/unmap; frees are caught by the ``freed`` guard.
         self._hot: Optional[Allocation] = None
         #: Bumped only when a *non-freed* allocation is unmapped -- the
-        #: one event that can silently invalidate the compiled engine's
+        #: one event that can silently invalidate the codegen engine's
         #: per-site access caches.  A cached allocation that is still
         #: mapped and not freed owns its address range exclusively
         #: (``map`` rejects overlaps with live allocations), and every

@@ -46,8 +46,13 @@ class TestInstance:
             Instance("softbound", filters=("alias",))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown VM engine"):
-            Instance("softbound", engine="jit")
+        # "compiled" names the retired closure tier: no alias remains.
+        for engine in ("jit", "compiled"):
+            with pytest.raises(ConfigError,
+                               match="unknown VM engine") as info:
+                Instance("softbound", engine=engine)
+            assert "codegen, interp" in str(info.value)
+            assert "\n" not in str(info.value)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration"):
@@ -89,7 +94,7 @@ class TestExpansion:
     def test_expansion_is_deterministic_and_order_independent(self):
         instances = standard_instances(
             ("baseline", "softbound", "lowfat-ranges"),
-            engines=("compiled", "interp"))
+            engines=("codegen", "interp"))
         targets = [Target("164gzip"), Target("181mcf")]
         forward = CampaignSpec("s", instances, targets).expand()
         backward = CampaignSpec("s", list(reversed(instances)),
@@ -106,11 +111,11 @@ class TestExpansion:
         instances = axes_instances(
             mechanisms=("baseline", "softbound", "lowfat"),
             filters=("unopt", "dominance", "ranges"),
-            engines=("compiled", "interp"))
+            engines=("codegen", "interp"))
         # 1 baseline + 3 softbound + 3 lowfat per engine
         assert len(instances) == 14
         names = [i.name for i in instances]
-        assert names.count("baseline@compiled") == 1
+        assert names.count("baseline@codegen") == 1
         assert names.count("baseline@interp") == 1
 
     def test_axes_unknown_filter_rejected(self):

@@ -12,7 +12,7 @@ SPEC = {
     "axes": {
         "mechanisms": ["baseline", "softbound"],
         "filters": ["ranges"],
-        "engines": ["compiled", "interp"],
+        "engines": ["codegen", "interp"],
     },
     "target": [
         {
@@ -52,7 +52,7 @@ class TestCampaignCommand:
         assert main(["campaign", spec_path, "--dry-run",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "baseline@compiled|tiny" in out
+        assert "baseline@codegen|tiny" in out
         assert "softbound-ranges@interp|tiny" in out
         assert len(out.strip().splitlines()) == 4
 

@@ -27,8 +27,8 @@ def _bench(label, cycles, status="exit"):
 def _result(cycles_by_label, spec_name="camp", shard_index=0,
             shard_count=1):
     cells = [
-        CellResult(instance=f"{label}@compiled", target="w", label=label,
-                   engine="compiled", result=_bench(label, cycles))
+        CellResult(instance=f"{label}@codegen", target="w", label=label,
+                   engine="codegen", result=_bench(label, cycles))
         for label, cycles in cycles_by_label.items()
     ]
     return CampaignResult(spec_name=spec_name, shard_index=shard_index,
@@ -55,7 +55,7 @@ class TestSeries:
         path = tmp_path / "BENCH_camp.json"
         entry = append_entry(path,
                              _result({"baseline": 100, "softbound": 250}))
-        assert entry["overheads"]["softbound@compiled"] == pytest.approx(2.5)
+        assert entry["overheads"]["softbound@codegen"] == pytest.approx(2.5)
 
 
 class TestRegressions:
@@ -72,7 +72,7 @@ class TestRegressions:
         append_entry(path, _result({"baseline": 100, "softbound": 201}))
         regressions = find_regressions(path)
         assert any(r.kind == "cycles"
-                   and r.subject == "softbound@compiled|w"
+                   and r.subject == "softbound@codegen|w"
                    for r in regressions)
 
     def test_cycle_decrease_is_fine(self, tmp_path):

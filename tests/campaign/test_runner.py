@@ -28,7 +28,7 @@ int main() {
 """
 
 
-def _spec(engines=("compiled",), labels=("baseline", "softbound"),
+def _spec(engines=("codegen",), labels=("baseline", "softbound"),
           targets=None):
     if targets is None:
         targets = [Target("small", sources={"main.c": SMALL_SOURCE})]
@@ -36,11 +36,10 @@ def _spec(engines=("compiled",), labels=("baseline", "softbound"),
                         targets, max_instructions=MAX_INSTRUCTIONS)
 
 
-def _engine(tmp_path=None, **kwargs):
+def _engine(tmp_path=None):
     cache = (ResultCache(tmp_path / "cache")
              if tmp_path is not None else None)
-    kwargs.setdefault("engine_keyed_cache", True)
-    return ExperimentEngine(cache=cache, **kwargs)
+    return ExperimentEngine(cache=cache)
 
 
 class TestRun:
@@ -51,14 +50,14 @@ class TestRun:
         assert {c.label for c in result.cells} == {"baseline", "softbound"}
 
     def test_mixed_engines_bit_identical(self):
-        result = run_campaign(_spec(engines=("compiled", "interp")),
+        result = run_campaign(_spec(engines=("codegen", "interp")),
                               _engine())
         assert result.ok
         by_engine = {}
         for cell in result.cells:
             by_engine.setdefault(cell.engine, {})[cell.label] = cell.result
         for label in ("baseline", "softbound"):
-            a = by_engine["compiled"][label]
+            a = by_engine["codegen"][label]
             b = by_engine["interp"][label]
             assert a.cycles == b.cycles
             assert a.output == b.output
@@ -68,8 +67,8 @@ class TestRun:
         result = run_campaign(_spec(labels=("baseline", "softbound",
                                             "softbound-unopt")), _engine())
         overheads = result.overheads()
-        assert set(overheads) == {"softbound@compiled",
-                                  "softbound-unopt@compiled"}
+        assert set(overheads) == {"softbound@codegen",
+                                  "softbound-unopt@codegen"}
         assert all(ratio >= 1.0 for ratio in overheads.values())
 
     def test_progress_callback(self):
@@ -81,7 +80,7 @@ class TestRun:
 
 class TestResume:
     def test_warm_rerun_is_all_cache_hits_and_bit_identical(self, tmp_path):
-        spec = _spec(engines=("compiled", "interp"))
+        spec = _spec(engines=("codegen", "interp"))
         cold = run_campaign(spec, _engine(tmp_path))
         assert cold.ok and cold.cache_hits == 0
 
@@ -92,9 +91,9 @@ class TestResume:
                 == [c.to_json() for c in warm.cells])
 
     def test_interp_cells_cached_under_their_own_engine(self, tmp_path):
-        # the engine-keyed cache must never serve an interp cell a
-        # compiled result: prime with compiled only, then ask for interp
-        run_campaign(_spec(engines=("compiled",)), _engine(tmp_path))
+        # the cache must never serve an interp cell a codegen
+        # result: prime with codegen only, then ask for interp
+        run_campaign(_spec(engines=("codegen",)), _engine(tmp_path))
         interp = run_campaign(_spec(engines=("interp",)),
                               _engine(tmp_path))
         assert interp.cache_hits == 0
@@ -103,7 +102,7 @@ class TestResume:
 
 class TestSharding:
     def test_shards_partition_exactly(self):
-        spec = _spec(engines=("compiled", "interp"),
+        spec = _spec(engines=("codegen", "interp"),
                      labels=("baseline", "softbound", "lowfat"),
                      targets=[Target("small",
                                      sources={"main.c": SMALL_SOURCE}),

@@ -29,8 +29,7 @@ int main() {
 
 @pytest.fixture
 def server(tmp_path):
-    engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"),
-                              engine_keyed_cache=True)
+    engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
     server, service = make_server("127.0.0.1", 0, engine,
                                   default_max_instructions=MAX_INSTRUCTIONS)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -97,7 +96,7 @@ class TestRun:
         doc = _request(server[0], "/run", {"workload": "164gzip",
                                            "instance": "lowfat"})
         assert doc["ok"] is True
-        assert doc["instance"] == "lowfat@compiled"
+        assert doc["instance"] == "lowfat@codegen"
 
     def test_second_submission_is_cached_and_identical(self, server):
         body = {"sources": {"main.c": SOURCE}, "instance": "softbound"}
@@ -132,6 +131,17 @@ class TestErrors:
                            {"workload": "164gzip",
                             "instance": {"label": "turbo"}})
         assert code == 400
+
+    def test_unknown_engine_400(self, server):
+        # "compiled" names the retired closure tier: no alias remains.
+        for engine in ("jit", "compiled"):
+            code, doc = _error(server[0], "/run",
+                               {"workload": "164gzip",
+                                "instance": {"label": "softbound",
+                                             "engine": engine}})
+            assert code == 400
+            assert doc == {"error": f"unknown VM engine {engine!r} "
+                                    "(expected one of codegen, interp)"}
 
     def test_both_workload_and_sources_400(self, server):
         code, doc = _error(server[0], "/run",

@@ -19,7 +19,7 @@ max_instructions = 1000000
 [axes]
 mechanisms = ["baseline", "softbound", "lowfat"]
 filters    = ["unopt", "dominance", "ranges"]
-engines    = ["compiled", "interp"]
+engines    = ["codegen", "interp"]
 
 [[instance]]
 label = "softbound-meta"
@@ -102,7 +102,7 @@ class TestValidation:
 
     def test_axes_need_mechanisms(self):
         with pytest.raises(ConfigError, match="needs at least"):
-            parse_spec({"axes": {"engines": ["compiled"]},
+            parse_spec({"axes": {"engines": ["codegen"]},
                         "targets": {"workloads": ["164gzip"]}})
 
     def test_no_instances_rejected(self):

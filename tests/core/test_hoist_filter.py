@@ -23,6 +23,7 @@ from repro.ir import (
 )
 from repro.softbound import SoftBoundRuntime
 from repro.vm import VirtualMachine
+from repro.vm.engines import DEFAULT_ENGINE, ENGINES
 
 # Unknown-size allocation (size depends on a mutable global, so the
 # range filter cannot prove the accesses safe) iterated by counted
@@ -110,14 +111,14 @@ class TestHoistStatistics:
         # engine must report the identical instrumentation statistics.
         prog = _compile(HOIST_SRC, mechanism, "hoist")
         before = prog.instrumentation
-        for engine in ("compiled", "interp"):
+        for engine in ENGINES:
             run_program(prog, max_instructions=2_000_000, engine=engine)
             assert prog.instrumentation == before
 
 
 class TestHoistBehaviourPreserving:
     @pytest.mark.parametrize("mechanism", ["softbound", "lowfat"])
-    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_valid_program_identical_and_cheaper(self, mechanism, engine):
         prog_rng = _compile(HOIST_SRC, mechanism, "ranges")
         prog_hst = _compile(HOIST_SRC, mechanism, "hoist")
@@ -128,7 +129,7 @@ class TestHoistBehaviourPreserving:
         assert hst.violation is None and rng.violation is None
         assert hst.stats.checks_executed < rng.stats.checks_executed
 
-    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_violation_still_detected(self, engine):
         # SoftBound catches the off-by-one with and without hoisting.
         prog_rng = _compile(OOB_SRC, "softbound", "ranges")
@@ -308,7 +309,7 @@ class TestRotatedLoopHoist:
         except MemSafetyViolation as violation:
             return None, violation, vm.stats
 
-    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_final_entry_oob_still_detected(self, engine):
         # 8 elements, bound 8: the final header entry stores a[8].
         base_mod = self._rotated_main(8, 8)
@@ -323,7 +324,7 @@ class TestRotatedLoopHoist:
         assert base_violation is not None
         assert hoist_violation is not None
 
-    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_valid_variant_identical_and_cheaper(self, engine):
         # 9 elements, bound 8: accesses a[0..8] are all in bounds.
         base_mod = self._rotated_main(9, 8)
@@ -348,8 +349,8 @@ class TestRotatedLoopHoist:
         self._instrument(base_mod, hoist=False)
         hoist_pass = self._instrument(hoist_mod, hoist=True)
         assert hoist_pass.statistics.hoisted_checks >= 1
-        _, base_violation, _ = self._run(base_mod, "compiled")
-        _, hoist_violation, _ = self._run(hoist_mod, "compiled")
+        _, base_violation, _ = self._run(base_mod, DEFAULT_ENGINE)
+        _, hoist_violation, _ = self._run(hoist_mod, DEFAULT_ENGINE)
         assert (base_violation is not None) == expect_violation
         assert (hoist_violation is not None) == expect_violation
 

@@ -6,7 +6,8 @@ Covers the hard guarantees the engine makes:
   based) -- this is what makes worker transport and the disk cache
   lossless;
 * cache hit / miss / automatic invalidation when any keyed input
-  changes;
+  changes, the VM engine included: each engine caches and resumes its
+  own cells;
 * a 2-worker parallel run is bit-identical to the serial path;
 * ``verify_cache`` turns a corrupted cache entry into a hard error.
 """
@@ -186,69 +187,64 @@ class TestDiskCache:
         assert job_key(payload) == job_key(same)
         assert job_key(payload) != job_key(other)
 
-    def test_key_ignores_vm_engine(self):
-        # The engines are bit-identical by contract (enforced by
-        # tests/vm/test_engine_differential.py), so the engine choice
-        # must not partition the cache -- and payloads written before
-        # the field existed must key identically to new ones.
+    def test_key_includes_vm_engine(self):
+        # Each engine caches its own cells: the engine is a keyed
+        # input like the sources and the configuration.
         payload = {"workload": "w", "sources": {"tu0": "int main(){}"}}
-        assert job_key(dict(payload, engine="compiled")) == job_key(payload)
-        assert job_key(dict(payload, engine="interp")) == \
-            job_key(dict(payload, engine="compiled"))
+        assert job_key(dict(payload, engine="interp")) != \
+            job_key(dict(payload, engine="codegen"))
         assert job_key(dict(payload, engine="codegen")) == \
-            job_key(dict(payload, engine="compiled"))
+            job_key(dict(payload, engine="codegen"))
 
     def test_format_version_tracks_schema_changes(self):
-        # The closure-compiled tier required no bump (engines are
-        # bit-identical), but the hoist filter did: TargetStatistics
-        # grew the hoist counters and static verdicts, so version-2
-        # entries would deserialize with missing fields.
+        # Version 3: TargetStatistics grew the hoist counters and
+        # static verdicts.  Version 4: every key carries the VM
+        # engine, so engine-agnostic version-3 entries must miss.
         from repro.experiments.cache import CACHE_FORMAT_VERSION
 
-        assert CACHE_FORMAT_VERSION == 3
+        assert CACHE_FORMAT_VERSION == 4
 
-    def test_interp_cached_result_replays_for_compiled(self, tmp_path,
-                                                       monkeypatch):
+    def test_interp_cells_not_served_to_codegen(self, tmp_path):
         first = _engine(tmp_path, vm_engine="interp")
         original = first.run(get("197parser"), "softbound")
 
-        _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, vm_engine="compiled")
-        cached = second.run(get("197parser"), "softbound")
-        assert cached.to_json() == original.to_json()
-        assert second.cache_hits == 1
-        assert second.executed_jobs == 0
+        second = _engine(tmp_path, vm_engine="codegen")
+        fresh = second.run(get("197parser"), "softbound")
+        assert second.cache_hits == 0
+        assert second.executed_jobs == 2  # baseline + instrumented
+        # recomputed, and bit-identical by the engines' contract
+        assert fresh.to_json() == original.to_json()
 
-    def test_codegen_cached_result_replays_for_other_tiers(self, tmp_path,
-                                                           monkeypatch):
-        first = _engine(tmp_path, vm_engine="codegen")
-        original = first.run(get("197parser"), "softbound")
+    def test_each_engine_resumes_its_own_cells(self, tmp_path,
+                                               monkeypatch):
+        originals = {}
+        for tier in ("codegen", "interp"):
+            originals[tier] = _engine(tmp_path, vm_engine=tier).run(
+                get("197parser"), "softbound").to_json()
 
         _forbid_execution(monkeypatch)
-        for other in ("compiled", "interp"):
-            replay = _engine(tmp_path, vm_engine=other)
+        for tier in ("codegen", "interp"):
+            replay = _engine(tmp_path, vm_engine=tier)
             cached = replay.run(get("197parser"), "softbound")
-            assert cached.to_json() == original.to_json()
+            assert cached.to_json() == originals[tier]
             assert replay.cache_hits == 1
             assert replay.executed_jobs == 0
 
-    def test_old_style_payload_without_engine_field_replays(self, tmp_path,
-                                                            monkeypatch):
-        # Simulate a cache entry written by a revision that predates
-        # the engine field: store under the key of an engine-less
-        # payload and verify today's engine resolves to it.
+    def test_stale_format_entry_is_a_miss(self, tmp_path):
+        # An entry from an older format (here: a version-3,
+        # engine-agnostic one) under today's key is never served.
         engine = _engine(tmp_path)
         request = JobRequest(get("197parser"), "baseline")
-        payload = engine._payload(request)
-        assert payload["engine"] == "compiled"
-        old_payload = {k: v for k, v in payload.items() if k != "engine"}
-        assert job_key(old_payload) == job_key(payload)
+        engine.run_request(request)
+        for path in engine.cache.paths():
+            document = json.loads(path.read_text())
+            document["format"] = 3
+            path.write_text(json.dumps(document))
 
-        fresh = engine.run_request(request)
-        _forbid_execution(monkeypatch)
         replay = _engine(tmp_path)
-        assert replay.run_request(request).to_json() == fresh.to_json()
-        assert replay.cache_hits == 1
+        assert replay.run_request(request).ok
+        assert replay.cache_hits == 0
+        assert replay.executed_jobs == 1
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         engine = _engine(tmp_path)
@@ -358,11 +354,10 @@ class TestVerifyCache:
 class TestEngineOverride:
     """``JobRequest.engine`` lets one batch mix VM tiers (the fuzz
     oracle's engine-differential matrix).  The memo must keep the tiers
-    apart, the implicit baseline must inherit the override, and the
-    engine-agnostic disk cache must stand aside for overridden jobs."""
+    apart and the implicit baseline must inherit the override."""
 
     def test_override_reaches_the_worker(self):
-        engine = ExperimentEngine(jobs=1, vm_engine="compiled")
+        engine = ExperimentEngine(jobs=1, vm_engine="codegen")
         workload = get("197parser")
         seen = []
         original = runner_mod._execute_payload
@@ -387,84 +382,82 @@ class TestEngineOverride:
         """The same (workload, label) under each engine must execute
         separately -- a shared memo entry would make the comparison
         vacuous."""
-        engine = ExperimentEngine(jobs=1, vm_engine="compiled")
+        engine = ExperimentEngine(jobs=1, vm_engine="codegen")
         workload = get("197parser")
-        tiers = ("compiled", "interp", "codegen")
+        tiers = ("codegen", "interp")
         results = engine.run_many([
             JobRequest(workload, "softbound", engine=tier)
             for tier in tiers
         ])
-        # 3 instrumented jobs + 3 baseline references
-        assert engine.executed_jobs == 6
+        # 2 instrumented jobs + 2 baseline references
+        assert engine.executed_jobs == 4
         assert len({id(r) for r in results}) == len(tiers)
         # ...and the tiers really are bit-identical (the invariant the
         # fuzz oracle checks at scale)
         assert results[1].to_json() == results[0].to_json()
-        assert results[2].to_json() == results[0].to_json()
 
-    def test_override_bypasses_disk_cache(self, tmp_path):
-        """A cached-at-``vm_engine`` result must not satisfy an
-        override request, and an override result must not be stored."""
+    def test_override_misses_default_engine_entry(self, tmp_path):
+        """A cached-at-``vm_engine`` result must not satisfy an override
+        request; the override result is stored under its own key."""
         workload = get("197parser")
-        first = _engine(tmp_path, vm_engine="compiled")
+        first = _engine(tmp_path, vm_engine="codegen")
         first.run(workload, "baseline")
         stored = len(first.cache)
         assert stored >= 1
 
-        second = _engine(tmp_path, vm_engine="compiled")
+        second = _engine(tmp_path, vm_engine="codegen")
         second.run_request(JobRequest(workload, "baseline",
                                       engine="interp"))
         assert second.cache_hits == 0
         assert second.executed_jobs == 1
-        assert len(second.cache) == stored  # nothing new written
+        assert len(second.cache) == stored + 1
 
     def test_matching_override_still_uses_cache(self, tmp_path,
                                                 monkeypatch):
-        """An explicit override equal to ``vm_engine`` is not an
-        override at all: the disk cache serves it."""
+        """An explicit override equal to ``vm_engine`` names the same
+        cell: the disk cache serves it."""
         workload = get("197parser")
-        first = _engine(tmp_path, vm_engine="compiled")
+        first = _engine(tmp_path, vm_engine="codegen")
         first.run(workload, "baseline")
 
         _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, vm_engine="compiled")
+        second = _engine(tmp_path, vm_engine="codegen")
         second.run_request(JobRequest(workload, "baseline",
-                                      engine="compiled"))
+                                      engine="codegen"))
         assert second.cache_hits == 1
 
 
 class TestEngineKeyedCache:
-    """``engine_keyed_cache=True`` (campaign/serve mode) partitions the
-    disk cache per VM engine: mixed-engine batches cache every cell,
-    and no cell can ever be served another engine's stored stats."""
+    """The disk cache is partitioned per VM engine: mixed-engine
+    batches cache every cell, and no cell can ever be served another
+    engine's stored stats."""
 
     def test_override_jobs_are_cached(self, tmp_path, monkeypatch):
-        """Unlike the engine-agnostic mode, an engine-keyed cache
-        persists overridden-engine jobs -- that is what makes a
-        mixed-engine campaign shard resumable."""
+        """Overridden-engine jobs persist like any other -- that is
+        what makes a mixed-engine campaign shard resumable."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
                                      engine="interp"))
         assert len(first.cache) == 1
 
         _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         result = second.run_request(JobRequest(workload, "baseline",
                                                engine="interp"))
         assert second.cache_hits == 1
         assert result.cycles > 0
 
     def test_engines_never_share_entries(self, tmp_path):
-        """A compiled entry must not satisfy an interp request for the
-        byte-identical job (the satellite-6 regression: mixed-engine
-        campaign shards being served another engine's cached stats)."""
+        """A codegen entry must not satisfy an interp request for the
+        byte-identical job (mixed-engine campaign shards must never be
+        served another engine's cached stats)."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
-                                     engine="compiled"))
+                                     engine="codegen"))
 
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         second.run_request(JobRequest(workload, "baseline",
                                       engine="interp"))
         assert second.cache_hits == 0
@@ -473,43 +466,48 @@ class TestEngineKeyedCache:
         assert len(second.cache) == 2
 
     def test_disk_keys_differ_only_by_engine(self):
-        engine = ExperimentEngine(engine_keyed_cache=True)
+        engine = ExperimentEngine()
         workload = get("197parser")
         payloads = [
             engine._payload(JobRequest(workload, "baseline", engine=tier))
-            for tier in ("compiled", "interp", "codegen")
+            for tier in ("codegen", "interp")
         ]
-        disk_keys = [engine._disk_key(p) for p in payloads]
-        assert len(set(disk_keys)) == len(payloads)
-        # the engine-agnostic key ignores the engine field entirely
-        assert len({job_key(p) for p in payloads}) == 1
+        assert len({job_key(p) for p in payloads}) == len(payloads)
+        # ...and the engine is the only payload field that differs
+        assert [k for k in payloads[0]
+                if payloads[0][k] != payloads[1][k]] == ["engine"]
 
     def test_codegen_entries_keyed_apart(self, tmp_path, monkeypatch):
         """A codegen campaign shard stores and replays its own entries
-        without ever touching the closure tier's."""
+        next to the interp shard's."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
-                                     engine="compiled"))
+                                     engine="interp"))
         first.run_request(JobRequest(workload, "baseline",
                                      engine="codegen"))
         assert first.cache_hits == 0
         assert len(first.cache) == 2
 
         _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         result = second.run_request(JobRequest(workload, "baseline",
                                                engine="codegen"))
         assert second.cache_hits == 1
         assert result.cycles > 0
 
     def test_fingerprint_is_engine_qualified_and_mode_independent(self):
-        """Campaign sharding hashes the fingerprint; it must not depend
-        on the local engine's cache mode or vm_engine default."""
+        """Campaign sharding hashes the fingerprint, which is also the
+        cell's disk key; it must not depend on the local engine's
+        ``vm_engine`` default."""
         workload = get("197parser")
         request = JobRequest(workload, "softbound", engine="interp")
-        keyed = ExperimentEngine(engine_keyed_cache=True)
-        agnostic = ExperimentEngine(vm_engine="compiled")
-        assert keyed.fingerprint(request) == agnostic.fingerprint(request)
-        other = JobRequest(workload, "softbound", engine="compiled")
-        assert keyed.fingerprint(request) != keyed.fingerprint(other)
+        codegen_default = ExperimentEngine(vm_engine="codegen")
+        interp_default = ExperimentEngine(vm_engine="interp")
+        assert codegen_default.fingerprint(request) == \
+            interp_default.fingerprint(request)
+        assert codegen_default.fingerprint(request) == \
+            job_key(codegen_default._payload(request))
+        other = JobRequest(workload, "softbound", engine="codegen")
+        assert codegen_default.fingerprint(request) != \
+            codegen_default.fingerprint(other)

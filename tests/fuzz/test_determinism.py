@@ -10,6 +10,7 @@ cache).
 
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.fuzz.generator import generate_program
+from repro.vm.engines import DEFAULT_ENGINE
 from repro.workloads import Workload
 
 
@@ -22,7 +23,7 @@ def _workload():
 _LABELS = ("baseline", "softbound", "lowfat")
 
 
-def _run(jobs: int, vm_engine: str = "compiled"):
+def _run(jobs: int, vm_engine: str = DEFAULT_ENGINE):
     engine = ExperimentEngine(jobs=jobs, max_instructions=5_000_000,
                               vm_engine=vm_engine)
     workload = _workload()
@@ -40,9 +41,9 @@ class TestRuntimeDeterminism:
         assert _run(jobs=1) == _run(jobs=4)
 
     def test_engines_agree_on_everything(self):
-        """The closure-compiled tier and the reference tree-walker are
+        """The codegen tier and the reference tree-walker are
         bit-identical on results *and* statistics."""
-        assert _run(jobs=1, vm_engine="compiled") == \
+        assert _run(jobs=1, vm_engine="codegen") == \
             _run(jobs=1, vm_engine="interp")
 
     def test_results_have_real_content(self):

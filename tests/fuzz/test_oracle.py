@@ -40,14 +40,14 @@ class TestMatrices:
         # a new tier widens the fuzz surface without an edit here
         assert FULL_MATRIX.engines == ENGINES
         assert "codegen" in FULL_MATRIX.engines
-        assert len(FULL_MATRIX) == 9 * len(ENGINES) == 27
-        assert len(FULL_MATRIX.cells) == 27
+        assert len(FULL_MATRIX) == 9 * len(ENGINES) == 18
+        assert len(FULL_MATRIX.cells) == 18
         assert "softbound-hoist" in FULL_MATRIX.labels
         assert "lowfat-hoist" in FULL_MATRIX.labels
 
     def test_quick_matrix_shape(self):
         assert len(QUICK_MATRIX) == 3
-        assert QUICK_MATRIX.engines == ("compiled",)
+        assert QUICK_MATRIX.engines == ("codegen",)
 
     def test_registry(self):
         assert MATRICES["full"] is FULL_MATRIX
@@ -61,24 +61,30 @@ class TestMatrices:
         with pytest.raises(ConfigError, match="unknown fuzz matrix"):
             DifferentialOracle(matrix="bogus")
 
-    def test_cache_refused_for_multi_engine_matrix(self, tmp_path):
-        """The disk cache is engine-agnostic, so caching a two-engine
-        matrix would serve interp cells from compiled results and make
-        the engine comparison vacuous."""
-        cache = ResultCache(str(tmp_path))
-        with pytest.raises(ConfigError, match="vacuous"):
-            DifferentialOracle(matrix=FULL_MATRIX, cache=cache)
-        # single-engine matrices may cache
-        DifferentialOracle(matrix=QUICK_MATRIX, cache=cache)
+    def test_multi_engine_matrix_caches_each_engine(self, tmp_path):
+        """Cache keys carry the engine, so a multi-engine matrix caches
+        every cell under its own engine and a warm rerun serves each
+        engine only its own results."""
+        program = generate_program(11, 0)
+        cold = DifferentialOracle(matrix=_M2,
+                                  cache=ResultCache(str(tmp_path)))
+        assert cold.check_program(program) == []
+        assert cold.executed_jobs == len(_M2) == 4
+        assert len(list(ResultCache(str(tmp_path)).paths())) == 4
+        warm = DifferentialOracle(matrix=_M2,
+                                  cache=ResultCache(str(tmp_path)))
+        assert warm.check_program(program) == []
+        assert warm.executed_jobs == 0
+        assert warm.engine.cache_hits == 4
 
 
 #: tiny matrix for synthetic-grid tests
 _M2 = Matrix("m2", labels=("baseline", "softbound"),
-             engines=("compiled", "interp"))
+             engines=("codegen", "interp"))
 
 
 def _grid(**cells):
-    """cells keyed like baseline_compiled=..., softbound_interp=..."""
+    """cells keyed like baseline_codegen=..., softbound_interp=..."""
     out = {}
     for key, value in cells.items():
         label, engine = key.rsplit("_", 1)
@@ -92,9 +98,9 @@ class TestCompare:
 
     def _clean_grid(self):
         return _grid(
-            baseline_compiled=_result("baseline"),
+            baseline_codegen=_result("baseline"),
             baseline_interp=_result("baseline"),
-            softbound_compiled=_result("softbound", checks_executed=5),
+            softbound_codegen=_result("softbound", checks_executed=5),
             softbound_interp=_result("softbound", checks_executed=5),
         )
 
@@ -111,14 +117,14 @@ class TestCompare:
 
     def test_baseline_fault_short_circuits(self):
         grid = self._clean_grid()
-        grid[("baseline", "compiled")] = _result(
+        grid[("baseline", "codegen")] = _result(
             "baseline", status="fault", output=())
         found = self._oracle()._compare("p", grid)
         assert [m.kind for m in found] == ["baseline-fault"]
 
     def test_spurious_violation_is_output_divergence(self):
         grid = self._clean_grid()
-        grid[("softbound", "compiled")] = _result(
+        grid[("softbound", "codegen")] = _result(
             "softbound", status="violation", output=())
         kinds = {m.kind for m in self._oracle()._compare("p", grid)}
         assert "output-divergence" in kinds
@@ -150,12 +156,12 @@ class TestCompare:
     def test_filter_chain_monotonicity(self):
         matrix = Matrix("chain",
                         labels=("baseline", "softbound-unopt", "softbound"),
-                        engines=("compiled",))
+                        engines=("codegen",))
         grid = _grid(
-            baseline_compiled=_result("baseline"),
-            softbound_unopt_compiled=_result("softbound-unopt",
-                                             checks_executed=10),
-            softbound_compiled=_result("softbound", checks_executed=12),
+            baseline_codegen=_result("baseline"),
+            softbound_unopt_codegen=_result("softbound-unopt",
+                                            checks_executed=10),
+            softbound_codegen=_result("softbound", checks_executed=12),
         )
         found = self._oracle(matrix)._compare("p", grid)
         assert [m.kind for m in found] == ["filter-invariant"]
@@ -165,7 +171,7 @@ class TestCompare:
         grid = self._clean_grid()
         bad = TargetStatistics(gathered_checks=4, filtered_checks=3,
                                range_filtered_checks=2)
-        grid[("softbound", "compiled")] = _result(
+        grid[("softbound", "codegen")] = _result(
             "softbound", checks_executed=5, static=bad)
         found = self._oracle()._compare("p", grid)
         assert any(m.kind == "filter-invariant"
@@ -231,7 +237,7 @@ int main() {
 
     def test_mismatch_json_roundtrip_fields(self):
         m = Mismatch(program="p", kind="output-divergence",
-                     label="softbound", engine="compiled", detail="d",
+                     label="softbound", engine="codegen", detail="d",
                      seed=1, index=2, sources={"main.c": "x"})
         doc = m.to_json()
         assert doc["sources"] == {"main.c": "x"}

@@ -113,11 +113,11 @@ class _StubOracle:
         text = sources.get("main.c", "")
         if "realloc" in text and "rec0(" in text:
             return [Mismatch(program=name, kind="output-divergence",
-                             label="softbound", engine="compiled",
+                             label="softbound", engine="codegen",
                              detail="stub miscompare")]
         if "unrelated-breakage" in text:
             return [Mismatch(program=name, kind="harness-failure",
-                             label="baseline", engine="compiled",
+                             label="baseline", engine="codegen",
                              detail="CompileError: nope")]
         return []
 
@@ -152,7 +152,7 @@ class TestMinimizeMismatch:
 
     def test_non_reproducing_mismatch_rejected(self):
         mismatch = Mismatch(program="p", kind="output-divergence",
-                            label="softbound", engine="compiled",
+                            label="softbound", engine="codegen",
                             detail="d",
                             sources={"main.c": "int main() { return 0; }"})
         with pytest.raises(ValueError, match="does not reproduce"):
@@ -160,7 +160,7 @@ class TestMinimizeMismatch:
 
     def test_missing_sources_rejected(self):
         mismatch = Mismatch(program="p", kind="output-divergence",
-                            label="softbound", engine="compiled",
+                            label="softbound", engine="codegen",
                             detail="d")
         with pytest.raises(ValueError, match="no sources"):
             minimize_mismatch(mismatch, _StubOracle())

@@ -9,7 +9,7 @@ every observable and counter invariant:
 * instrumentation transparency: SoftBound / Low-Fat, with and without
   the dominance and value-range check-elimination filters, must
   reproduce the baseline's output exactly;
-* engine equivalence: the closure-compiled tier and the reference
+* engine equivalence: the codegen tier and the reference
   tree-walker must agree bit-for-bit on outputs *and* statistics;
 * filter soundness: dynamic check counts obey
   ranges <= dominance <= unfiltered, and the baseline executes zero

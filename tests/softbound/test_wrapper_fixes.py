@@ -11,7 +11,7 @@ pre-fix code:
   test_trie_shadow_stack.py).
 
 The engine-differential cases pin the contract that the fixes keep
-compiled-tier stats bit-identical to the tree-walker.
+codegen-tier stats bit-identical to the tree-walker.
 """
 
 import dataclasses
@@ -168,7 +168,7 @@ class TestReallocMetadataMigration:
 
 class TestFixesKeepEnginesIdentical:
     """The wrapper fixes ride inside native wrappers, whose charging
-    differs between the tree-walker and the compiled tier; the stats
+    differs between the tree-walker and the codegen tier; the stats
     must still agree field for field."""
 
     @pytest.mark.parametrize("src,config", [
@@ -190,8 +190,8 @@ class TestFixesKeepEnginesIdentical:
         program = compile_program(src, config, OPTS)
         interp = run_program(program, max_instructions=2_000_000,
                              engine="interp")
-        compiled = run_program(program, max_instructions=2_000_000,
-                               engine="compiled")
-        assert interp.output == compiled.output
+        codegen = run_program(program, max_instructions=2_000_000,
+                              engine="codegen")
+        assert interp.output == codegen.output
         assert dataclasses.asdict(interp.stats) == \
-            dataclasses.asdict(compiled.stats)
+            dataclasses.asdict(codegen.stats)

@@ -92,6 +92,18 @@ class TestRun:
         assert "-mi-frobnicate" in err
         assert "Traceback" not in err
 
+    def test_unknown_engine_rejected(self, demo_c, capsys):
+        # "compiled" names the retired closure tier: no alias remains.
+        for engine in ("jit", "compiled"):
+            with pytest.raises(SystemExit) as info:
+                main(["run", demo_c, "--engine", engine])
+            assert info.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if "error:" in line]
+            assert errors == [
+                f"repro run: error: argument --engine: invalid choice: "
+                f"'{engine}' (choose from 'codegen', 'interp')"]
+
     def test_bad_mi_config_value_rejected(self, demo_c, capsys):
         assert main(["run", demo_c, "-mi-config=magic"]) == 2
         err = capsys.readouterr().err
@@ -217,7 +229,7 @@ class TestProfile:
         import json
 
         payloads = []
-        for engine in ("interp", "compiled"):
+        for engine in ("interp", "codegen"):
             assert main(["profile", "181mcf", "-mi-config=lowfat",
                          "--engine", engine, "--format", "json"]) == 0
             payloads.append(json.loads(capsys.readouterr().out))

@@ -3,11 +3,12 @@
 The codegen tier compiles each IR function to one generated Python
 source string.  Everything observable -- return values, output, and
 field-for-field ``RuntimeStats`` including the exact state at raise
-points -- must match the other two engines; these tests pin down the
-mechanisms that make that work: the while-loop block dispatch, phi
+points -- must match the reference tree-walker; these tests pin down
+the mechanisms that make that work: the while-loop block dispatch, phi
 tuple assignments (including swap cycles), exact cycle rollback on
-raising steps, per-predicate fcmp NaN semantics, the profile
-fallback, source dumping, and the per-function emission cache.
+raising steps (profiled or not), per-predicate fcmp NaN semantics,
+profiled emission, source dumping, and the per-function emission
+cache.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from repro.ir import (
 )
 from repro.vm import VirtualMachine
 from repro.vm.codegen import CodegenFunction
+from repro.vm.engines import ENGINES
 from repro.errors import VMError
 
 from .test_fcmp import OPERANDS, PREDICATES, _fcmp_module, reference
@@ -32,11 +34,11 @@ def _stats_dict(vm):
     return dataclasses.asdict(vm.stats)
 
 
-def _run_engines(module_factory, engines=("interp", "compiled", "codegen")):
+def _run_engines(module_factory, profile=False):
     """Run the same module on each engine; return {engine: (exit, stats)}."""
     out = {}
-    for engine in engines:
-        vm = VirtualMachine(module_factory(), engine=engine)
+    for engine in ENGINES:
+        vm = VirtualMachine(module_factory(), engine=engine, profile=profile)
         out[engine] = (vm.run(), _stats_dict(vm))
     return out
 
@@ -71,7 +73,6 @@ class TestBlockDispatch:
         results = _run_engines(lambda: self._diamond(n))
         assert results["codegen"][0] == expected
         assert results["codegen"] == results["interp"]
-        assert results["codegen"] == results["compiled"]
 
     def test_loop_backedge(self):
         # Counting loop: exercises a dispatch label with two
@@ -104,7 +105,6 @@ class TestBlockDispatch:
         results = _run_engines(build)
         assert results["codegen"][0] == 45
         assert results["codegen"] == results["interp"]
-        assert results["codegen"] == results["compiled"]
 
 
 class TestPhiTupleAssignment:
@@ -183,37 +183,44 @@ class TestPhiTupleAssignment:
         results = _run_engines(build)
         assert results["codegen"][0] == 55  # fib(10)
         assert results["codegen"] == results["interp"]
-        assert results["codegen"] == results["compiled"]
 
 
 class TestCycleRollback:
     """A raising step must unroll the block batch so stats reflect
-    exactly the instructions the tree-walker would have charged."""
+    exactly the instructions the tree-walker would have charged --
+    under profiling, the instrumentation-cycle share included."""
 
     @staticmethod
     def _div_by_zero_module():
         # Several charged instructions, then sdiv %x, 0 mid-block,
-        # then more instructions that must NOT be charged.
+        # then more instructions that must NOT be charged.  One
+        # instrumentation-tagged instruction on each side of the raise
+        # point: only the first may be attributed.
         mod = Module("divzero")
         fn = mod.add_function("main", FunctionType(I32, []), [])
         b = IRBuilder(fn.add_block("entry"))
         slot = b.alloca(I32)
-        b.store(b.const_i32(7), slot)
+        b.store(b.const_i32(7), slot).meta["mi"] = True
         x = b.load(slot)
         q = b.binop("sdiv", x, b.const_i32(0))
         y = b.add(q, b.const_i32(1))
+        y.meta["mi"] = True
         b.ret(y)
         return mod
 
-    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
-    def test_stats_identical_to_interp_at_raise(self, engine):
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["codegen", "codegen-profile"])
+    def test_stats_identical_to_interp_at_raise(self, profile):
         vms = {}
-        for eng in ("interp", engine):
-            vm = VirtualMachine(self._div_by_zero_module(), engine=eng)
+        for engine in ENGINES:
+            vm = VirtualMachine(self._div_by_zero_module(), engine=engine,
+                                profile=profile)
             with pytest.raises(VMError):
                 vm.run()
-            vms[eng] = _stats_dict(vm)
-        assert vms[engine] == vms["interp"]
+            vms[engine] = _stats_dict(vm)
+        assert vms["codegen"] == vms["interp"]
+        if profile:
+            assert vms["codegen"]["instrumentation_cycles"] > 0
 
     def test_budget_exceeded_stats_identical(self):
         def build():
@@ -227,61 +234,73 @@ class TestCycleRollback:
             i = b.phi(I32)
             i.add_incoming(b.const_i32(0), entry)
             inext = b.add(i, b.const_i32(1))
+            inext.meta["mi"] = True
             i.add_incoming(inext, loop)
             b.br(loop)
             return mod
 
-        stats = {}
-        for engine in ("interp", "compiled", "codegen"):
-            vm = VirtualMachine(build(), engine=engine,
-                                max_instructions=10_000)
-            with pytest.raises(VMError, match="budget"):
-                vm.run()
-            stats[engine] = _stats_dict(vm)
-        assert stats["codegen"] == stats["interp"]
-        assert stats["codegen"] == stats["compiled"]
+        for profile in (False, True):
+            stats = {}
+            for engine in ENGINES:
+                vm = VirtualMachine(build(), engine=engine,
+                                    max_instructions=10_000,
+                                    profile=profile)
+                with pytest.raises(VMError, match="budget"):
+                    vm.run()
+                stats[engine] = _stats_dict(vm)
+            assert stats["codegen"] == stats["interp"], profile
 
 
 class TestFcmpNaN:
-    """Per-predicate fcmp on the codegen tier, reusing the reference
-    oracle and operand corpus of the engine-wide fcmp suite."""
+    """Per-predicate fcmp on the codegen tier, plain and profiled
+    emission, reusing the reference oracle and operand corpus of the
+    engine-wide fcmp suite."""
 
     @pytest.mark.parametrize("pred", PREDICATES)
     def test_all_predicates_all_operands(self, pred):
-        for through_memory in (False, True):
-            for a in OPERANDS:
-                for b in OPERANDS:
-                    mod = _fcmp_module(pred, a, b, through_memory)
-                    vm = VirtualMachine(mod, engine="codegen")
-                    assert vm.run() == reference(pred, a, b), (
-                        f"fcmp {pred} {a}, {b} "
-                        f"(memory={through_memory}, engine=codegen)")
+        for profile in (False, True):
+            for through_memory in (False, True):
+                for a in OPERANDS:
+                    for b in OPERANDS:
+                        mod = _fcmp_module(pred, a, b, through_memory)
+                        vm = VirtualMachine(mod, engine="codegen",
+                                            profile=profile)
+                        assert vm.run() == reference(pred, a, b), (
+                            f"fcmp {pred} {a}, {b} "
+                            f"(memory={through_memory}, "
+                            f"profile={profile})")
 
 
-class TestProfileFallback:
-    def test_profile_run_falls_back_and_records_reason(self):
+class TestProfiledEmission:
+    """``profile=True`` runs on codegen itself: the attribution code is
+    part of the emission, and the emission cache keys on it."""
+
+    @staticmethod
+    def _module():
         mod = Module("p")
         fn = mod.add_function("main", FunctionType(I32, []), [])
         b = IRBuilder(fn.add_block("entry"))
-        b.ret(b.const_i32(5))
+        total = b.add(b.const_i32(2), b.const_i32(3))
+        total.meta["mi"] = True
+        b.ret(total)
+        return mod
 
-        vm = VirtualMachine(mod, engine="codegen", profile=True)
-        assert vm.run() == 5
-        assert vm.codegen_fallback_reason is not None
-        assert "profile" in vm.codegen_fallback_reason
-        # The closure tier actually ran: no codegen compilation happened.
-        assert not vm._codegen
-        assert vm._compiled
+    def test_profiled_run_matches_interp(self):
+        results = _run_engines(self._module, profile=True)
+        assert results["codegen"][0] == 5
+        assert results["codegen"] == results["interp"]
+        assert results["codegen"][1]["instrumentation_cycles"] > 0
 
-    def test_non_profile_run_has_no_fallback(self):
-        mod = Module("p")
-        fn = mod.add_function("main", FunctionType(I32, []), [])
-        b = IRBuilder(fn.add_block("entry"))
-        b.ret(b.const_i32(5))
-        vm = VirtualMachine(mod, engine="codegen")
-        assert vm.run() == 5
-        assert vm.codegen_fallback_reason is None
-        assert vm._codegen
+    def test_profile_switch_reemits(self):
+        mod = self._module()
+        fn = mod.functions["main"]
+        VirtualMachine(mod, engine="codegen").run()
+        plain = fn._codegen_cache
+        assert "__mi" not in plain[1]
+        VirtualMachine(mod, engine="codegen", profile=True).run()
+        profiled = fn._codegen_cache
+        assert profiled[0] != plain[0]     # signature carries the switch
+        assert "__stats.instrumentation_cycles += __mi" in profiled[1]
 
 
 class TestSourceDump:

@@ -1,14 +1,12 @@
 """Corpus-wide engine differential: all execution tiers agree.
 
-The closure-compiled and codegen execution tiers promise
-*bit-identical* results to the reference tree-walker -- same program
-output, same exit status, same ``RuntimeStats`` field for field
-(``cycles``, ``instructions``, ``opcode_counts``, every check counter,
-``per_site``).  That contract is what lets cached experiment results
-replay under any engine without a cache-version bump, so it is
-enforced here over the full matrix: all 20 workloads under
-uninstrumented, SoftBound, and Low-Fat configurations, for each
-non-reference engine.
+The codegen execution tier promises *bit-identical* results to the
+reference tree-walker -- same program output, same exit status, same
+``RuntimeStats`` field for field (``cycles``, ``instructions``,
+``opcode_counts``, every check counter, ``per_site``).  Every number
+the experiments report rests on that contract, so it is enforced here
+over the full matrix: all 20 workloads under uninstrumented,
+SoftBound, and Low-Fat configurations, for each non-reference engine.
 
 Each cell compiles once and runs each engine once (the tree-walker
 reference run is memoized per cell); the whole matrix is the most

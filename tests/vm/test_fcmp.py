@@ -25,6 +25,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import FCMP_EVAL, FCMP_PREDICATES
 from repro.vm import VirtualMachine
+from repro.vm.engines import ENGINES
 
 NAN = float("nan")
 INF = float("inf")
@@ -55,7 +56,7 @@ def _fcmp_module(pred: str, a: float, b: float,
 
     ``through_memory`` routes the operands through an alloca so they
     reach the fcmp as register values rather than folded constants --
-    exercising the compiled engine's slot-operand specialization too.
+    exercising the codegen engine's inlined comparison expressions too.
     """
     mod = Module("fcmp")
     fn = mod.add_function("main", FunctionType(I32, []), [])
@@ -86,7 +87,7 @@ class TestPredicateTable:
 
 
 class TestBothEngines:
-    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("pred", PREDICATES)
     def test_all_predicates_all_operands(self, engine, pred):
         for through_memory in (False, True):
@@ -106,7 +107,7 @@ class TestMiniCNaNSemantics:
     double mk(double a, double b) { double c[1]; c[0] = a; return c[0] - b; }
     """
 
-    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_nan_is_truthy(self, engine):
         result = compile_and_run({"t.c": self.NAN_PROLOGUE + r"""
         int main() {
@@ -117,7 +118,7 @@ class TestMiniCNaNSemantics:
         }"""}, NOOP, engine=engine)
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_not_equal_is_unordered(self, engine):
         result = compile_and_run({"t.c": self.NAN_PROLOGUE + r"""
         int main() {

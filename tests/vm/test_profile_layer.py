@@ -7,10 +7,10 @@ The layer's contract has three legs:
 * **observer neutrality** -- running with ``profile=True`` changes no
   pre-existing stats field: cycles, instructions, opcode counts and
   check counters are bit-identical to an unprofiled run;
-* **engine identity** -- the compiled tier's batched block charging
+* **engine identity** -- the codegen tier's batched block charging
   (plus mi-native delta attribution and rollback) produces the same
-  ``instrumentation_cycles`` as the tree-walker's per-instruction
-  attribution.
+  ``instrumentation_cycles`` and per-site counters as the
+  tree-walker's per-instruction attribution, on every workload.
 """
 
 import dataclasses
@@ -20,7 +20,8 @@ import pytest
 from repro import CompileOptions, compile_program, run_program
 from repro.core import InstrumentationConfig
 from repro.experiments.common import config_for
-from repro.workloads import get
+from repro.vm.engines import ENGINES
+from repro.workloads import all_names, get
 
 SB = InstrumentationConfig.softbound()
 LF = InstrumentationConfig.lowfat()
@@ -41,12 +42,20 @@ int main() {
 
 WORKLOADS = ("164gzip", "429mcf")
 LABELS = ("softbound", "lowfat")
-ENGINES = ("interp", "compiled")
 
 
 def _run(program, engine, profile):
     return run_program(program, max_instructions=50_000_000,
                        engine=engine, profile=profile)
+
+
+def _workload_program(name, label):
+    workload = get(name)
+    return compile_program(
+        workload.sources, config_for(label),
+        CompileOptions(
+            obfuscate_pointer_copies=tuple(workload.obfuscated_units)),
+    )
 
 
 def _core_fields(stats):
@@ -62,12 +71,7 @@ class TestConservation:
     @pytest.mark.parametrize("label", LABELS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_per_site_sums_match_aggregates(self, name, label, engine):
-        workload = get(name)
-        program = compile_program(
-            workload.sources, config_for(label),
-            CompileOptions(
-                obfuscate_pointer_copies=tuple(workload.obfuscated_units)),
-        )
+        program = _workload_program(name, label)
         stats = _run(program, engine, profile=True).stats
         assert sum(c.get("executed", 0) for c in stats.per_site.values()) \
             == stats.checks_executed
@@ -116,28 +120,23 @@ class TestEngineIdentity:
     def test_attribution_identical_across_engines(self, config):
         program = compile_program(SRC, config, OPTS)
         interp = _run(program, "interp", profile=True)
-        compiled = _run(program, "compiled", profile=True)
+        codegen = _run(program, "codegen", profile=True)
         assert dataclasses.asdict(interp.stats) == \
-            dataclasses.asdict(compiled.stats)
+            dataclasses.asdict(codegen.stats)
         assert interp.stats.instrumentation_cycles > 0
 
-    @pytest.mark.parametrize("name", WORKLOADS)
+    @pytest.mark.parametrize("name", all_names())
     @pytest.mark.parametrize("label", LABELS)
     def test_workload_attribution_identical(self, name, label):
-        workload = get(name)
-        program = compile_program(
-            workload.sources, config_for(label),
-            CompileOptions(
-                obfuscate_pointer_copies=tuple(workload.obfuscated_units)),
-        )
+        program = _workload_program(name, label)
         interp = _run(program, "interp", profile=True).stats
-        compiled = _run(program, "compiled", profile=True).stats
+        codegen = _run(program, "codegen", profile=True).stats
         assert interp.instrumentation_cycles \
-            == compiled.instrumentation_cycles
+            == codegen.instrumentation_cycles
         assert {k: dict(v) for k, v in interp.per_site.items()} \
-            == {k: dict(v) for k, v in compiled.per_site.items()}
+            == {k: dict(v) for k, v in codegen.per_site.items()}
 
     def test_attribution_bounded_by_cycles(self):
         program = compile_program(SRC, LF, OPTS)
-        stats = _run(program, "compiled", profile=True).stats
+        stats = _run(program, "codegen", profile=True).stats
         assert 0 < stats.instrumentation_cycles < stats.cycles
