@@ -65,14 +65,19 @@ def region_base(region: int) -> int:
     return region * REGION_SIZE
 
 
+#: ``allocation_size`` of every low-fat region, for the recoveries
+#: below: every check and witness computation runs one.
+_CLASS_SIZES = {r: allocation_size(r) for r in range(1, NUM_REGIONS + 1)}
+
+
 def base_of(address: int) -> int:
     """Recover the allocation base from a pointer value (Figure 4)."""
-    size = allocation_size(region_index(address))
-    if size == 0:
+    size = _CLASS_SIZES.get(address >> REGION_SHIFT)
+    if size is None:
         return NO_BASE
     return address & ~(size - 1)
 
 
 def size_of_pointer(address: int) -> int:
     """Recover the (padded) allocation size from a pointer value."""
-    return allocation_size(region_index(address))
+    return _CLASS_SIZES.get(address >> REGION_SHIFT, 0)

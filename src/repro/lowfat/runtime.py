@@ -25,6 +25,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from ..errors import MemSafetyViolation
 from ..vm import costs
+from ..vm.native import PositionalNative
 from ..vm.stats import RuntimeStats
 from . import layout
 from .allocator import LowFatAllocator
@@ -60,10 +61,12 @@ class LowFatRuntime:
         self.region_capacity = region_capacity
         self.allocator: Optional[LowFatAllocator] = None
         self.vm: Optional["VirtualMachine"] = None
+        self.stats: Optional[RuntimeStats] = None
 
     # -- installation ------------------------------------------------------
     def install(self, vm: "VirtualMachine") -> None:
         self.vm = vm
+        self.stats = vm.stats
         self.allocator = LowFatAllocator(
             vm.memory, vm.heap, vm.stats, self.region_capacity
         )
@@ -72,9 +75,11 @@ class LowFatRuntime:
         vm.register_native("__lf_realloc", self._realloc)
         vm.register_native("__lf_free", self._free)
         vm.register_native("__lf_alloca", self._alloca)
-        vm.register_native("__lf_compute_base", self._compute_base)
-        vm.register_native("__lf_check", self._check)
-        vm.register_native("__lf_invariant_check", self._invariant_check)
+        vm.register_native("__lf_compute_base",
+                           PositionalNative(layout.base_of, pure=True))
+        vm.register_native("__lf_check", PositionalNative(self.check))
+        vm.register_native("__lf_invariant_check",
+                           PositionalNative(self.invariant_check))
         vm.global_placer = self._place_global
 
     # -- allocation ----------------------------------------------------------
@@ -116,41 +121,35 @@ class LowFatRuntime:
             return self.vm.globals_allocator.allocate(size, name)
         return alloc
 
-    # -- witness arithmetic -----------------------------------------------------
-    def _compute_base(self, vm: "VirtualMachine", args: List[int]) -> int:
-        return layout.base_of(args[0])
-
     # -- checks -------------------------------------------------------------------
-    def _check(self, vm: "VirtualMachine", args: List) -> None:
-        ptr, width, base = args[0], args[1], args[2]
-        site = args[3] if len(args) > 3 else None
-        region = layout.region_index(base)
-        size = layout.allocation_size(region)
+    # Positional: the semantics both engines share (the codegen tier
+    # calls them per site directly, the tree-walker through the list
+    # protocol).
+    def check(self, ptr: int, width: int, base: int,
+              site: Optional[str] = None) -> None:
+        """The dereference check of Figure 5."""
+        size = layout.size_of_pointer(base)
+        stats = self.stats
         if size == 0:
             # Non-low-fat witness: wide bounds, access is unchecked.
-            reason = _wide_reason(vm, ptr) if vm.stats.profile else None
-            vm.stats.record_check(
-                str(site), wide=True, cost=_CHECK_COST, reason=reason
-            )
+            reason = _wide_reason(self.vm, ptr) if stats.profile else None
+            stats.record_check(site, True, _CHECK_COST, reason)
             return
-        vm.stats.record_check(str(site), wide=False, cost=_CHECK_COST)
+        stats.record_check(site, False, _CHECK_COST)
         if (ptr - base) % (1 << 64) > size - width:
             raise MemSafetyViolation(
                 "deref",
                 "Low-Fat Pointers: access outside the witness allocation",
-                pointer=ptr, base=base, bound=base + size,
-                site=str(site),
+                pointer=ptr, base=base, bound=base + size, site=site,
             )
 
-    def _invariant_check(self, vm: "VirtualMachine", args: List) -> None:
+    def invariant_check(self, ptr: int, base: int,
+                        site: Optional[str] = None) -> None:
         """Figure 5 arithmetic applied at escape points (width 1 would
         reject one-past-the-end pointers, which the padded allocation
         admits -- width 0 here, so base+size itself stays legal)."""
-        ptr, base = args[0], args[1]
-        site = args[2] if len(args) > 2 else None
-        vm.stats.record_invariant(str(site), cost=_INVARIANT_COST)
-        region = layout.region_index(base)
-        size = layout.allocation_size(region)
+        self.stats.record_invariant(site, _INVARIANT_COST)
+        size = layout.size_of_pointer(base)
         if size == 0:
             return  # non-low-fat pointer: no invariant to establish
         if (ptr - base) % (1 << 64) > size:
@@ -159,6 +158,5 @@ class LowFatRuntime:
                 "Low-Fat Pointers: escaping pointer is out of bounds of "
                 "its object (out-of-bounds pointer arithmetic, cf. "
                 "paper Section 4.2)",
-                pointer=ptr, base=base, bound=base + size,
-                site=str(site),
+                pointer=ptr, base=base, bound=base + size, site=site,
             )

@@ -22,6 +22,8 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 from ..errors import MemSafetyViolation
 from ..vm import costs
 from ..vm import native as libc
+from ..vm.native import PositionalNative
+from ..vm.stats import RuntimeStats
 from .shadow_stack import ShadowStack, WIDE_BASE, WIDE_BOUND
 from .trie import MetadataTrie
 
@@ -57,10 +59,12 @@ class SoftBoundRuntime:
         self.missing_metadata_wide = missing_metadata_wide
         self.wrapper_checks = wrapper_checks
         self.vm: Optional["VirtualMachine"] = None
+        self.stats: Optional[RuntimeStats] = None
 
     # -- installation ----------------------------------------------------
     def install(self, vm: "VirtualMachine") -> None:
         self.vm = vm
+        self.stats = vm.stats
         vm.register_native("__sb_trie_load_base", self._trie_load_base)
         vm.register_native("__sb_trie_load_bound", self._trie_load_bound)
         vm.register_native("__sb_trie_store", self._trie_store)
@@ -72,7 +76,7 @@ class SoftBoundRuntime:
         vm.register_native("__sb_ss_set_ret", self._ss_set_ret)
         vm.register_native("__sb_ss_get_ret_base", self._ss_get_ret_base)
         vm.register_native("__sb_ss_get_ret_bound", self._ss_get_ret_bound)
-        vm.register_native("__sb_check", self._check)
+        vm.register_native("__sb_check", PositionalNative(self.check))
         for name in WRAPPED_FUNCTIONS:
             vm.register_native(f"__sb_wrap_{name}", self._make_wrapper(name))
 
@@ -131,11 +135,11 @@ class SoftBoundRuntime:
         return self.shadow_stack.get_ret()[1]
 
     # -- the dereference check (paper Figure 2) ------------------------------------
-    def _check(self, vm: "VirtualMachine", args: List) -> None:
-        ptr, width, base, bound = args[0], args[1], args[2], args[3]
-        site = str(args[4]) if len(args) > 4 else None
-        wide = bound == WIDE_BOUND
-        vm.stats.record_check(str(site), wide=wide, cost=_CHECK_COST)
+    def check(self, ptr: int, width: int, base: int, bound: int,
+              site: Optional[str] = None) -> None:
+        """One dereference check, the semantics both engines share
+        (positional: the codegen tier calls it per site directly)."""
+        self.stats.record_check(site, bound == WIDE_BOUND, _CHECK_COST)
         if ptr < base or ptr + width > bound:
             raise MemSafetyViolation(
                 "deref",

@@ -35,7 +35,6 @@ class ShadowStack:
         self._sp = 0
         self.ret_base = WIDE_BASE
         self.ret_bound = WIDE_BOUND
-        self.ops = 0
 
     @property
     def depth(self) -> int:
@@ -43,19 +42,16 @@ class ShadowStack:
 
     def enter(self, nslots: int) -> None:
         """Push a frame with ``nslots`` argument slots (not cleared)."""
-        self.ops += 1
         self._frame_starts.append(self._sp)
         self._sp += nslots
         while len(self._slots) < self._sp:
             self._slots.append((WIDE_BASE, WIDE_BOUND))
 
     def exit(self) -> None:
-        self.ops += 1
         if self._frame_starts:
             self._sp = self._frame_starts.pop()
 
     def set_slot(self, index: int, base: int, bound: int) -> None:
-        self.ops += 1
         if not self._frame_starts:
             return
         slot = self._frame_starts[-1] + index
@@ -65,7 +61,6 @@ class ShadowStack:
     def get_slot(self, index: int) -> Tuple[int, int]:
         """Read an argument slot.  Without a frame (e.g. ``main``), or
         out of range, wide bounds are returned."""
-        self.ops += 1
         if not self._frame_starts:
             return (WIDE_BASE, WIDE_BOUND)
         slot = self._frame_starts[-1] + index
@@ -74,10 +69,8 @@ class ShadowStack:
         return self._slots[slot]
 
     def set_ret(self, base: int, bound: int) -> None:
-        self.ops += 1
         self.ret_base = base
         self.ret_bound = bound
 
     def get_ret(self) -> Tuple[int, int]:
-        self.ops += 1
         return (self.ret_base, self.ret_bound)

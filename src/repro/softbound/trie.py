@@ -25,8 +25,6 @@ SLOT_SHIFT = 3              # metadata per 8-byte-aligned slot
 class MetadataTrie:
     def __init__(self) -> None:
         self._primary: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        self.loads = 0
-        self.stores = 0
 
     @staticmethod
     def _split(location: int) -> Tuple[int, int]:
@@ -43,16 +41,15 @@ class MetadataTrie:
             secondary = {}
             self._primary[hi] = secondary
         secondary[lo] = (base, bound)
-        self.stores += 1
 
     def load(self, location: int) -> Optional[Tuple[int, int]]:
         """Metadata for the pointer stored at ``location``, or None if
         no instrumented store ever wrote this slot."""
-        self.loads += 1
-        secondary = self._primary.get(self._split(location)[0])
+        hi, lo = self._split(location)
+        secondary = self._primary.get(hi)
         if secondary is None:
             return None
-        return secondary.get(self._split(location)[1])
+        return secondary.get(lo)
 
     def copy_range(self, dest: int, src: int, nbytes: int) -> int:
         """``copy_metadata`` of the memcpy/memmove wrappers (paper
@@ -82,26 +79,20 @@ class MetadataTrie:
             slots = reversed(slots)
         for slot in slots:
             location = slot << SLOT_SHIFT
-            entry = self._lookup_quiet(location)
+            entry = self.load(location)
             dest_location = dest + (location - src)
             if entry is not None:
                 self.store(dest_location, *entry)
                 copied += 1
             else:
-                self._clear_quiet(dest_location)
+                self._clear(dest_location)
         return copied
 
-    def _clear_quiet(self, location: int) -> None:
+    def _clear(self, location: int) -> None:
         hi, lo = self._split(location)
         secondary = self._primary.get(hi)
         if secondary is not None:
             secondary.pop(lo, None)
-
-    def _lookup_quiet(self, location: int) -> Optional[Tuple[int, int]]:
-        secondary = self._primary.get(self._split(location)[0])
-        if secondary is None:
-            return None
-        return secondary.get(self._split(location)[1])
 
     @property
     def entry_count(self) -> int:

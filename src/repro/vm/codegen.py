@@ -18,43 +18,50 @@ compiled bytecode over real local variables:
 * loads/stores carry a per-site inline cache of the last allocation
   they hit, as module-level cache variables validated against
   ``Memory.epoch``;
-* cycle/opcode charges are block-batched into plain *local*
-  accumulators (``__cy``, ``__o_<opcode>``, ...) flushed once per
-  frame by a zero-cost ``try/finally``; only the absolute instruction
-  count ``__ins`` is published to ``RuntimeStats`` eagerly -- before
-  every call (callees check the budget against it) and at frame exit.
+* cycle/opcode charges -- native calls' included -- are
+  block-batched into plain *local* accumulators (``__cy``,
+  ``__o_<opcode>``, ...) flushed once per frame by a zero-cost
+  ``try/finally``; only the absolute instruction count ``__ins`` is
+  published to ``RuntimeStats`` eagerly -- before every call of
+  program code (callees check the budget against it) and at frame
+  exit;
+* natives registered as :class:`~repro.vm.native.PositionalNative`
+  (the dereference and escape checks, witness arithmetic) are one
+  positional call per site, or a fused expression when pure.
 
 Statistics contract: field-for-field :class:`RuntimeStats` equality
 with the tree-walker at every observable point.  The only points
 where statistics are observable are the end of a run and the moment a
 ``MemoryFault`` / ``MemSafetyViolation`` / ``ProgramAbort`` / exit
-request escapes the VM -- native helpers only ever *add* to the
-counters, none reads them.  Every statement that can raise (loads,
-stores, allocas, integer division, every call) therefore carries a
-*static rollback*: a ``try/except`` subtracts the pre-computed charges
-of exactly the not-yet-executed suffix of the block from the
-accumulators before re-raising, and call statements resync ``__ins``
-from the callee's exactly-published count.  Fusion and inlining
-decisions only move *when* a pure expression is computed, never what
-is charged, so fusion may be depth-capped without observable effect.
-Operands that evaluate a function address or unloaded global (``"f"``
-descriptors) are never fused or folded, because their evaluation order
-is program-visible: function addresses are assigned lazily at first
-evaluation, like the tree-walker does.
+request escapes the VM -- natives only ever *add* to the counters,
+none reads them or re-enters the VM.  Every statement that can raise
+(loads, stores, allocas, integer division, every call) therefore
+carries a *static rollback*: a ``try/except`` subtracts the
+pre-computed charges of exactly the not-yet-executed suffix of the
+block from the accumulators before re-raising, and calls of program
+code resync ``__ins`` from the callee's exactly-published count.
+Fusion and inlining decisions only move *when* a pure expression is
+computed, never what is charged, so fusion may be depth-capped without
+observable effect.  Operands that evaluate a function address or
+unloaded global (``"f"`` descriptors) are never fused or folded,
+because their evaluation order is program-visible: function addresses
+are assigned lazily at first evaluation, like the tree-walker does.
 
 Profiling (``profile=True``) specializes the emission.  Charges of
 instructions the instrumentation inserted (``meta["mi"]``) also feed a
 per-frame ``__mi`` accumulator, batched and rolled back like every
-other counter, and ``mi`` calls into natives add the ``stats.cycles``
-delta they cause (static cost plus the runtime's internal charges).
-``instrumentation_cycles`` thereby equals the tree-walker's
+other counter -- including the raising instruction's own share, which
+the tree-walker never attributes -- and ``mi`` calls into general
+natives add the ``stats.cycles`` delta of the runtime's internal
+charges.  ``instrumentation_cycles`` thereby equals the tree-walker's
 per-instruction attribution; unprofiled emission is unaffected.
 
-Per-function source and code objects are cached on the
-:class:`Function` itself (``fn._codegen_cache``): the emitter runs per
-VM (bindings like native impls and global addresses are per-VM), but
-when the generated source is unchanged the expensive ``compile()``
-call is skipped and only a fresh namespace is ``exec``-ed.
+Emission is cached on the :class:`Function` itself
+(``fn._codegen_cache``) keyed by the VM environment it depends on.
+The cached namespace template holds only VM-independent entries;
+every VM binds its own helpers, natives and global getters into a
+copy, so a fresh VM over the same program skips the emitter and
+``compile()`` alike, and a cached emission keeps no VM alive.
 """
 
 from __future__ import annotations
@@ -109,6 +116,7 @@ from ..ir.values import (
 )
 from . import costs
 from .memory import SparsePages
+from .native import PositionalNative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
@@ -318,16 +326,26 @@ def _cast_fn(op: str, src_ty, dst_ty) -> Optional[Callable]:
     raise VMError(f"cast {op}")  # pragma: no cover - unknown cast opcode
 
 
+def _native_code(impl) -> object:
+    """What a native runs, as opposed to the per-VM object that runs
+    it: a runtime registers bound methods of its own per-VM instance,
+    which share one code object across VMs."""
+    if isinstance(impl, PositionalNative):
+        return (PositionalNative, impl.pure, _native_code(impl.entry))
+    func = getattr(impl, "__func__", impl)
+    return getattr(func, "__code__", func)
+
+
 def _env_signature(vm: "VirtualMachine") -> Tuple:
     """Everything the emitter consults on the VM that can change the
-    *generated source or bindings*: loaded-global addresses (constant
-    folding + getter shape), native implementations (inline-charge
-    shape + bound impl identity) and the profiling switch (cycle
-    attribution code).  Two VMs with equal signatures get
-    byte-identical source and may share the cached emission."""
+    *generated source*: loaded-global addresses (constant folding +
+    getter shape), which natives are registered and as what code
+    (call shape), and the profiling switch (cycle attribution code).
+    Two VMs with equal signatures get byte-identical source and share
+    the cached emission; each binds its own objects into it."""
     return (
         tuple((id(g), a) for g, a in vm.global_addresses.items()),
-        tuple((n, id(f)) for n, f in vm.natives.items()),
+        tuple((n, _native_code(f)) for n, f in vm.natives.items()),
         vm.stats.profile,
     )
 
@@ -371,6 +389,34 @@ def _global_getter(vm: "VirtualMachine", value: GlobalVariable):
     return getter
 
 
+def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
+             binds: List[Tuple[str, str, object]]) -> None:
+    """Add one VM's objects to a namespace copied from a cached,
+    VM-independent template: the fixed helpers plus the emission's
+    ``(name, kind, key)`` bindings -- a global's getter, a native, or
+    a positional native's entry."""
+    stats = vm.stats
+    memory = vm.memory
+    ns.update(
+        __vm=vm, __stats=stats, __oc=stats.opcode_counts,
+        __mem=memory, __locate=memory.locate,
+        # The allocation index lists are created once per Memory and
+        # only ever mutated in place, so binding them is safe; the
+        # inlined miss path bisects them directly.
+        __bases=memory._bases, __allocs=memory._allocs,
+        __alloca=vm.stack.alloca, __call=vm.call_function,
+        __dc=vm._codegen_direct_call, __charge=stats.charge,
+        __fa=vm.function_address, __fba=vm._functions_by_address,
+    )
+    for name, kind, key in binds:
+        if kind == "global":
+            ns[name] = _global_getter(vm, key)
+        elif kind == "entry":
+            ns[name] = vm.natives[key].entry
+        else:
+            ns[name] = vm.natives[key]
+
+
 class CodegenFunction:
     """One IR function translated to generated Python source, bound to
     one VM."""
@@ -384,35 +430,22 @@ class CodegenFunction:
         # Emission is cached on the Function keyed by the VM-environment
         # signature: a fresh VM over the same program (the common case
         # -- benchmarks, differential runs, fuzz cells) skips the whole
-        # emitter and re-binds only the per-VM namespace entries.
+        # emitter and binds only its own objects.
         sig = _env_signature(vm)
         cached = getattr(fn, "_codegen_cache", None)
-        if cached is not None and cached[0] == sig:
-            _, source, code, template, vm_binds, nsite = cached
-            # The template was snapshotted before exec ever ran, so the
-            # per-site inline-cache variables it carries are already in
-            # their pristine initial state -- no reset loop needed.
-            ns = dict(template)
-            for name, gvar in vm_binds:
-                ns[name] = _global_getter(vm, gvar)
-            stats = vm.stats
-            ns.update(
-                __vm=vm, __stats=stats, __oc=stats.opcode_counts,
-                __mem=vm.memory, __locate=vm.memory.locate,
-                __bases=vm.memory._bases, __allocs=vm.memory._allocs,
-                __alloca=vm.stack.alloca, __call=vm.call_function,
-                __dc=vm._codegen_direct_call, __charge=stats.charge,
-                __fa=vm.function_address, __fba=vm._functions_by_address,
-            )
-        else:
-            emitter = _SourceEmitter(vm, fn)
-            source, ns = emitter.emit()
+        if cached is None or cached[0] != sig:
+            source, template, binds = _SourceEmitter(vm, fn).emit()
             if cached is not None and cached[1] == source:
                 code = cached[2]
             else:
                 code = compile(source, f"<codegen:{fn.name}>", "exec")
-            fn._codegen_cache = (sig, source, code, dict(ns),
-                                 emitter._vm_binds, emitter._nsite)
+            cached = fn._codegen_cache = (sig, source, code, template, binds)
+        _, source, code, template, binds = cached
+        # The template is never exec-ed itself, so the per-site
+        # inline-cache variables it carries are in their pristine
+        # initial state -- no reset loop needed.
+        ns = dict(template)
+        _bind_vm(ns, vm, binds)
         self.source = source
         dump_dir = getattr(vm, "codegen_dump_dir", None)
         if dump_dir:
@@ -456,30 +489,14 @@ class _SourceEmitter:
         self._nbind = 0
         self._nsite = 0
         self._globals: List[str] = []
-        #: (binding name, GlobalVariable) pairs whose bound getter
-        #: closes over the VM -- the only VM-dependent ``__k`` bindings,
-        #: rebuilt when a cached emission is reused by a fresh VM.
-        self._vm_binds: List[Tuple[str, GlobalVariable]] = []
-        stats = vm.stats
+        #: ``(binding name, kind, key)`` for the per-VM ``__k``
+        #: bindings (see :func:`_bind_vm`); ``self.ns`` itself holds
+        #: only VM-independent entries.
+        self._vm_binds: List[Tuple[str, str, object]] = []
+        self._native_binds: Dict[Tuple[str, str], str] = {}
         self.ns: Dict[str, object] = {
-            "__vm": vm,
-            "__stats": stats,
-            "__oc": stats.opcode_counts,
-            "__mem": vm.memory,
-            "__locate": vm.memory.locate,
-            # The allocation index lists are created once per Memory
-            # and only ever mutated in place, so binding them is safe;
-            # the inlined miss path bisects them directly.
             "__br": bisect.bisect_right,
-            "__bases": vm.memory._bases,
-            "__allocs": vm.memory._allocs,
             "__SP": SparsePages,
-            "__alloca": vm.stack.alloca,
-            "__call": vm.call_function,
-            "__dc": vm._codegen_direct_call,
-            "__charge": stats.charge,
-            "__fa": vm.function_address,
-            "__fba": vm._functions_by_address,
             "__VMError": VMError,
             "__MemoryFault": MemoryFault,
             "__up": struct.unpack,
@@ -503,19 +520,25 @@ class _SourceEmitter:
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
-        self._charges: List[Tuple[str, int, int, int, bool]] = []
-        self._steps: List[Tuple[List[str], Optional[int], bool]] = []
+        #: (opcode, cycles, mi) per charged instruction of the block.
+        self._charges: List[Tuple[str, int, bool]] = []
+        #: (lines, rollback index, own-charge index, is program call);
+        #: the rollback index is None for a step that cannot raise.
+        self._steps: List[Tuple[List[str], Optional[int], int, bool]] = []
+        #: Index of the current instruction's own charge.
+        self._own = 0
         # Function-wide deferred-charge accumulators: opcode -> local
         # name (insertion-ordered, so generated source is stable).
         self._acc_names: Dict[str, str] = {}
-        self._has_loads = False
-        self._has_stores = False
         # Profiling: attribute instrumentation cycles into ``__mi``.
-        self.profile = stats.profile
+        self.profile = vm.stats.profile
         self._has_mi = False
 
     # -- driver --------------------------------------------------------
-    def emit(self) -> Tuple[str, Dict[str, object]]:
+    def emit(self) -> Tuple[str, Dict[str, object],
+                            List[Tuple[str, str, object]]]:
+        """The source, its VM-independent namespace template and the
+        per-VM bindings it needs."""
         self._assign_slots()
         self._analyze_cfg()
         self.code: Dict[BasicBlock, Tuple[List[str], Tuple]] = {}
@@ -524,7 +547,7 @@ class _SourceEmitter:
                 self.code[block] = self._compile_block(block)
         arms = self._layout()
         source = self._assemble(arms)
-        return source, self.ns
+        return source, self.ns, self._vm_binds
 
     def _assign_slots(self) -> None:
         fn = self.fn
@@ -587,6 +610,20 @@ class _SourceEmitter:
         name = f"__k{self._nbind}"
         self._nbind += 1
         self.ns[name] = value
+        return name
+
+    def _bind_per_vm(self, kind: str, key) -> str:
+        name = f"__k{self._nbind}"
+        self._nbind += 1
+        self._vm_binds.append((name, kind, key))
+        return name
+
+    def _bind_native(self, kind: str, native: str) -> str:
+        """One binding per native (or positional entry) per function."""
+        name = self._native_binds.get((kind, native))
+        if name is None:
+            name = self._native_binds[(kind, native)] = \
+                self._bind_per_vm(kind, native)
         return name
 
     def _miss_lines(self, ca: str, cl: str, ch: str, ce: str,
@@ -682,8 +719,7 @@ class _SourceEmitter:
             address = self.vm.global_addresses.get(value)
             if address is not None:
                 return ("c", address)
-            name = self._bind(_global_getter(self.vm, value))
-            self._vm_binds.append((name, value))
+            name = self._bind_per_vm("global", value)
             return ("f", f"{name}()", 1)
         if isinstance(value, Function):
             # Lazy, evaluation-order-preserving address assignment,
@@ -720,21 +756,22 @@ class _SourceEmitter:
         return all(d[0] in ("s", "c", "p") for d in descs)
 
     # -- step / charge bookkeeping -------------------------------------
-    def _charge(self, opcode: str, cycles: int,
-                loads: int = 0, stores: int = 0, mi: bool = False) -> None:
-        self._charges.append((opcode, cycles, loads, stores, mi))
+    def _charge(self, opcode: str, cycles: int, mi: bool = False) -> None:
+        self._charges.append((opcode, cycles, mi))
 
     def _step(self, lines: List[str], raising: bool = False,
               call: bool = False) -> None:
         self._steps.append(
-            (lines, len(self._charges) if raising else None, call))
+            (lines, len(self._charges) if raising else None, self._own,
+             call))
 
     def _acc(self, opcode: str) -> str:
         """Local accumulator name for a batch opcode (allocated
         function-wide on first use)."""
         name = self._acc_names.get(opcode)
         if name is None:
-            name = self._acc_names[opcode] = f"__o_{opcode}"
+            name = self._acc_names[opcode] = \
+                "__o_" + re.sub(r"\W", "_", opcode)
         return name
 
     def _assign(self, inst: Instruction, desc: Tuple) -> None:
@@ -757,22 +794,18 @@ class _SourceEmitter:
         self._pending = {}
 
     @staticmethod
-    def _aggregate(charges) -> Tuple[int, int, Tuple, int, int, int]:
-        cyc = loads = stores = micyc = 0
+    def _aggregate(charges) -> Tuple[int, int, Tuple]:
+        cyc = 0
         counts: Dict[str, int] = {}
-        for op, c, ld, st, mi in charges:
+        for op, c, _ in charges:
             cyc += c
-            loads += ld
-            stores += st
-            if mi:
-                micyc += c
             counts[op] = counts.get(op, 0) + 1
-        return (cyc, len(charges), tuple(counts.items()), loads, stores,
-                micyc)
+        return cyc, len(charges), tuple(counts.items())
 
-    def _mi_lines(self, op: str, micyc: int) -> List[str]:
+    def _mi_lines(self, op: str, charges) -> List[str]:
         """``__mi`` update for the instrumentation-owned share of a
         charge batch (profiling only)."""
+        micyc = sum(c for _, c, mi in charges if mi)
         if not (self.profile and micyc):
             return []
         self._has_mi = True
@@ -780,10 +813,11 @@ class _SourceEmitter:
 
     def _attributed(self, inst: Instruction, lines: List[str]) -> List[str]:
         """Wrap the lines of a native call so that, when profiling an
-        ``mi`` call, its whole ``stats.cycles`` delta (static cost plus
-        the runtime's internal charges) goes to ``__mi`` -- the
-        tree-walker's per-instruction delta.  Nothing is attributed on
-        a raise, also like the tree-walker."""
+        ``mi`` call, the ``stats.cycles`` it charges outside the batch
+        -- a general native's internal charges, or the whole call when
+        ``call_function`` charges it -- also go to ``__mi``, completing
+        the tree-walker's per-instruction delta.  Nothing is attributed
+        on a raise, also like the tree-walker."""
         if not (self.profile and "mi" in inst.meta):
             return lines
         self._has_mi = True
@@ -798,25 +832,22 @@ class _SourceEmitter:
             # locals (flushed once per frame by the function's
             # ``finally``); only ``__ins`` carries the running absolute
             # instruction count, for budget checks and callees.
-            cyc, n, items, loads, stores, micyc = self._aggregate(charges)
+            cyc, n, items = self._aggregate(charges)
             if cyc:
                 out.append(f"__cy += {cyc}")
             out.append(f"__ins += {n}")
             for key, count in items:
                 out.append(f"{self._acc(key)} += {count}")
-            if loads:
-                self._has_loads = True
-                out.append(f"__lda += {loads}")
-            if stores:
-                self._has_stores = True
-                out.append(f"__sta += {stores}")
-            out.extend(self._mi_lines("+=", micyc))
-        for lines, ci, is_call in self._steps:
+            out.extend(self._mi_lines("+=", charges))
+        for lines, ci, own, is_call in self._steps:
             if ci is None:
                 out.extend(lines)
                 continue
             suffix = charges[ci:]
-            cyc, n, items, loads, stores, micyc = self._aggregate(suffix)
+            cyc, n, items = self._aggregate(suffix)
+            # A raising instruction keeps its own charges but, like in
+            # the tree-walker, never gets them attributed.
+            mi_back = self._mi_lines("-=", charges[own:])
             if is_call:
                 # Publish the exact instruction count to the callee,
                 # resync afterwards (the callee's own ``finally``
@@ -825,7 +856,7 @@ class _SourceEmitter:
                         + ["__ins = __stats.instructions"])
                 handler = ["__ins = __stats.instructions"
                            + (f" - {n}" if n else "")]
-            elif suffix:
+            elif suffix or mi_back:
                 body = list(lines)
                 handler = [f"__ins -= {n}"] if n else []
             else:
@@ -835,11 +866,7 @@ class _SourceEmitter:
                 handler.append(f"__cy -= {cyc}")
             for key, count in items:
                 handler.append(f"{self._acc(key)} -= {count}")
-            if loads:
-                handler.append(f"__lda -= {loads}")
-            if stores:
-                handler.append(f"__sta -= {stores}")
-            handler.extend(self._mi_lines("-=", micyc))
+            handler.extend(mi_back)
             out.append("try:")
             out.extend("    " + ln for ln in body)
             out.append("except BaseException:")
@@ -858,12 +885,10 @@ class _SourceEmitter:
         for _ in phis:
             # Charged with the block batch, after the moves ran --
             # matching the tree-walker's evaluate-then-charge order.
-            self._charges.append(("phi", 0, 0, 0, False))
+            self._charge("phi", 0)
         for inst in block.instructions[len(phis):]:
             if inst is term_inst:
-                self._charges.append(
-                    (inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode], 0, 0,
-                     False))
+                self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
                 break
             self._compile_instruction(inst)
         # The terminator may consume a pending fused expression, so
@@ -877,13 +902,12 @@ class _SourceEmitter:
     def _compile_instruction(self, inst) -> None:
         cls = type(inst)
         mi = "mi" in inst.meta
+        self._own = len(self._charges)
         if cls is Load:
-            self._charge("load", costs.INSTRUCTION_COSTS["load"], loads=1,
-                         mi=mi)
+            self._charge("load", costs.INSTRUCTION_COSTS["load"], mi=mi)
             self._compile_load(inst)
         elif cls is Store:
-            self._charge("store", costs.INSTRUCTION_COSTS["store"], stores=1,
-                         mi=mi)
+            self._charge("store", costs.INSTRUCTION_COSTS["store"], mi=mi)
             self._compile_store(inst)
         elif cls is BinOp:
             self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
@@ -907,9 +931,6 @@ class _SourceEmitter:
             self._compile_select(inst)
         elif cls is Call:
             self._compile_call(inst)
-            # The callee may have unmapped live memory (frame pops,
-            # munmap-style natives): the cached ``__E`` goes stale.
-            self._epoch_fresh = False
         elif cls is Alloca:
             self._charge("alloca", 2, mi=mi)
             self._compile_alloca(inst)
@@ -1399,42 +1420,19 @@ class _SourceEmitter:
     # -- calls ---------------------------------------------------------
     def _compile_call(self, inst: Call) -> None:
         dst = self.slots[inst] if inst.type.is_first_class() else None
-        arg_exprs = [self._expr(self._operand(a)) for a in inst.args]
+        arg_descs = [self._operand(a) for a in inst.args]
         tgt = f"v{dst} = " if dst is not None else ""
         callee = inst.callee
+        if isinstance(callee, Function) and callee.native:
+            self._compile_native_call(inst, callee, arg_descs, tgt)
+            return
+        arg_exprs = [self._expr(d) for d in arg_descs]
+        # Program code (or an unknown callee) may unmap live memory --
+        # frame pops, ``free`` -- so the cached ``__E`` goes stale.
+        self._epoch_fresh = False
 
         if isinstance(callee, Function):
             fn = callee
-            if fn.native:
-                site = inst.meta.get("mi_site")
-                impl = self.vm.natives.get(fn.name)
-                if impl is None:
-                    # No implementation registered at compile time:
-                    # call_function raises (or resolves a late
-                    # registration) exactly like the tree-walker.
-                    args = list(arg_exprs)
-                    if site is not None:
-                        args.append(self._bind(site))
-                    fname = self._bind(fn)
-                    self._step(self._attributed(
-                        inst, [f"{tgt}__call({fname}, [{', '.join(args)}])"]),
-                        raising=True, call=True)
-                    return
-                key = f"native:{fn.name}"
-                cost = costs.call_cost(fn.name)
-                args = list(arg_exprs)
-                if site is not None:
-                    args.append(self._bind(site))
-                iname = self._bind(impl)
-                self._step(self._attributed(inst, [
-                    f"__args = [{', '.join(args)}]",
-                    f"__stats.cycles += {cost}",
-                    "__stats.instructions += 1",
-                    f"__oc[{key!r}] += 1",
-                    "__stats.calls += 1",
-                    f"{tgt}{iname}(__vm, __args)",
-                ]), raising=True, call=True)
-                return
             # Direct call of a defined function or declaration: the
             # static "call" charge joins the batch.  Defined functions
             # take the ``__dc`` trampoline, which skips the dispatch
@@ -1475,6 +1473,45 @@ class _SourceEmitter:
             ]
         lines.append(f"{tgt}__call(__fx, __args)")
         self._step(lines, raising=True, call=True)
+
+    def _compile_native_call(self, inst: Call, fn: Function, descs: List,
+                             tgt: str) -> None:
+        """A direct native call: charged in the block batch and rolled
+        back like a load (natives add to ``RuntimeStats`` but never
+        read it), one positional call for a :class:`PositionalNative`.
+        Plain and profiled emission share this path."""
+        site = inst.meta.get("mi_site")
+        args = [self._expr(d) for d in descs]
+        if site is not None:
+            args.append(repr(site) if type(site) is str else self._bind(site))
+        arglist = ", ".join(args)
+        impl = self.vm.natives.get(fn.name)
+        if impl is None:
+            # No implementation registered at emission time:
+            # call_function raises (or resolves a late registration)
+            # exactly like the tree-walker, charging eagerly.
+            self._epoch_fresh = False
+            fname = self._bind(fn)
+            self._step(self._attributed(
+                inst, [f"{tgt}__call({fname}, [{arglist}])"]),
+                raising=True, call=True)
+            return
+        self._charge(f"native:{fn.name}", costs.call_cost(fn.name),
+                     mi="mi" in inst.meta)
+        if isinstance(impl, PositionalNative):
+            # Never unmaps memory: ``__E`` stays fresh across it.
+            call = f"{self._bind_native('entry', fn.name)}({arglist})"
+            if impl.pure and tgt and self._fusable(*descs):
+                depth = max(map(self._depth, descs), default=0) + 1
+                self._sink_value(inst, ("p", call, depth), descs)
+            else:
+                self._step([tgt + call], raising=True)
+            return
+        # A general native may unmap memory (``free``, frame cleanups).
+        self._epoch_fresh = False
+        name = self._bind_native("native", fn.name)
+        self._step(self._attributed(
+            inst, [f"{tgt}{name}(__vm, [{arglist}])"]), raising=True)
 
     # -- control flow --------------------------------------------------
     def _compile_terminator(self, block: BasicBlock,
@@ -1610,10 +1647,6 @@ class _SourceEmitter:
         # checks and callees always see an exact value.
         lines.append(ind + "__ins = __stats.instructions")
         accs = ["__cy"] + list(self._acc_names.values())
-        if self._has_loads:
-            accs.append("__lda")
-        if self._has_stores:
-            accs.append("__sta")
         if self._has_mi:
             accs.append("__mi")
         for i in range(0, len(accs), 8):
@@ -1635,10 +1668,14 @@ class _SourceEmitter:
         lines.append(ind + "finally:")
         lines.append(ind * 2 + "__stats.instructions = __ins")
         lines.append(ind * 2 + "__stats.cycles += __cy")
-        if self._has_loads:
-            lines.append(ind * 2 + "__stats.loads += __lda")
-        if self._has_stores:
-            lines.append(ind * 2 + "__stats.stores += __sta")
+        # Loads, stores and native calls are counted by their opcodes.
+        for field, opcode in (("loads", "load"), ("stores", "store")):
+            if opcode in self._acc_names:
+                lines.append(ind * 2 + f"__stats.{field} += __o_{opcode}")
+        natives = [name for opcode, name in self._acc_names.items()
+                   if opcode.startswith("native:")]
+        if natives:
+            lines.append(ind * 2 + f"__stats.calls += {' + '.join(natives)}")
         if self._has_mi:
             lines.append(
                 ind * 2 + "__stats.instrumentation_cycles += __mi")

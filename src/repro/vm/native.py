@@ -6,6 +6,13 @@ standard library is *uninstrumented external code*: no checks run
 inside them unless an instrumentation installs wrappers (SoftBound,
 Section 4.3) and allocation routed through them uses whatever allocator
 the active runtime provides.
+
+The native-call contract, which every implementation registered with
+``VirtualMachine.register_native`` keeps: a native is called as
+``impl(vm, args)`` after the VM charged the call, it may *add* to
+``RuntimeStats`` counters but never reads them, and it never re-enters
+the VM (no calls back into program code).  Both engines rely on it to
+charge native calls in whatever order suits them.
 """
 
 from __future__ import annotations
@@ -21,6 +28,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
 
 I8P = PointerType(I8)
+
+
+class PositionalNative:
+    """A native that may also be called with positional arguments.
+
+    Registered like any native and called through the list protocol
+    (``native(vm, args)``) by the tree-walker, while the codegen tier
+    calls ``native.entry(*args)`` directly -- one positional call per
+    site, no argument list.  Beyond the native-call contract it
+    promises that it never unmaps memory and never charges cycles
+    itself, so generated code keeps its cached memory epoch across the
+    call and needs no profiling snapshot around it.  A ``pure`` one
+    also has no side effects and cannot raise: generated code may
+    compute it wherever its value is consumed, like an inlined
+    instruction.
+    """
+
+    __slots__ = ("entry", "pure")
+
+    def __init__(self, entry: Callable, pure: bool = False):
+        self.entry = entry
+        self.pure = pure
+
+    def __call__(self, vm: "VirtualMachine", args: List):
+        return self.entry(*args)
 
 
 def _charged_bytes(vm: "VirtualMachine", name: str, nbytes: int) -> None:

@@ -5,23 +5,30 @@ programs with heap/stack/global out-of-bounds reads and writes must be
 rejected, programs without violations must run unmodified.
 """
 
+import dataclasses
+
 import pytest
 
-from repro import CompileOptions, compile_and_run
+from repro import CompileOptions, compile_and_run, compile_program, run_program
 from repro.core import InstrumentationConfig
+from repro.vm.engines import ENGINES
 
 SB = InstrumentationConfig.softbound()
 LF = InstrumentationConfig.lowfat()
 OPTS = CompileOptions(verify=True)
 
 
-def outcome(src, config, **kw):
-    result = compile_and_run(src, config, OPTS, max_instructions=2_000_000, **kw)
+def classify(result):
     if result.violation is not None:
         return f"violation:{result.violation.kind}"
     if result.fault is not None:
         return "fault"
     return "ok"
+
+
+def outcome(src, config, **kw):
+    return classify(compile_and_run(src, config, OPTS,
+                                    max_instructions=2_000_000, **kw))
 
 
 CLEAN_PROGRAMS = {
@@ -123,6 +130,66 @@ VIOLATING_PROGRAMS = {
 }
 
 
+WIDTH_PROGRAMS = {
+    # (source, SB outcome, LF outcome)
+    "wide-access-at-boundary": (r"""
+        int main() {
+            char *a = (char *) malloc(12);
+            long *p = (long *) (a + 8);
+            *p = 1;                 // bytes 8..15, but only 12 exist
+            return 0;
+        }""", "violation:deref", "ok"),
+    "wide-access-past-padding": (r"""
+        int main() {
+            char *a = (char *) malloc(12);
+            long *p = (long *) (a + 12);
+            *p = 1;                 // bytes 12..19: crosses the 16B slot
+            return 0;
+        }""", "violation:deref", "violation:deref"),
+}
+
+#: Every program a check fires on, for the engine raise-point
+#: comparison.  The fuzz corpus is defined-behaviour only, so these are
+#: what makes a batched or fused check fire at all.
+RAISE_PROGRAMS = dict(VIOLATING_PROGRAMS, **WIDTH_PROGRAMS)
+RAISE_PROGRAMS.update({
+    # Low-Fat's escape check: an out-of-bounds pointer is stored.
+    "escape-out-of-bounds": (r"""
+        int *g;
+        int main() {
+            int *a = (int *) malloc(sizeof(int) * 8);
+            g = a + 100;
+            return 0;
+        }""", "ok", "violation:invariant"),
+    # The failing check is followed, in its block, by charged and
+    # instrumentation instructions that must not count.
+    "mid-block-check": (r"""
+        int main() {
+            int *a = (int *) malloc(sizeof(int) * 8);
+            long x = 3;
+            a[1] = a[100] * 7 + x;
+            print_i64(a[1]);
+            return 0;
+        }""", "violation:deref", "violation:deref"),
+})
+
+
+def raise_point(program, engine, profile):
+    """Everything observable when a run stops: the violation's fields,
+    the outcome, the output and the full RuntimeStats."""
+    result = run_program(program, max_instructions=2_000_000, engine=engine,
+                         profile=profile)
+    v = result.violation
+    return {
+        "class": classify(result),
+        "violation": None if v is None
+        else (v.kind, v.pointer, v.base, v.bound, v.site),
+        "outcome": result.describe(),
+        "output": list(result.output),
+        "stats": dataclasses.asdict(result.stats),
+    }
+
+
 class TestCleanPrograms:
     @pytest.mark.parametrize("name", sorted(CLEAN_PROGRAMS))
     @pytest.mark.parametrize("config", [SB, LF], ids=["softbound", "lowfat"])
@@ -155,27 +222,37 @@ class TestWidthAwareChecks:
     def test_wide_access_at_boundary(self):
         """An 8-byte access whose first byte is in bounds but whose
         last byte is not must be rejected (checks are width-aware)."""
-        src = r"""
-        int main() {
-            char *a = (char *) malloc(12);
-            long *p = (long *) (a + 8);
-            *p = 1;                 // bytes 8..15, but only 12 exist
-            return 0;
-        }"""
+        src = WIDTH_PROGRAMS["wide-access-at-boundary"][0]
         assert outcome(src, SB) == "violation:deref"
         # Low-Fat: 12+1 -> 16-byte class; bytes 8..15 are inside the
         # padded slot, so this is exactly the padding blind spot.
         assert outcome(src, LF) == "ok"
 
     def test_wide_access_past_padding_rejected_by_lowfat(self):
-        src = r"""
-        int main() {
-            char *a = (char *) malloc(12);
-            long *p = (long *) (a + 12);
-            *p = 1;                 // bytes 12..19: crosses the 16B slot
-            return 0;
-        }"""
+        src = WIDTH_PROGRAMS["wide-access-past-padding"][0]
         assert outcome(src, LF) == "violation:deref"
+
+
+class TestRaisePointsOnEveryEngine:
+    """Codegen charges checks in the block batch and rolls the batch
+    back when one fires; every engine must stop at the tree-walker's
+    violation (kind, pointer, base, bound, site) with field-for-field
+    identical RuntimeStats, plain and profiled."""
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("config", [SB, LF], ids=["softbound", "lowfat"])
+    @pytest.mark.parametrize("name", sorted(RAISE_PROGRAMS))
+    def test_same_violation_and_stats(self, name, config, profile):
+        src, sb_expected, lf_expected = RAISE_PROGRAMS[name]
+        program = compile_program(src, config, OPTS)
+        runs = {engine: raise_point(program, engine, profile)
+                for engine in ENGINES}
+        reference = runs["interp"]
+        assert reference["class"] == (sb_expected if config is SB
+                                      else lf_expected)
+        for engine, run in runs.items():
+            assert run == reference, engine
 
 
 class TestModes:

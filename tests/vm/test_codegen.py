@@ -12,9 +12,13 @@ cache.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from repro.driver import compile_program, make_vm
+from repro.experiments.common import config_for
 from repro.ir import (
     FunctionType,
     I32,
@@ -202,7 +206,10 @@ class TestCycleRollback:
         slot = b.alloca(I32)
         b.store(b.const_i32(7), slot).meta["mi"] = True
         x = b.load(slot)
+        # The raising instruction itself is tagged too: it keeps its
+        # charges, but the tree-walker never attributes them.
         q = b.binop("sdiv", x, b.const_i32(0))
+        q.meta["mi"] = True
         y = b.add(q, b.const_i32(1))
         y.meta["mi"] = True
         b.ret(y)
@@ -323,9 +330,25 @@ class TestSourceDump:
         assert "# entry:" in source
 
 
+INSTRUMENTED_SOURCE = r"""
+long total(int *a, int n) {
+    long s = 0;
+    for (int i = 0; i < n; i++) s += a[i];
+    return s;
+}
+int main() {
+    int *a = (int *) malloc(sizeof(int) * 8);
+    for (int i = 0; i < 8; i++) a[i] = i;
+    print_i64(total(a, 8));
+    free((void*)a);
+    return 0;
+}"""
+
+
 class TestEmissionCache:
     """Emission is cached on the Function keyed by the VM-environment
-    signature: fresh VMs over the same program skip the emitter."""
+    signature: fresh VMs over the same program skip the emitter, and
+    the cache holds nothing of the VM that filled it."""
 
     @staticmethod
     def _module():
@@ -337,21 +360,49 @@ class TestEmissionCache:
         b.ret(b.load(slot))
         return mod
 
+    @staticmethod
+    def _assert_fresh_vm_reuses_emission(mod, new_vm, expected):
+        vm1 = new_vm()
+        assert vm1.run() == expected
+        emitted = {fn: fn._codegen_cache for fn in vm1._codegen}
+        assert emitted and all(emitted.values())
+        vm2 = new_vm()
+        assert vm2.run() == expected
+        for fn, cached in emitted.items():
+            assert fn._codegen_cache is cached  # no re-emission
+            cg1 = vm1._codegen[fn]
+            cg2 = vm2._codegen[fn]
+            assert cg1 is not cg2              # per-VM compiled object
+            assert cg1.source == cg2.source    # shared emission
+        assert vm1.output == vm2.output
+        assert _stats_dict(vm1) == _stats_dict(vm2)
+
     def test_fresh_vm_reuses_source_and_code(self):
         mod = self._module()
-        vm1 = VirtualMachine(mod, engine="codegen")
-        assert vm1.run() == 3
-        fn = mod.functions["main"]
-        cached = fn._codegen_cache
-        assert cached is not None
-        vm2 = VirtualMachine(mod, engine="codegen")
-        assert vm2.run() == 3
-        assert fn._codegen_cache is cached  # no re-emission
-        cg1 = vm1._codegen[fn]
-        cg2 = vm2._codegen[fn]
-        assert cg1 is not cg2              # per-VM compiled object
-        assert cg1.source == cg2.source    # shared emission
-        assert _stats_dict(vm1) == _stats_dict(vm2)
+        self._assert_fresh_vm_reuses_emission(
+            mod, lambda: VirtualMachine(mod, engine="codegen"), 3)
+
+    @pytest.mark.parametrize("label", ["softbound", "lowfat"])
+    def test_fresh_vm_reuses_instrumented_emission(self, label):
+        # Each VM installs its own runtime, whose natives are bound
+        # methods of a per-VM object: the cache must key on their code.
+        program = compile_program(INSTRUMENTED_SOURCE, config_for(label))
+        self._assert_fresh_vm_reuses_emission(
+            program.module, lambda: make_vm(program, engine="codegen"), 0)
+
+    @pytest.mark.parametrize("label", ["baseline", "softbound", "lowfat"])
+    def test_cached_emission_keeps_no_vm_alive(self, label):
+        config = config_for(label)
+        program = (compile_program(INSTRUMENTED_SOURCE, config)
+                   if config is not None
+                   else compile_program(INSTRUMENTED_SOURCE))
+        vm = make_vm(program, engine="codegen")
+        assert vm.run() == 0
+        finished = weakref.ref(vm)
+        del vm
+        gc.collect()
+        assert finished() is None
+        assert program.module.functions["main"]._codegen_cache is not None
 
     def test_reused_emission_state_is_pristine(self):
         # The second VM must not observe the first VM's inline-cache
