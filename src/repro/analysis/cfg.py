@@ -12,11 +12,19 @@ def successors(block: BasicBlock) -> List[BasicBlock]:
 
 
 def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:
-    """Predecessors of every block, computed in one pass."""
+    """Predecessors of every block, computed in one O(blocks) pass.
+
+    ``predecessor_map(fn)[b] == b.predecessors`` for every block: each
+    predecessor is listed once (a ``condbr`` with both edges to ``b``
+    counts once), in ``fn.blocks`` order.  Whole-function consumers
+    build this once per run instead of querying the property per
+    block, which rescans the function on every call."""
     preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
     for block in fn.blocks:
         for succ in block.successors:
-            preds.setdefault(succ, []).append(block)
+            listed = preds.setdefault(succ, [])
+            if not listed or listed[-1] is not block:
+                listed.append(block)
     return preds
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..ir.instructions import Instruction, Phi
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
-from .cfg import reverse_postorder
+from .cfg import predecessor_map, reverse_postorder
 
 #: Abstract states map client-chosen hashable keys to lattice facts.
 State = Dict[object, object]
@@ -42,6 +42,9 @@ State = Dict[object, object]
 #: an empty intersection must become "unreachable", never a patched-up
 #: half-range (which could later exclude real executions).
 INFEASIBLE = "__edge_infeasible__"
+
+#: Stands for a key missing from one edge's state while merging.
+_ABSENT = object()
 
 
 class DataflowClient:
@@ -77,7 +80,11 @@ class DataflowClient:
         return state
 
     def join_fact(self, a: object, b: object) -> Optional[object]:
-        """Least upper bound of two facts; ``None`` means top."""
+        """Least upper bound of two facts; ``None`` means top.
+
+        Must be idempotent -- ``join_fact(f, f) == f`` -- because the
+        engine skips the call for a single incoming edge and for facts
+        that are the same object."""
         return a if a == b else None
 
     def widen_fact(self, old: object, new: object) -> Optional[object]:
@@ -112,12 +119,15 @@ class ForwardDataflow:
         if not order:
             return {}
         rpo_index = {block: i for i, block in enumerate(order)}
+        # The CFG is fixed while the analysis runs: one map serves
+        # every join.
+        preds = predecessor_map(fn)
         # A block is a widening point iff some predecessor comes later
         # in reverse postorder -- i.e. the block closes a cycle.
         widen_points = {
             block
             for block in order
-            for pred in block.predecessors
+            for pred in preds[block]
             if pred in rpo_index and rpo_index[pred] >= rpo_index[block]
         }
 
@@ -167,7 +177,7 @@ class ForwardDataflow:
 
                 edges = [
                     edge_out[(pred, succ)]
-                    for pred in succ.predecessors
+                    for pred in preds[succ]
                     if (pred, succ) in edge_out
                 ]
                 if not edges:
@@ -197,27 +207,42 @@ class ForwardDataflow:
         Phi keys require a fact on *every* edge (a phi takes a
         different value per edge; one unknown incoming makes it
         unknown).  Other keys follow the client's
-        :meth:`~DataflowClient.keep_unmatched_key` policy."""
+        :meth:`~DataflowClient.keep_unmatched_key` policy.
+
+        A single edge is the merged state itself, and facts that are
+        one object need no join: both shortcuts rely on
+        :meth:`~DataflowClient.join_fact` being idempotent."""
         client = self.client
         if not edges:
             return {}
-        merged: State = {}
-        keys = set()
-        for state in edges:
-            keys.update(state)
-        total = len(edges)
-        for key in keys:
-            facts = [state[key] for state in edges if key in state]
-            if len(facts) < total:
+        merged = dict(edges[0])
+        # Fold the remaining edges in one at a time: a key's facts are
+        # joined in edge order, exactly as a per-key join would.
+        dropped = set()
+        for state in edges[1:]:
+            step: State = {}
+            for key, fact in merged.items():
+                other = state.get(key, _ABSENT)
+                if other is fact:
+                    step[key] = fact
+                elif other is _ABSENT:
+                    if key in phi_keys or not client.keep_unmatched_key(key):
+                        dropped.add(key)
+                    else:
+                        step[key] = fact
+                else:
+                    joined = client.join_fact(fact, other)
+                    if joined is None:
+                        dropped.add(key)
+                    else:
+                        step[key] = joined
+            for key in state.keys() - merged.keys() - dropped:
+                # Absent from every earlier edge.
                 if key in phi_keys or not client.keep_unmatched_key(key):
-                    continue
-            joined = facts[0]
-            for fact in facts[1:]:
-                joined = client.join_fact(joined, fact)
-                if joined is None:
-                    break
-            if joined is not None:
-                merged[key] = joined
+                    dropped.add(key)
+                else:
+                    step[key] = state[key]
+            merged = step
         return merged
 
     def _widen_state(self, old: State, new: State) -> State:
@@ -228,7 +253,8 @@ class ForwardDataflow:
         widened: State = {}
         for key, new_fact in new.items():
             old_fact = old.get(key)
-            if old_fact is None or old_fact == new_fact:
+            if (old_fact is None or old_fact is new_fact
+                    or old_fact == new_fact):
                 widened[key] = new_fact
                 continue
             fact = client.widen_fact(old_fact, new_fact)

@@ -96,9 +96,13 @@ class LoopInfo:
         preds = predecessor_map(self.function)
         # One loop per header, merging every back edge into it.
         headers: Dict[BasicBlock, List[BasicBlock]] = {}
+        rpo_index = self._rpo_index
         for block in self.domtree.rpo:
             for succ in block.successors:
-                if self.domtree.dominates_block(succ, block):
+                # A dominator precedes every block it dominates in RPO,
+                # so only a retreating edge can be a back edge.
+                if (rpo_index[succ] <= rpo_index[block]
+                        and self.domtree.dominates_block(succ, block)):
                     headers.setdefault(succ, []).append(block)
 
         # Dominance (RPO) order: outer loops before the loops they

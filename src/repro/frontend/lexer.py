@@ -1,9 +1,17 @@
-"""Lexer for MiniC, the C subset the workloads are written in."""
+"""Lexer for MiniC, the C subset the workloads are written in.
+
+One compiled master regex names every token class; ``tokenize`` walks
+its matches in order.  Identifiers and numbers use C's basic (ASCII)
+character set, and any other character outside comments and literals
+is an error.  Every malformed input raises :class:`CompileError` with
+its line.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 from ..errors import CompileError
 
@@ -23,6 +31,26 @@ OPERATORS = [
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
 ]
 
+# Alternatives are tried in order at each position: comments before
+# the ``/`` operator, numbers before the ``.`` operator.  A comment or
+# literal that does not close falls through to ``open`` and is
+# diagnosed there; ``bad`` matches any other single character.  The
+# number groups leave out the ignored ``[uUlL]`` suffix.
+_TOKEN = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<hex>0[xX][0-9A-Fa-f]*)[uUlL]*
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)[uUlL]*
+    | (?P<char>'(?:\\.|[^\\])')
+    | (?P<string>"(?:\\.|[^"\\\n])*")
+    | (?P<open>/\*|['"])
+    | (?P<op>""" + "|".join(re.escape(op) for op in OPERATORS) + r""")
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
 
 @dataclass
 class Token:
@@ -37,95 +65,39 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise CompileError("unterminated block comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group(kind)
+        if kind == "skip":  # whitespace or a comment
+            line += text.count("\n")
+        elif kind == "name":
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                value = int(source[i:j], 16)
-                tokens.append(Token("int", source[i:j], line, value))
-                i = _skip_int_suffix(source, j)
-                continue
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                is_float = True
-                j += 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            if is_float:
-                tokens.append(Token("float", text, line, float(text)))
+            append(Token(kind, text, line))
+        elif kind == "op":
+            append(Token("op", text, line))
+        elif kind == "number":
+            if text[-1] in "eE+-":
+                raise CompileError(f"malformed number {text!r}", line)
+            if "." in text or "e" in text or "E" in text:
+                append(Token("float", text, line, float(text)))
             else:
-                tokens.append(Token("int", text, line, int(text)))
-            i = _skip_int_suffix(source, j)
-            continue
-        if c == "'":
-            value, j = _read_char_literal(source, i, line)
-            tokens.append(Token("char", source[i:j], line, value))
-            i = j
-            continue
-        if c == '"':
-            value, j = _read_string_literal(source, i, line)
-            tokens.append(Token("string", source[i:j], line, value))
-            i = j
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                break
+                append(Token("int", text, line, int(text)))
+        elif kind == "hex":
+            if len(text) == 2:
+                raise CompileError(f"malformed number {text!r}", line)
+            append(Token("int", text, line, int(text, 16)))
+        elif kind == "char":
+            append(Token("char", text, line, _char_value(text, line)))
+        elif kind == "string":
+            append(Token("string", text, line, _string_value(text, line)))
+        elif kind == "open":
+            _diagnose_open(source, match.start(), line)
         else:
-            raise CompileError(f"unexpected character {c!r}", line)
+            raise CompileError(f"unexpected character {text!r}", line)
     tokens.append(Token("eof", "", line))
     return tokens
-
-
-def _skip_int_suffix(source: str, i: int) -> int:
-    while i < len(source) and source[i] in "uUlL":
-        i += 1
-    return i
 
 
 _ESCAPES = {
@@ -134,41 +106,57 @@ _ESCAPES = {
 }
 
 
-def _read_char_literal(source: str, i: int, line: int):
-    j = i + 1
-    if j >= len(source):
-        raise CompileError("unterminated char literal", line)
-    if source[j] == "\\":
-        j += 1
-        escape = source[j]
-        if escape not in _ESCAPES:
-            raise CompileError(f"unknown escape \\{escape}", line)
-        value = _ESCAPES[escape]
-        j += 1
-    else:
-        value = ord(source[j])
-        j += 1
-    if j >= len(source) or source[j] != "'":
-        raise CompileError("unterminated char literal", line)
-    return value, j + 1
+def _escape(escape: str, line: int) -> int:
+    code = _ESCAPES.get(escape)
+    if code is None:
+        raise CompileError(f"unknown escape \\{escape}", line)
+    return code
 
 
-def _read_string_literal(source: str, i: int, line: int):
-    j = i + 1
+def _char_value(text: str, line: int) -> int:
+    """Value of a closed char literal (``'x'`` or ``'\\x'``)."""
+    if text[1] == "\\":
+        return _escape(text[2], line)
+    return ord(text[1])
+
+
+def _string_value(text: str, line: int) -> bytes:
+    """Bytes of a closed string literal, escapes decoded."""
+    body = text[1:-1]
     out = bytearray()
-    while j < len(source) and source[j] != '"':
-        if source[j] == "\\":
-            j += 1
-            escape = source[j]
-            if escape not in _ESCAPES:
-                raise CompileError(f"unknown escape \\{escape}", line)
-            out.append(_ESCAPES[escape])
-            j += 1
+    i = 0
+    while True:
+        j = body.find("\\", i)
+        chunk = body[i:] if j < 0 else body[i:j]
+        try:
+            out += chunk.encode("latin-1")
+        except UnicodeEncodeError:
+            raise CompileError("character out of range in string literal",
+                               line) from None
+        if j < 0:
+            return bytes(out)
+        out.append(_escape(body[j + 1], line))
+        i = j + 2
+
+
+def _diagnose_open(source: str, i: int, line: int) -> None:
+    """Raise the error for a comment or literal starting at ``i`` that
+    the master regex could not close.  Escapes are checked in source
+    order, so an unknown escape is reported before a missing quote."""
+    opener = source[i]
+    if opener == "/":
+        raise CompileError("unterminated block comment", line)
+    if opener == "'":
+        if source.startswith("\\", i + 1) and i + 2 < len(source):
+            _escape(source[i + 2], line)
+        raise CompileError("unterminated char literal", line)
+    j = i + 1
+    while j < len(source):
+        if source[j] == "\\" and j + 1 < len(source):
+            _escape(source[j + 1], line)
+            j += 2
         elif source[j] == "\n":
             raise CompileError("newline in string literal", line)
         else:
-            out.append(ord(source[j]))
             j += 1
-    if j >= len(source):
-        raise CompileError("unterminated string literal", line)
-    return bytes(out), j + 1
+    raise CompileError("unterminated string literal", line)

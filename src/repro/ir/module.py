@@ -70,6 +70,11 @@ class BasicBlock(Value):
 
     @property
     def predecessors(self) -> List["BasicBlock"]:
+        """Blocks branching here, each once, in function order.
+
+        Costs O(blocks): it rescans the whole function.  Code that
+        needs the predecessors of many blocks builds
+        ``analysis.cfg.predecessor_map`` once instead."""
         assert self.parent is not None
         return [b for b in self.parent.blocks if self in b.successors]
 

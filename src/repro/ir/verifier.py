@@ -56,6 +56,11 @@ def verify_function(fn: Function) -> None:
 
 
 def _verify_function(fn: Function) -> List[str]:
+    # Imported lazily: the analysis package itself imports the IR
+    # package, so a top-level import would be circular.
+    from ..analysis.cfg import predecessor_map
+    from ..analysis.dominators import DominatorTree
+
     errors: List[str] = []
     ctx = f"@{fn.name}"
 
@@ -87,7 +92,7 @@ def _verify_function(fn: Function) -> List[str]:
                 )
 
     # Phi incoming edges must match predecessors.
-    preds = {b: b.predecessors for b in fn.blocks}
+    preds = predecessor_map(fn)
     for block in fn.blocks:
         expected = preds[block]
         for phi in block.phis():
@@ -135,10 +140,7 @@ def _verify_function(fn: Function) -> List[str]:
                     f"{arg.type} vs {param_ty}"
                 )
 
-    # SSA dominance.  Imported lazily: the analysis package itself
-    # imports the IR package, so a top-level import would be circular.
-    from ..analysis.dominators import DominatorTree
-
+    # SSA dominance.
     domtree = DominatorTree(fn)
     for block in fn.blocks:
         if not domtree.is_reachable(block):

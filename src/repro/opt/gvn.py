@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
 from ..ir.instructions import (
     BinOp,
@@ -104,6 +105,8 @@ class GVN(FunctionPass):
         memory = _ScopedTable()
         self._changed = False
         self._memgen = 0
+        # GVN never changes the CFG: one map serves the whole walk.
+        self._preds = predecessor_map(fn)
 
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 10000 + 10 * len(fn.blocks)))
@@ -161,7 +164,7 @@ class GVN(FunctionPass):
             # path into it (join or loop back edge) may contain clobbers
             # that the dominator-tree walk does not see.  Start a fresh
             # memory generation in that case.
-            preds = child.predecessors
+            preds = self._preds[child]
             if not (len(preds) == 1 and preds[0] is block):
                 self._memgen += 1
             self._walk(child, domtree, pure, memory)

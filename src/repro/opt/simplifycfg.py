@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..analysis.cfg import reachable_blocks
+from ..analysis.cfg import predecessor_map, reachable_blocks
 from ..ir.instructions import Br, CondBr, Phi
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, UndefValue
@@ -89,9 +89,13 @@ class SimplifyCFG(FunctionPass):
 
     # -- 3: block merging ------------------------------------------------------
     def _merge_blocks(self, fn: Function) -> bool:
-        changed = False
+        # Built once and kept current across merges: ``block`` takes
+        # over ``succ``'s out-edges, and ``block`` (whose only
+        # successor was ``succ``) cannot already be listed there.
+        preds = predecessor_map(fn)
+        merged = set()
         for block in list(fn.blocks):
-            if block not in fn.blocks:
+            if block in merged:
                 continue
             term = block.terminator
             if not isinstance(term, Br):
@@ -99,27 +103,35 @@ class SimplifyCFG(FunctionPass):
             succ = term.target
             if succ is block or succ is fn.entry:
                 continue
-            preds = succ.predecessors
-            if len(preds) != 1 or preds[0] is not block:
+            succ_preds = preds[succ]
+            if len(succ_preds) != 1 or succ_preds[0] is not block:
                 continue
             # Fold succ's phis (single incoming edge).
             for phi in succ.phis():
                 phi.replace_all_uses_with(phi.incoming_value_for(block))
                 phi.erase_from_parent()
             term.erase_from_parent()
-            for inst in list(succ.instructions):
-                succ.remove_instruction(inst)
-                inst.parent = None
-                block.append(inst)
-            # Rewire grandchildren's phis to the merged block.
-            for grandchild in block.successors:
+            moved = succ.instructions
+            succ.instructions = []
+            for inst in moved:
+                inst.parent = block
+            block.instructions.extend(moved)
+            # Rewire grandchildren's phis and predecessors to the
+            # merged block.
+            for grandchild in dict.fromkeys(block.successors):
+                listed = preds[grandchild]
+                listed[listed.index(succ)] = block
                 for phi in grandchild.phis():
                     for i, pred in enumerate(phi.incoming_blocks):
                         if pred is succ:
                             phi.incoming_blocks[i] = block
-            fn.remove_block(succ)
-            changed = True
-        return changed
+            del preds[succ]
+            merged.add(succ)
+        if merged:
+            fn.blocks[:] = [b for b in fn.blocks if b not in merged]
+            for block in merged:
+                block.parent = None
+        return bool(merged)
 
     # -- 4: trivial phi elimination ------------------------------------------------
     def _simplify_phis(self, fn: Function) -> bool:

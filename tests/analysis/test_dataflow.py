@@ -91,6 +91,34 @@ class TestJoin:
             [{("m", 1): 5, ("v", 1): 7}, {("v", 1): 7}], phi_keys=set())
         assert merged == {("v", 1): 7}
 
+    class JoinCounter(DataflowClient):
+        def __init__(self):
+            self.joins = 0
+
+        def join_fact(self, a, b):
+            self.joins += 1
+            return super().join_fact(a, b)
+
+    def test_single_edge_is_copied(self):
+        client = self.JoinCounter()
+        key = ("v", 123)
+        edge = {key: 1, "k": 2}
+        merged = self._engine(client)._merge_edges([edge], phi_keys={key})
+        assert merged == edge and merged is not edge
+        assert client.joins == 0
+
+    def test_same_object_skips_the_join(self):
+        client = self.JoinCounter()
+        fact = (1, 2)
+        merged = self._engine(client)._merge_edges(
+            [{"k": fact}, {"k": fact}, {"k": fact}], phi_keys=set())
+        assert merged == {"k": fact} and client.joins == 0
+        equal = tuple([1, 2])  # equal, but a distinct object
+        assert equal is not fact
+        merged = self._engine(client)._merge_edges(
+            [{"k": fact}, {"k": equal}], phi_keys=set())
+        assert merged == {"k": fact} and client.joins == 1
+
 
 class CountingClient(DataflowClient):
     """A deliberately diverging client: a counter that grows by one per

@@ -2,7 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import DominatorTree, LoopInfo, reachable_blocks, reverse_postorder
+from repro.analysis import (
+    DominatorTree,
+    LoopInfo,
+    predecessor_map,
+    reachable_blocks,
+    reverse_postorder,
+)
 from repro.ir import (
     Br,
     CondBr,
@@ -136,12 +142,16 @@ class TestRandomCFGs:
     """Property tests over randomly generated CFGs."""
 
     @staticmethod
-    def _build_cfg(edges, nblocks):
+    def _build_cfg(edges, nblocks, degenerate=False):
+        """One block per index; ``degenerate`` keeps a ``condbr`` whose
+        two edges name the same block."""
         mod = Module("t")
         fn = mod.add_function("f", FunctionType(I32, [I1]), ["c"])
         blocks = [fn.add_block(f"b{i}") for i in range(nblocks)]
         for i, block in enumerate(blocks):
-            succs = sorted({t % nblocks for t in edges.get(i, [])})
+            succs = [t % nblocks for t in edges.get(i, [])]
+            if not degenerate:
+                succs = sorted(set(succs))
             if not succs:
                 block.append(Ret(ConstantInt(I32, 0)))
             elif len(succs) == 1:
@@ -196,3 +206,20 @@ class TestRandomCFGs:
         rpo = reverse_postorder(fn)
         assert set(rpo) == reachable_blocks(fn)
         assert rpo[0] is fn.entry
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 7),
+            st.lists(st.integers(0, 7), min_size=1, max_size=2),
+            max_size=8,
+        ),
+        st.integers(2, 8),
+        st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_predecessor_map_matches_property(self, edges, nblocks,
+                                              degenerate):
+        fn, blocks = self._build_cfg(edges, nblocks, degenerate)
+        preds = predecessor_map(fn)
+        for block in blocks:
+            assert preds[block] == block.predecessors

@@ -3,10 +3,12 @@ analysis and the check-elimination filter built on it."""
 
 import pytest
 
+from repro.analysis.dataflow import ForwardDataflow
 from repro.analysis.ranges import (
     FunctionRangeAnalysis,
     IntRange,
     PtrFact,
+    RangeClient,
     ReturnSummaries,
 )
 from repro.core import (
@@ -17,9 +19,11 @@ from repro.core import (
     range_filter,
 )
 from repro.driver import compile_program, run_program
+from repro.experiments.common import config_for
 from repro.frontend import compile_source
 from repro.ir.instructions import Load, Ret, Store
 from repro.opt import Mem2Reg, SimplifyCFG
+from repro.workloads import all_workloads
 
 
 def _prepared(src):
@@ -281,3 +285,31 @@ class TestDifferentialSoundness:
 
         for case in corpus_by_name().values():
             self._check_case(case, "lowfat")
+
+
+class TestJoinIdempotence:
+    """The dataflow engine copies a single incoming edge and skips the
+    join for facts that are one object; both rely on
+    ``join_fact(f, f) == f`` for every fact that reaches a merge."""
+
+    def test_every_merged_fact_on_the_workloads(self, monkeypatch):
+        merge = ForwardDataflow._merge_edges
+        checked = [0]
+        failures = []
+
+        def checking(engine, edges, phi_keys):
+            client = engine.client
+            assert isinstance(client, RangeClient)
+            for state in edges:
+                for fact in state.values():
+                    checked[0] += 1
+                    if client.join_fact(fact, fact) != fact:
+                        failures.append(fact)
+            return merge(engine, edges, phi_keys)
+
+        monkeypatch.setattr(ForwardDataflow, "_merge_edges", checking)
+        for workload in all_workloads():
+            for label in ("softbound-hoist", "lowfat-hoist"):
+                compile_program(workload.sources, config_for(label))
+        assert checked[0] > 100_000
+        assert not failures, failures[:5]

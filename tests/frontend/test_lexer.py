@@ -57,3 +57,19 @@ class TestTokens:
             tokenize("a $ b")
         with pytest.raises(CompileError, match="unknown escape"):
             tokenize(r"'\q'")
+        # Malformed literals and characters outside C's basic set: a
+        # CompileError naming the line, never a ValueError/IndexError.
+        for source, message in [
+            ("1.5e", "malformed number '1.5e'"),
+            ("1e+", "malformed number '1e\\+'"),
+            (".5e", "malformed number '.5e'"),
+            ("0x", "malformed number '0x'"),
+            ("\u00b2", "unexpected character"),
+            ("int \u00e9 = 1;", "unexpected character"),
+            ("'\\", "unterminated char literal"),
+            ('"\\', "unterminated string literal"),
+            ('"\u20ac"', "character out of range"),
+        ]:
+            with pytest.raises(CompileError, match=message) as info:
+                tokenize("int x;\n" + source)
+            assert info.value.line == 2, source

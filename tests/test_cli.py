@@ -83,6 +83,18 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, message", [
+        ("int main() {\n  double d = 1.5e;\n  return 0;\n}\n",
+         "error: line 2: malformed number '1.5e'"),
+        ("int main() {\n  char c = '\\", "error: line 2: unterminated char literal"),
+    ])
+    def test_malformed_literal_is_one_line(self, tmp_path, capsys, source,
+                                           message):
+        bad = tmp_path / "bad.c"
+        bad.write_text(source)
+        assert main(["run", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_unknown_mi_flag_rejected(self, demo_c, capsys):
         # a clean one-line diagnostic and exit code 2 -- no traceback,
         # no argparse usage dump
