@@ -48,6 +48,15 @@ FILTER_SETS: Dict[str, Tuple[str, ...]] = {
     "hoist": ("dominance", "ranges", "hoist"),
 }
 
+def check_budget(value: object) -> int:
+    """An instruction budget from a spec or a request: a positive
+    integer, and a bool does not count as one."""
+    if type(value) is not int or value <= 0:
+        raise ConfigError(
+            f"max_instructions must be a positive integer, got {value!r}")
+    return value
+
+
 def _check_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ConfigError(

@@ -21,12 +21,12 @@ Endpoints (all JSON):
     ``{"sources": {"main.c": "..."}}``, plus
     ``"instance": {"label": "softbound-ranges"}`` (or the explicit
     mechanism/filters/mode/engine form) and optionally
-    ``"max_instructions"``.  Responds with
+    ``"max_instructions"`` (a positive integer).  Responds with
     ``{"ok": …, "cached": …, "result": <BenchResult JSON>}``.
 
 Errors are structured: 400 with ``{"error": ...}`` for bad requests
-(unknown mechanism/engine/workload, malformed JSON), 404 for unknown
-paths.
+(unknown mechanism/engine/workload, a bad budget, malformed JSON), 404
+for unknown paths.
 The server is intentionally plain ``http.server`` -- no new
 dependencies -- and serializes job execution with a lock (the engine
 itself fans out over worker processes)."""
@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 from ..errors import ConfigError, ReproError
 from ..experiments.common import CONFIG_LABELS
 from ..experiments.runner import ExperimentEngine
-from .model import Instance, Target
+from .model import Instance, Target, check_budget
 
 #: Cap request bodies (a campaign-sized source set is ~100 KiB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -92,8 +92,10 @@ class CampaignService:
         instance = Instance.parse(instance_doc)
         workload = body.pop("workload", None)
         sources = body.pop("sources", None)
-        max_instructions = body.pop("max_instructions",
-                                    self.default_max_instructions)
+        max_instructions = body.pop("max_instructions", None)
+        max_instructions = (self.default_max_instructions
+                            if max_instructions is None
+                            else check_budget(max_instructions))
         if body:
             raise ConfigError(
                 f"unknown request key(s): {', '.join(sorted(body))}")
@@ -108,10 +110,7 @@ class CampaignService:
                 raise ConfigError("'sources' must be a non-empty object")
             target = Target("submitted", sources={
                 str(k): str(v) for k, v in sources.items()})
-        request = instance.request(
-            target,
-            max_instructions=(int(max_instructions)
-                              if max_instructions is not None else None))
+        request = instance.request(target, max_instructions=max_instructions)
         with self._lock:
             executed_before = self.engine.executed_jobs
             result = self.engine.run_request(request)

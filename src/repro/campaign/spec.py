@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigError
-from .model import CampaignSpec, Instance, Target, axes_instances
+from .model import (CampaignSpec, Instance, Target, axes_instances,
+                    check_budget)
 
 try:  # Python 3.11+; the spec loader degrades to JSON-only without it.
     import tomllib
@@ -139,7 +140,7 @@ def parse_spec(doc: Mapping[str, object],
     spec_name = str(doc.pop("name", name or "campaign"))
     max_instructions = doc.pop("max_instructions", None)
     if max_instructions is not None:
-        max_instructions = int(max_instructions)
+        max_instructions = check_budget(max_instructions)
     validate_output = bool(doc.pop("validate_output", True))
     instances = _parse_instances(doc)
     targets = _parse_targets(doc)

@@ -46,6 +46,18 @@ from .ir.printer import format_module
 from .opt.pipeline import EXTENSION_POINTS
 
 
+def _budget(text: str) -> int:
+    """The argparse type of ``--max-instructions``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _split_mi_flags(argv: List[str]):
     mi_flags = [a for a in argv if a.startswith("-mi-")]
     rest = [a for a in argv if not a.startswith("-mi-")]
@@ -113,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("files", nargs="+", help="MiniC source files")
     common(run_p)
     run_p.add_argument("--entry", default="main")
-    run_p.add_argument("--max-instructions", type=int, default=500_000_000)
+    run_p.add_argument("--max-instructions", type=_budget,
+                       default=500_000_000)
     run_p.add_argument("--stats", action="store_true",
                        help="print the runtime statistics summary")
     run_p.add_argument("--dump-codegen", default=None, metavar="DIR",
@@ -144,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="MiniC source files, or one workload name")
     common(profile_p)
     profile_p.add_argument("--entry", default="main")
-    profile_p.add_argument("--max-instructions", type=int,
+    profile_p.add_argument("--max-instructions", type=_budget,
                            default=100_000_000)
     profile_p.add_argument("--top", type=int, default=20,
                            help="number of hottest sites to show")
@@ -183,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--minimize", action="store_true",
                         help="delta-debug each mismatching program to a "
                              "minimal reproducer")
-    fuzz_p.add_argument("--max-instructions", type=int, default=5_000_000,
+    fuzz_p.add_argument("--max-instructions", type=_budget,
+                        default=5_000_000,
                         help="per-run instruction budget")
     fuzz_p.add_argument("--coverage", action="store_true",
                         help="include AST-kind / IR-opcode coverage "
@@ -237,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8642,
                          help="TCP port; 0 picks a free one "
                               "(default: 8642)")
-    serve_p.add_argument("--max-instructions", type=int, default=None,
+    serve_p.add_argument("--max-instructions", type=_budget, default=None,
                          help="default per-job instruction budget for "
                               "submitted jobs")
     serve_p.add_argument("--verbose", action="store_true",
@@ -590,6 +604,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     mi_flags, rest = _split_mi_flags(argv)
     parser = _build_parser()
     args = parser.parse_args(rest)
+    if (args.command == "run" and args.dump_codegen
+            and args.engine != "codegen"):
+        parser.error("--dump-codegen needs --engine codegen")
     try:
         config = _config_from(mi_flags)
     except ReproError as exc:

@@ -108,11 +108,9 @@ class LowFatAllocator:
             # Fallback allocation: tombstone like a heap free.
             alloc.freed = True
             return
-        # Mark the (about-to-be-dead) object freed before unmapping so
-        # stale per-site caches in the codegen engine reject it via
-        # the cheap ``freed`` flag instead of a global epoch bump; the
-        # slot itself is recycled with a fresh Allocation on reuse.
-        alloc.freed = True
+        # Unmapping marks the object freed, which is all a stale
+        # per-site cache in the codegen engine tests; the slot itself
+        # is recycled with a fresh Allocation on reuse.
         self.memory.unmap(alloc)
         region = layout.region_index(alloc.base)
         self._free_stacks.setdefault(region, []).append(alloc.base)

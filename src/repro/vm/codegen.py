@@ -16,8 +16,8 @@ compiled bytecode over real local variables:
   branch-free sign correction (``(x ^ half) - half``), and single-use
   pure values fused textually into their consumer;
 * loads/stores carry a per-site inline cache of the last allocation
-  they hit, as module-level cache variables validated against
-  ``Memory.epoch``;
+  they hit, as five module-level variables filled by ``Memory.site``
+  and invalidated by nothing but the allocation's ``freed`` flag;
 * cycle/opcode charges -- native calls' included -- are
   block-batched into plain *local* accumulators (``__cy``,
   ``__o_<opcode>``, ...) flushed once per frame by a zero-cost
@@ -66,7 +66,6 @@ copy, so a fresh VM over the same program skips the emitter and
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import os
@@ -131,6 +130,9 @@ _MAX_FUSE_DEPTH = 24
 #: Cap on single-predecessor block inlining depth (bounds source
 #: indentation; blocks past the cap get a dispatch label instead).
 _MAX_INLINE_DEPTH = 36
+
+#: What a load reads from a SparsePages page that was never written.
+_ZERO_PAGE = bytes(SparsePages.PAGE_SIZE)
 
 _BUDGET_CHECK = "if __ins > __maxi:"
 _BUDGET_RAISE = (
@@ -396,14 +398,9 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
     ``(name, kind, key)`` bindings -- a global's getter, a native, or
     a positional native's entry."""
     stats = vm.stats
-    memory = vm.memory
     ns.update(
         __vm=vm, __stats=stats, __oc=stats.opcode_counts,
-        __mem=memory, __locate=memory.locate,
-        # The allocation index lists are created once per Memory and
-        # only ever mutated in place, so binding them is safe; the
-        # inlined miss path bisects them directly.
-        __bases=memory._bases, __allocs=memory._allocs,
+        __site=vm.memory.site,
         __alloca=vm.stack.alloca, __call=vm.call_function,
         __dc=vm._codegen_direct_call, __charge=stats.charge,
         __fa=vm.function_address, __fba=vm._functions_by_address,
@@ -495,8 +492,6 @@ class _SourceEmitter:
         self._vm_binds: List[Tuple[str, str, object]] = []
         self._native_binds: Dict[Tuple[str, str], str] = {}
         self.ns: Dict[str, object] = {
-            "__br": bisect.bisect_right,
-            "__SP": SparsePages,
             "__VMError": VMError,
             "__MemoryFault": MemoryFault,
             "__up": struct.unpack,
@@ -514,6 +509,7 @@ class _SourceEmitter:
             "__lf8": struct.Struct("<d").unpack_from,
             "__sf4": struct.Struct("<f").pack_into,
             "__sf8": struct.Struct("<d").pack_into,
+            "__ZP": _ZERO_PAGE,
             "__fmod": math.fmod,
             "__INF": float("inf"),
             "__NAN": float("nan"),
@@ -626,74 +622,21 @@ class _SourceEmitter:
                 self._bind_per_vm(kind, native)
         return name
 
-    def _miss_lines(self, ca: str, cl: str, ch: str, ce: str,
-                    size: int, write: bool) -> List[str]:
-        """Inline-cache refill: an inlined ``Memory.locate`` fast path.
-
-        The bisect invariant (``__allocs[__i]`` has the largest base
-        <= the address) plus disjoint allocation ranges make the
-        covering allocation unique, so when the inline probe fails --
-        index below range, bounds exceeded, or freed -- ``__locate``
-        cannot succeed either and is called purely to raise the
-        precise :class:`MemoryFault` (null / use-after-free / straddle
-        / unmapped) the tree-walker would raise.  Skipping the
-        ``_hot`` update is fine: it is a pure cache.
-        """
-        return [
-            f"__i = __br(__bases, __p) - 1",
-            "if __i < 0:",
-            f"    __locate(__p, {size}, {write})",
-            f"{ca} = __allocs[__i]",
-            f"{cl} = {ca}.base",
-            f"{ch} = {cl} + {ca}.size - {size}",
-            f"if __p > {ch} or {ca}.freed:",
-            f"    {ca}, __o = __locate(__p, {size}, {write})",
-            f"    {cl} = {ca}.base",
-            f"    {ch} = {cl} + {ca}.size - {size}",
-            "else:",
-            f"    __o = __p - {cl}",
-            f"{ce} = __E",
-        ]
-
-    def _epoch_lines(self) -> List[str]:
-        """Refresh the block-local epoch copy ``__E`` if it may be
-        stale.  The epoch only moves when a live allocation is
-        unmapped, which generated code can only trigger through a call
-        step -- so one read per block (plus one after each call)
-        covers every access site in between."""
-        if self._epoch_fresh:
-            return []
-        self._epoch_fresh = True
-        return ["__E = __mem.epoch"]
-
-    def _cache_data_lines(self, ca: str, cd: str, cp: str) -> List[str]:
-        """Refill the per-site backing-storage caches after a miss."""
-        return [
-            f"__d = {ca}.data",
-            "__t = type(__d)",
-            f"{cd} = __d if __t is bytearray else None",
-            f"{cp} = __d._pages if __t is __SP else None",
-        ]
-
-    def _new_site(self) -> Tuple[str, str, str, str, str, str]:
+    def _new_site(self) -> Tuple[str, str, str, str, str]:
         """Fresh per-site inline-cache variables (module-level, so
-        they persist across calls):
-        allocation, low bound, inclusive high bound (pre-adjusted by
-        the access size so the hit test is one chained comparison),
-        epoch stamp, the allocation's backing bytearray (None when it
-        is not one), and its SparsePages page dict (None when it is
-        not page-backed) -- the two backing caches select the direct
-        fast path for their storage kind."""
+        they persist across calls), in the order of the
+        :meth:`Memory.site` tuple that refills them: allocation, low
+        bound, inclusive high bound (pre-adjusted by the access size
+        so the hit test is one chained comparison), the backing
+        bytearray and the SparsePages page dict (each None when the
+        storage is not of its kind, so a hit picks its path without
+        loading ``alloc.data`` or testing its type)."""
         k = self._nsite
         self._nsite += 1
-        names = (f"__ca{k}", f"__cl{k}", f"__ch{k}", f"__ce{k}",
-                 f"__cd{k}", f"__cp{k}")
-        self.ns[names[0]] = None
-        self.ns[names[1]] = 0
-        self.ns[names[2]] = -1
-        self.ns[names[3]] = -1
-        self.ns[names[4]] = None
-        self.ns[names[5]] = None
+        names = (f"__ca{k}", f"__cl{k}", f"__ch{k}", f"__cd{k}", f"__cp{k}")
+        # Initially empty: ``0 <= p <= -1`` never hits, so the first
+        # access refills before the allocation is ever touched.
+        self.ns.update(zip(names, (None, 0, -1, None, None)))
         self._globals.extend(names)
         return names
 
@@ -879,7 +822,6 @@ class _SourceEmitter:
         self._pending = {}
         self._charges = []
         self._steps = []
-        self._epoch_fresh = False
         term_inst = self.term_insts[block]
         phis = block.phis()
         for _ in phis:
@@ -1248,162 +1190,96 @@ class _SourceEmitter:
 
     # -- memory --------------------------------------------------------
     def _compile_load(self, inst: Load) -> None:
-        dst = self.slots[inst]
         ty = inst.type
         size = size_of(ty)
+        dst = f"v{self.slots[inst]}"
         pe = self._expr(self._operand(inst.pointer))
-        ca, cl, ch, ce, cd, cp = self._new_site()
-        # The cached high bound is pre-adjusted by the access size, so
-        # a hit is one chained comparison; the cached ``cd``/``cp``
-        # pair replaces a per-access attribute load plus type check
-        # and selects the direct path for the backing storage.
-        hit = (f"{ce} == __E and {cl} <= __p <= {ch}"
-               f" and not {ca}.freed")
-        miss = (self._miss_lines(ca, cl, ch, ce, size, write=False)
-                + self._cache_data_lines(ca, cd, cp))
-        pmask = SparsePages.PAGE_SIZE - 1
-        pfit = SparsePages.PAGE_SIZE - size
-        lines = self._epoch_lines() + [f"__p = {pe}"]
         if isinstance(ty, FloatType):
             fmt = "<f" if size == 4 else "<d"
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [
-                f"if {cd} is not None:",
-                f"    v{dst} = __lf{size}({cd}, __o)[0]",
-                "else:",
-                f"    __po = __o & {pmask}",
-                f"    if {cp} is not None and __po <= {pfit}:",
-                f"        __pg = {cp}.get(__o >> {SparsePages.PAGE_SHIFT})",
-                f"        v{dst} = (__lf{size}(__pg, __po)[0]"
-                f" if __pg is not None else 0.0)",
-                "    else:",
-                f"        v{dst} = __up({fmt!r},"
-                f" {ca}.data[__o:__o + {size}])[0]",
-            ]
+            fast = f"{dst} = __lf{size}({{buf}}, {{off}})[0]"
+            slow = f"{dst} = __up({fmt!r}, {{data}}[__o:__o + {size}])[0]"
         elif size == 1:
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [
-                f"if {cd} is not None:",
-                f"    v{dst} = {cd}[__o]",
-                f"elif {cp} is not None:",
-                f"    __pg = {cp}.get(__o >> {SparsePages.PAGE_SHIFT})",
-                f"    v{dst} = __pg[__o & {pmask}]"
-                f" if __pg is not None else 0",
-                "else:",
-                f"    v{dst} = {ca}.data[__o]",
-            ]
-        elif size in (2, 4, 8):
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [
-                f"if {cd} is not None:",
-                f"    v{dst} = __ld{size}({cd}, __o)[0]",
-                "else:",
-                f"    __po = __o & {pmask}",
-                f"    if {cp} is not None and __po <= {pfit}:",
-                f"        __pg = {cp}.get(__o >> {SparsePages.PAGE_SHIFT})",
-                f"        v{dst} = (__ld{size}(__pg, __po)[0]"
-                f" if __pg is not None else 0)",
-                "    else:",
-                f"        v{dst} = __fb({ca}.data[__o:__o + {size}],"
-                f" 'little')",
-            ]
+            fast = f"{dst} = {{buf}}[{{off}}]"
+            slow = f"{dst} = {{data}}[__o]"
         else:
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [f"v{dst} = __fb({ca}.data[__o:__o + {size}], 'little')"]
-        self._step(lines, raising=True)
+            fast = (f"{dst} = __ld{size}({{buf}}, {{off}})[0]"
+                    if size in (2, 4, 8) else None)
+            slow = f"{dst} = __fb({{data}}[__o:__o + {size}], 'little')"
+        self._access(pe, size, False, [], fast, slow)
 
     def _compile_store(self, inst: Store) -> None:
         ty = inst.value.type
         size = size_of(ty)
         pe = self._expr(self._operand(inst.pointer))
         ve = self._expr(self._operand(inst.value))
-        ca, cl, ch, ce, cd, cp = self._new_site()
-        hit = (f"{ce} == __E and {cl} <= __p <= {ch}"
-               f" and not {ca}.freed")
-        miss = (self._miss_lines(ca, cl, ch, ce, size, write=True)
-                + self._cache_data_lines(ca, cd, cp))
-        pmask = SparsePages.PAGE_SIZE - 1
-        pfit = SparsePages.PAGE_SIZE - size
-        pshift = SparsePages.PAGE_SHIFT
-
-        def page_store(write_line: str, slow_line: str) -> List[str]:
-            # Single-page store fast path: materialize the page like
-            # SparsePages._page would, then write through the bound
-            # packer.  Page-straddling stores take the generic path.
-            return [
-                f"    __po = __o & {pmask}",
-                f"    if {cp} is not None and __po <= {pfit}:",
-                f"        __pg = {cp}.get(__o >> {pshift})",
-                "        if __pg is None:",
-                f"            __pg = bytearray({SparsePages.PAGE_SIZE})",
-                f"            {cp}[__o >> {pshift}] = __pg",
-                f"        {write_line}",
-                "    else:",
-                f"        {slow_line}",
-            ]
-
-        # Tree-walker order: pointer, then value, then the int()
-        # conversion (which may raise on NaN), then address resolution.
-        lines = self._epoch_lines() + [f"__p = {pe}"]
+        mask = (1 << (8 * size)) - 1
+        # ``__v`` is computed before address resolution -- the
+        # tree-walker's order: pointer, value, then the int()
+        # conversion (which may raise on NaN).
         if isinstance(ty, FloatType):
             fmt = "<f" if size == 4 else "<d"
-            lines += [f"__v = {ve}"]
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [
-                f"if {cd} is not None:",
-                f"    __sf{size}({cd}, __o, __v)",
-                "else:",
-            ]
-            lines += page_store(
-                f"__sf{size}(__pg, __po, __v)",
-                f"{ca}.data[__o:__o + {size}] = __pk({fmt!r}, __v)",
-            )
+            value = f"__v = {ve}"
+            fast = f"__sf{size}({{buf}}, {{off}}, __v)"
+            slow = f"{{data}}[__o:__o + {size}] = __pk({fmt!r}, __v)"
         elif size == 1:
-            lines += [f"__v = int({ve}) & 255"]
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [
-                f"if {cd} is not None:",
-                f"    {cd}[__o] = __v",
-                f"elif {cp} is not None:",
-                f"    __pg = {cp}.get(__o >> {pshift})",
-                "    if __pg is None:",
-                f"        __pg = bytearray({SparsePages.PAGE_SIZE})",
-                f"        {cp}[__o >> {pshift}] = __pg",
-                f"    __pg[__o & {pmask}] = __v",
-                "else:",
-                f"    {ca}.data[__o] = __v",
-            ]
+            value = f"__v = int({ve}) & 255"
+            fast = "{buf}[{off}] = __v"
+            slow = "{data}[__o] = __v"
         elif size in (2, 4, 8):
-            mask = (1 << (8 * size)) - 1
-            # int() is the potential raise point (NaN) and must come
-            # before address resolution like the tree-walker's order;
-            # the byte serialization itself cannot fail after masking,
-            # so it may sit on the fast path.
-            lines += [f"__v = int({ve}) & {mask}"]
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
+            value = f"__v = int({ve}) & {mask}"
+            fast = f"__st{size}({{buf}}, {{off}}, __v)"
+            slow = (f"{{data}}[__o:__o + {size}] = "
+                    f"__v.to_bytes({size}, 'little')")
+        else:
+            value = f"__v = (int({ve}) & {mask}).to_bytes({size}, 'little')"
+            fast = None
+            slow = f"{{data}}[__o:__o + {size}] = __v"
+        self._access(pe, size, True, [value], fast, slow)
+
+    def _access(self, pe: str, size: int, write: bool, prep: List[str],
+                fast: Optional[str], slow: str) -> None:
+        """One load or store of ``size`` bytes at ``pe``, through a
+        fresh per-site inline cache: ``prep`` (a store's value), the
+        hit test, the :meth:`Memory.site` refill on a miss, then the
+        access itself.  ``fast`` accesses a bytearray ``{buf}`` at
+        ``{off}`` -- the allocation's own, or one SparsePages page;
+        ``slow`` goes through the allocation's ``{data}`` at ``__o``,
+        for a page-straddling access or a shape with no ``fast``."""
+        ca, cl, ch, cd, cp = self._new_site()
+        lines = [f"__p = {pe}"] + prep + [
+            f"if not {cl} <= __p <= {ch} or {ca}.freed:",
+            f"    {ca}, {cl}, {ch}, {cd}, {cp} = __site(__p, {size}, {write})",
+            f"__o = __p - {cl}",
+        ]
+        slow = slow.format(data=f"{ca}.data")
+        if fast is None:
+            lines.append(slow)
+        else:
+            page = f"__o >> {SparsePages.PAGE_SHIFT}"
+            if write:
+                # Materialize a missing page like SparsePages._page.
+                get_page = [
+                    f"__pg = {cp}.get({page})",
+                    "if __pg is None:",
+                    f"    __pg = {cp}[{page}] = "
+                    f"bytearray({SparsePages.PAGE_SIZE})",
+                ]
+            else:
+                get_page = [f"__pg = {cp}.get({page}, __ZP)"]
             lines += [
                 f"if {cd} is not None:",
-                f"    __st{size}({cd}, __o, __v)",
+                "    " + fast.format(buf=cd, off="__o"),
                 "else:",
+                f"    __po = __o & {SparsePages.PAGE_SIZE - 1}",
+                f"    if {cp} is not None and "
+                f"__po <= {SparsePages.PAGE_SIZE - size}:",
             ]
-            lines += page_store(
-                f"__st{size}(__pg, __po, __v)",
-                f"{ca}.data[__o:__o + {size}] = "
-                f"__v.to_bytes({size}, 'little')",
-            )
-        else:
-            mask = (1 << (8 * size)) - 1
-            lines += [f"__v = (int({ve}) & {mask}).to_bytes({size}, 'little')"]
-            lines += [f"if {hit}:", f"    __o = __p - {cl}", "else:"]
-            lines += ["    " + ln for ln in miss]
-            lines += [f"{ca}.data[__o:__o + {size}] = __v"]
+            lines += ["        " + ln for ln in get_page]
+            lines += [
+                "        " + fast.format(buf="__pg", off="__po"),
+                "    else:",
+                "        " + slow,
+            ]
         self._step(lines, raising=True)
 
     def _compile_alloca(self, inst: Alloca) -> None:
@@ -1427,9 +1303,6 @@ class _SourceEmitter:
             self._compile_native_call(inst, callee, arg_descs, tgt)
             return
         arg_exprs = [self._expr(d) for d in arg_descs]
-        # Program code (or an unknown callee) may unmap live memory --
-        # frame pops, ``free`` -- so the cached ``__E`` goes stale.
-        self._epoch_fresh = False
 
         if isinstance(callee, Function):
             fn = callee
@@ -1490,7 +1363,6 @@ class _SourceEmitter:
             # No implementation registered at emission time:
             # call_function raises (or resolves a late registration)
             # exactly like the tree-walker, charging eagerly.
-            self._epoch_fresh = False
             fname = self._bind(fn)
             self._step(self._attributed(
                 inst, [f"{tgt}__call({fname}, [{arglist}])"]),
@@ -1499,7 +1371,6 @@ class _SourceEmitter:
         self._charge(f"native:{fn.name}", costs.call_cost(fn.name),
                      mi="mi" in inst.meta)
         if isinstance(impl, PositionalNative):
-            # Never unmaps memory: ``__E`` stays fresh across it.
             call = f"{self._bind_native('entry', fn.name)}({arglist})"
             if impl.pure and tgt and self._fusable(*descs):
                 depth = max(map(self._depth, descs), default=0) + 1
@@ -1507,8 +1378,6 @@ class _SourceEmitter:
             else:
                 self._step([tgt + call], raising=True)
             return
-        # A general native may unmap memory (``free``, frame cleanups).
-        self._epoch_fresh = False
         name = self._bind_native("native", fn.name)
         self._step(self._attributed(
             inst, [f"{tgt}{name}(__vm, [{arglist}])"]), raising=True)
@@ -1624,7 +1493,7 @@ class _SourceEmitter:
     def _assemble(self, arms: List[Tuple[int, List[str]]]) -> str:
         fn = self.fn
         ind = "    "
-        hot = ("__stats", "__oc", "__mem", "__locate")
+        hot = ("__stats", "__oc", "__site")
         params = [f"v{self.slots[a]}" for a in fn.args]
         sig = ", ".join(params + ["*"] + [f"{h}={h}" for h in hot])
         lines = [

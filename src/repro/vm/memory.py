@@ -133,9 +133,6 @@ class Allocation:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, address: int, size: int = 1) -> bool:
-        return self.base <= address and address + size <= self.end
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " freed" if self.freed else ""
         return (
@@ -155,15 +152,6 @@ class Memory:
         #: most lookups without the bisect.  The entry is dropped on
         #: map/unmap; frees are caught by the ``freed`` guard.
         self._hot: Optional[Allocation] = None
-        #: Bumped only when a *non-freed* allocation is unmapped -- the
-        #: one event that can silently invalidate the codegen engine's
-        #: per-site access caches.  A cached allocation that is still
-        #: mapped and not freed owns its address range exclusively
-        #: (``map`` rejects overlaps with live allocations), and every
-        #: free is visible through the ``freed`` flag on the cached
-        #: object itself, so caches stay valid across map/free/return
-        #: without any epoch churn.
-        self.epoch: int = 0
 
     # -- mapping -------------------------------------------------------
     def map(self, alloc: Allocation) -> Allocation:
@@ -187,14 +175,14 @@ class Memory:
         return alloc
 
     def unmap(self, alloc: Allocation) -> None:
-        """Remove an allocation from the index entirely."""
+        """Free an allocation and remove it from the index entirely.
+
+        The ``freed`` mark is what a stale reference -- ``_hot`` or a
+        :meth:`site` cache entry -- is tested against, so the range can
+        be remapped without any other invalidation."""
+        alloc.freed = True
         if self._hot is alloc:
             self._hot = None
-        if not alloc.freed:
-            # Unmapping live memory frees its range for reuse without
-            # leaving a ``freed`` mark on the object: stale per-site
-            # caches can only notice through the epoch.
-            self.epoch += 1
         idx = bisect.bisect_left(self._bases, alloc.base)
         while idx < len(self._allocs):
             if self._allocs[idx] is alloc:
@@ -248,6 +236,29 @@ class Memory:
                 return alloc, address - base
         raise MemoryFault(address, size, "access to unmapped memory")
 
+    def site(self, address: int, size: int, write: bool) -> Tuple[
+            Allocation, int, int, Optional[bytearray], Optional[dict]]:
+        """Resolve an access for a per-site inline cache.
+
+        Returns ``(alloc, base, high, buf, pages)``: ``high`` is the
+        largest address at which a ``size``-byte access still fits,
+        so a later access hits when ``base <= p <= high`` and the
+        allocation is not freed; ``buf`` is the backing bytearray and
+        ``pages`` the :class:`SparsePages` page dict, whichever
+        applies (the other is None).  A valid access costs no further
+        Python call; an invalid one raises :meth:`locate`'s fault.
+        """
+        idx = bisect.bisect_right(self._bases, address) - 1
+        alloc = self._allocs[idx] if idx >= 0 else None
+        if (alloc is None or alloc.freed
+                or address + size > alloc.base + alloc.size):
+            alloc, _ = self.locate(address, size, write)
+        base = alloc.base
+        data = alloc.data
+        if type(data) is bytearray:
+            return alloc, base, base + alloc.size - size, data, None
+        return alloc, base, base + alloc.size - size, None, data._pages
+
     # -- typed access ----------------------------------------------------
     def read_bytes(self, address: int, size: int) -> bytes:
         alloc, offset = self.locate(address, size, write=False)
@@ -290,10 +301,6 @@ class Memory:
         else:
             data[offset : offset + size] = struct.pack(
                 "<f" if size == 4 else "<d", value)
-
-    # -- diagnostics --------------------------------------------------------
-    def live_allocations(self) -> List[Allocation]:
-        return [a for a in self._allocs if not a.freed]
 
 
 class StandardAllocator:
@@ -369,7 +376,6 @@ class StackAllocator:
     def pop_frame(self) -> None:
         frame = self._frames.pop()
         for alloc in frame:
-            alloc.freed = True
             self.memory.unmap(alloc)
         self._cursor = self._cursor_stack.pop()
 

@@ -37,12 +37,10 @@ class PositionalNative:
     (``native(vm, args)``) by the tree-walker, while the codegen tier
     calls ``native.entry(*args)`` directly -- one positional call per
     site, no argument list.  Beyond the native-call contract it
-    promises that it never unmaps memory and never charges cycles
-    itself, so generated code keeps its cached memory epoch across the
-    call and needs no profiling snapshot around it.  A ``pure`` one
-    also has no side effects and cannot raise: generated code may
-    compute it wherever its value is consumed, like an inlined
-    instruction.
+    promises that it never charges cycles itself, so generated code
+    needs no profiling snapshot around it.  A ``pure`` one also has no
+    side effects and cannot raise: generated code may compute it
+    wherever its value is consumed, like an inlined instruction.
     """
 
     __slots__ = ("entry", "pure")

@@ -163,6 +163,17 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=60)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("budget", ["abc", [1], True, 0, -5])
+    def test_bad_budget_400(self, server, budget):
+        # A one-line 400, not a dropped connection.
+        code, doc = _error(server[0], "/run",
+                           {"sources": {"main.c": SOURCE},
+                            "instance": "baseline",
+                            "max_instructions": budget})
+        assert code == 400
+        assert doc == {"error": "max_instructions must be a positive "
+                                f"integer, got {budget!r}"}
+
     def test_post_to_unknown_path_404(self, server):
         code, _ = _error(server[0], "/health", {"x": 1})
         assert code == 404

@@ -126,6 +126,15 @@ class TestValidation:
             parse_spec({"axes": {"mechanisms": ["boundsguard"]},
                         "targets": {"workloads": ["164gzip"]}})
 
+    @pytest.mark.parametrize("budget", ["abc", [1], True, 0, -5, 1e6])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ConfigError,
+                           match="max_instructions must be a positive "
+                                 "integer"):
+            parse_spec({"axes": {"mechanisms": ["baseline"]},
+                        "targets": {"workloads": ["164gzip"]},
+                        "max_instructions": budget})
+
     def test_duplicate_instances_deduped(self):
         spec = parse_spec({
             "axes": {"mechanisms": ["baseline", "softbound"]},

@@ -116,6 +116,30 @@ class TestRun:
                 f"repro run: error: argument --engine: invalid choice: "
                 f"'{engine}' (choose from 'codegen', 'interp')"]
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc", "1.5"])
+    @pytest.mark.parametrize("command", ["run", "profile", "fuzz", "serve"])
+    def test_bad_budget_rejected(self, demo_c, capsys, command, budget):
+        args = {"run": [demo_c], "profile": [demo_c, "-mi-config=lowfat"],
+                "fuzz": [], "serve": []}[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *args, "--max-instructions", budget])
+        assert info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            f"repro {command}: error: argument --max-instructions: "
+            f"must be a positive integer, got {budget!r}"]
+
+    def test_dump_codegen_needs_codegen_engine(self, demo_c, tmp_path,
+                                               capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", demo_c, "--engine", "interp",
+                  "--dump-codegen", str(tmp_path / "dump")])
+        assert info.value.code == 2
+        assert "--dump-codegen needs --engine codegen" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
+
     def test_bad_mi_config_value_rejected(self, demo_c, capsys):
         assert main(["run", demo_c, "-mi-config=magic"]) == 2
         err = capsys.readouterr().err

@@ -13,11 +13,12 @@ cache.
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import pytest
 
-from repro.driver import compile_program, make_vm
+from repro.driver import CompileOptions, compile_program, make_vm, run_program
 from repro.experiments.common import config_for
 from repro.ir import (
     FunctionType,
@@ -26,11 +27,14 @@ from repro.ir import (
     IRBuilder,
     Module,
 )
+from repro.ir.instructions import Load, Store
 from repro.vm import VirtualMachine
 from repro.vm.codegen import CodegenFunction
 from repro.vm.engines import ENGINES
 from repro.errors import VMError
+from repro.workloads.registry import all_names
 
+from .test_engine_differential import LABELS, _compiled_program
 from .test_fcmp import OPERANDS, PREDICATES, _fcmp_module, reference
 
 
@@ -427,3 +431,111 @@ class TestExecuteArgumentFixing:
         assert compiled.execute([7, 8]) == 7        # exact
         assert compiled.execute([7, 8, 9]) == 7     # extra dropped
         assert compiled.execute([7]) == 7           # missing -> None
+
+
+#: A callee whose second call reads the stack slot its first call
+#: wrote.  Popping the frame frees the array, and the next frame gets a
+#: fresh, zeroed one at the same base (the stack cursor is restored,
+#: and Low-Fat reuses its stack slots LIFO), so only the ``freed`` flag
+#: tells the load's site cache that its cached allocation is stale.
+STACK_REUSE_SOURCE = r"""
+long peek(long set) { long a[2]; if (set) a[1] = 7; return a[1]; }
+int main() {
+    long (*f)(long) = peek;
+    print_i64(f(1));
+    print_i64(f(0));
+    return 0;
+}"""
+
+#: Byte, int, long, float and double accesses around 64 KiB page
+#: boundaries of a SparsePages-backed allocation.
+SPARSE_SOURCE = r"""
+int main() {
+    char *p = (char *) malloc(4194304);
+    long *q; double *d; int *r; float *f;
+    p[65535] = 7; p[65536] = 9; p[100] = 3;
+    print_i64(p[65535] + p[65536] + p[100] + p[200000]);
+    q = (long *)(p + 65532); *q = 123456789012345; print_i64(*q);
+    q = (long *)(p + 131072); *q = 5; print_i64(*q);
+    print_i64(*(long *)(p + 300000));
+    d = (double *)(p + 196604); *d = 2.5; print_f64(*d);
+    d = (double *)(p + 262152); *d = 1.25; print_f64(*d);
+    print_f64(*(double *)(p + 393216));
+    r = (int *)(p + 65534); *r = 77; print_i64(*r);
+    r = (int *)(p + 131070); *r = 300; print_i64(*r);
+    f = (float *)(p + 327678); *f = 1.5; print_f64(*f);
+    f = (float *)(p + 327680); *f = 0.5; print_f64(*f);
+    print_f64(*(float *)(p + 458752));
+    print_i64(p[65533] + p[65532]);
+    free((void *)p);
+    return 0;
+}"""
+SPARSE_OUTPUT = ["19", "123456789012345", "5", "0", "2.500000", "1.250000",
+                 "0.000000", "77", "300", "1.500000", "0.500000", "0.000000",
+                 "88"]
+
+
+class TestSiteCache:
+    """Every load and store goes through one per-site cache, refilled
+    by ``Memory.site`` and invalidated by the ``freed`` flag alone."""
+
+    @staticmethod
+    def _outputs(source, label, options=None, profile=False):
+        """{engine: output} of ``source`` compiled under ``label``; the
+        runs must end normally with identical ``RuntimeStats``."""
+        config = config_for(label)
+        program = (compile_program(source, config, options)
+                   if config is not None
+                   else compile_program(source, options=options))
+        outputs, stats = {}, []
+        for engine in ENGINES:
+            result = run_program(program, engine=engine, profile=profile)
+            assert result.ok, (engine, result.describe())
+            outputs[engine] = result.output
+            stats.append(dataclasses.asdict(result.stats))
+        assert all(s == stats[0] for s in stats)
+        return outputs
+
+    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_freed_alone_invalidates(self, label, profile):
+        # -O0 without LTO: the callee keeps its frame and the load is
+        # not forwarded from the store.
+        options = CompileOptions(opt_level=0, link_time_optimization=False)
+        outputs = self._outputs(STACK_REUSE_SOURCE, label, options, profile)
+        assert outputs == {engine: ["7", "0"] for engine in ENGINES}
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_sparse_page_accesses(self, label):
+        # A 4 MiB allocation is SparsePages-backed: every shape takes
+        # the page-direct path, or the generic one when it straddles a
+        # 64 KiB page; unwritten pages read as zero.
+        outputs = self._outputs(SPARSE_SOURCE, label)
+        assert outputs == {engine: SPARSE_OUTPUT for engine in ENGINES}
+
+    _ACCESS = re.compile(
+        r"^( *)if not __cl(\d+) <= __p <= __ch\2 or __ca\2\.freed:\n"
+        r"\1    __ca\2, __cl\2, __ch\2, __cd\2, __cp\2 = "
+        r"__site\(__p, \d+, (?:True|False)\)$", re.M)
+    _INDEX_INTERNALS = re.compile(r"_bases|_allocs|bisect|epoch|\b__E\b")
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_one_refill_per_access(self, label):
+        # Generated code names no part of how Memory indexes its
+        # allocations, and has no second invalidation rule.
+        for name in all_names():
+            program = _compiled_program(name, label)
+            vm = make_vm(program, engine="codegen")
+            vm.load_globals()
+            for fn in program.module.functions.values():
+                if fn.native or fn.is_declaration:
+                    continue
+                source = CodegenFunction(vm, fn).source
+                where = f"{name}/{label}: @{fn.name}"
+                assert not self._INDEX_INTERNALS.search(source), where
+                accesses = sum(isinstance(inst, (Load, Store))
+                               for block in fn.blocks
+                               for inst in block.instructions)
+                sites = [k for _, k in self._ACCESS.findall(source)]
+                assert len(set(sites)) == len(sites) == accesses, where
+                assert source.count("__site(") == accesses, where

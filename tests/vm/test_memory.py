@@ -9,6 +9,7 @@ from repro.vm.memory import (
     GlobalsAllocator,
     HEAP_BASE,
     Memory,
+    SPARSE_THRESHOLD,
     SparsePages,
     StackAllocator,
     StandardAllocator,
@@ -44,6 +45,57 @@ class TestMemoryMapping:
         assert mem.find(0x10000) is None
         # space can be reused after unmap
         mem.map(Allocation(0x10000, 32, "heap"))
+
+    def test_unmap_marks_freed(self):
+        # ``freed`` is the only thing a stale site cache tests, so an
+        # unmapped allocation must carry it.
+        mem = Memory()
+        alloc = mem.map(Allocation(0x10000, 64, "heap"))
+        assert not alloc.freed
+        mem.unmap(alloc)
+        assert alloc.freed
+
+
+class TestSite:
+    """``Memory.site``: the per-site inline-cache refill of generated
+    code, with ``locate``'s faults."""
+
+    def test_bytearray_form(self):
+        # ``high`` is the last address a ``size``-byte access fits at.
+        mem = Memory()
+        alloc = mem.map(Allocation(0x10000, 64, "heap"))
+        assert type(alloc.data) is bytearray
+        for address in (0x10000, 0x10038):
+            site = mem.site(address, 8, False)
+            assert site == (alloc, 0x10000, 0x10038, alloc.data, None)
+            assert site[3] is alloc.data
+
+    def test_page_dict_form(self):
+        mem = Memory()
+        alloc = mem.map(Allocation(HEAP_BASE, SPARSE_THRESHOLD, "heap"))
+        site = mem.site(HEAP_BASE + 100, 4, True)
+        assert site == (alloc, HEAP_BASE, HEAP_BASE + SPARSE_THRESHOLD - 4,
+                        None, alloc.data._pages)
+        assert site[4] is alloc.data._pages
+
+    @pytest.mark.parametrize("address, size, reason", [
+        (0, 8, "null pointer dereference"),
+        (0x10100, 4, "use after free of gone"),
+        (0x1003E, 4, "access straddles end of obj allocation"),
+        (0x20000, 4, "access to unmapped memory"),
+        (0x2000, 1, "access to unmapped memory"),
+    ])
+    def test_faults_match_locate(self, address, size, reason):
+        mem = Memory()
+        mem.map(Allocation(0x10000, 64, "heap", name="obj"))
+        mem.map(Allocation(0x10100, 64, "heap", name="gone")).freed = True
+        faults = []
+        for resolve in (mem.locate, mem.site):
+            with pytest.raises(MemoryFault) as info:
+                resolve(address, size, False)
+            fault = info.value
+            faults.append((fault.address, fault.size, fault.reason))
+        assert faults[0] == faults[1] == (address, size, reason)
 
 
 class TestAccess:
