@@ -465,6 +465,10 @@ class CodeGenerator:
         if isinstance(expr, ast.Postfix):
             return self._gen_postfix(expr)
         if isinstance(expr, ast.Binary):
+            # ``&&`` and ``||`` dispatch here, so that a chain of them
+            # recurses two frames per link, like every other chain.
+            if expr.op in ("&&", "||"):
+                return self._gen_short_circuit(expr)
             return self._gen_binary(expr)
         if isinstance(expr, ast.Assign):
             return self._gen_assign(expr)
@@ -655,8 +659,6 @@ class CodeGenerator:
         if op == ",":
             self._gen_expr(expr.lhs)
             return self._gen_expr(expr.rhs)
-        if op in ("&&", "||"):
-            return self._gen_short_circuit(expr)
         lhs = self._gen_expr(expr.lhs)
         rhs = self._gen_expr(expr.rhs)
         return self._apply_binary(op, lhs, rhs, expr.line)

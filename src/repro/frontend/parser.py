@@ -26,6 +26,17 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: How deeply a program may nest.  A level is a block, ``if`` or loop
+#: inside a statement; an assignment, conditional or unary expression
+#: inside an expression (a parenthesised operand is all three); or a
+#: link of an operator chain.  A level costs at most about 2.4 Python
+#: frames in the parser or in a later recursive walk of the tree, so a
+#: program at the limit compiles within 800 frames, and a deeper one
+#: gets a ``CompileError`` instead of a ``RecursionError``.  The limit
+#: admits C11 5.2.4.1's minimums: 127 nested blocks (``if (c) {`` is
+#: two levels) and 63 nested parenthesised expressions.
+MAX_NESTING = 320
+
 
 class Parser:
     def __init__(self, source: str, name: str = "tu"):
@@ -33,6 +44,7 @@ class Parser:
         self.pos = 0
         self.unit = ast.TranslationUnit(name=name)
         self.struct_tags = set()
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------
     @property
@@ -57,6 +69,13 @@ class Parser:
         if self.check(kind, text):
             return self.advance()
         return None
+
+    def _nest(self) -> None:
+        """One level deeper (see :data:`MAX_NESTING`)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise CompileError(
+                f"nested deeper than {MAX_NESTING} levels", self.current.line)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         if not self.check(kind, text):
@@ -239,10 +258,12 @@ class Parser:
 
     # -- statements -----------------------------------------------------------------
     def parse_block(self) -> ast.Block:
+        self._nest()
         line = self.expect("op", "{").line
         statements: List[ast.Stmt] = []
         while not self.accept("op", "}"):
             statements.append(self.parse_statement())
+        self.depth -= 1
         return ast.Block(line=line, statements=statements)
 
     def parse_statement(self) -> ast.Stmt:
@@ -297,23 +318,28 @@ class Parser:
         return ast.Block(line=line, statements=decls)
 
     def parse_if(self) -> ast.Stmt:
+        self._nest()
         line = self.expect("keyword", "if").line
         self.expect("op", "(")
         cond = self.parse_expression()
         self.expect("op", ")")
         then = self.parse_statement()
         otherwise = self.parse_statement() if self.accept("keyword", "else") else None
+        self.depth -= 1
         return ast.If(line=line, cond=cond, then=then, otherwise=otherwise)
 
     def parse_while(self) -> ast.Stmt:
+        self._nest()
         line = self.expect("keyword", "while").line
         self.expect("op", "(")
         cond = self.parse_expression()
         self.expect("op", ")")
         body = self.parse_statement()
+        self.depth -= 1
         return ast.While(line=line, cond=cond, body=body)
 
     def parse_do_while(self) -> ast.Stmt:
+        self._nest()
         line = self.expect("keyword", "do").line
         body = self.parse_statement()
         self.expect("keyword", "while")
@@ -321,9 +347,11 @@ class Parser:
         cond = self.parse_expression()
         self.expect("op", ")")
         self.expect("op", ";")
+        self.depth -= 1
         return ast.While(line=line, cond=cond, body=body, is_do_while=True)
 
     def parse_for(self) -> ast.Stmt:
+        self._nest()
         line = self.expect("keyword", "for").line
         self.expect("op", "(")
         init: Optional[ast.Stmt] = None
@@ -338,44 +366,54 @@ class Parser:
         step = None if self.check("op", ")") else self.parse_expression()
         self.expect("op", ")")
         body = self.parse_statement()
+        self.depth -= 1
         return ast.For(line=line, init=init, cond=cond, step=step, body=body)
 
     # -- expressions --------------------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
+        depth = self.depth
         expr = self.parse_assignment()
         while self.accept("op", ","):
+            self._nest()  # each link deepens the left-deep chain
             rhs = self.parse_assignment()
             expr = ast.Binary(line=rhs.line, op=",", lhs=expr, rhs=rhs)
+        self.depth = depth
         return expr
 
     def parse_assignment(self) -> ast.Expr:
+        self._nest()
         lhs = self.parse_conditional()
         tok = self.current
         if tok.kind == "op" and tok.text in _ASSIGN_OPS:
             self.advance()
             rhs = self.parse_assignment()
-            return ast.Assign(line=tok.line, op=tok.text, target=lhs, value=rhs)
+            lhs = ast.Assign(line=tok.line, op=tok.text, target=lhs, value=rhs)
+        self.depth -= 1
         return lhs
 
     def parse_conditional(self) -> ast.Expr:
+        self._nest()
         cond = self.parse_binary(1)
         if self.accept("op", "?"):
             then = self.parse_assignment()
             self.expect("op", ":")
             otherwise = self.parse_conditional()
-            return ast.Conditional(line=cond.line, cond=cond, then=then, otherwise=otherwise)
+            cond = ast.Conditional(line=cond.line, cond=cond, then=then, otherwise=otherwise)
+        self.depth -= 1
         return cond
 
     def parse_binary(self, min_prec: int) -> ast.Expr:
+        depth = self.depth
         lhs = self.parse_unary()
+        self.depth = depth  # the operand's levels end with it
         while True:
             tok = self.current
-            if tok.kind != "op":
-                return lhs
-            prec = _BINARY_PRECEDENCE.get(tok.text)
+            prec = _BINARY_PRECEDENCE.get(tok.text) if tok.kind == "op" else None
             if prec is None or prec < min_prec:
+                self.depth = depth
                 return lhs
             self.advance()
+            self._nest()  # each link deepens the left-deep chain
             rhs = self.parse_binary(prec + 1)
             lhs = ast.Binary(line=tok.line, op=tok.text, lhs=lhs, rhs=rhs)
 
@@ -386,6 +424,7 @@ class Parser:
         return nxt.kind == "keyword" and nxt.text in _TYPE_KEYWORDS
 
     def parse_unary(self) -> ast.Expr:
+        self._nest()  # undone by parse_binary, its only other caller
         tok = self.current
         if tok.kind == "op" and tok.text in ("-", "!", "~", "*", "&"):
             self.advance()

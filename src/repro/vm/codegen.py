@@ -18,28 +18,32 @@ compiled bytecode over real local variables:
 * loads/stores carry a per-site inline cache of the last allocation
   they hit, as five module-level variables filled by ``Memory.site``
   and invalidated by nothing but the allocation's ``freed`` flag;
-* cycle/opcode charges -- native calls' included -- are
-  block-batched into plain *local* accumulators (``__cy``,
-  ``__o_<opcode>``, ...) flushed once per frame by a zero-cost
-  ``try/finally``; only the absolute instruction count ``__ins`` is
-  published to ``RuntimeStats`` eagerly -- before every call of
-  program code (callees check the budget against it) and at frame
-  exit;
+* a block's charges -- native calls' included -- are static data:
+  entering the block runs ``__ins += n`` and ``__bc[k] += 1``, and the
+  block's vector of cycles and opcode counts is multiplied in later;
+  only the absolute instruction count ``__ins`` is published to
+  ``RuntimeStats`` eagerly -- before every call of program code
+  (callees check the budget against it) and at frame exit;
 * natives registered as :class:`~repro.vm.native.PositionalNative`
   (the dereference and escape checks, witness arithmetic) are one
   positional call per site, or a fused expression when pure.
 
 Statistics contract: field-for-field :class:`RuntimeStats` equality
 with the tree-walker at every observable point.  The only points
-where statistics are observable are the end of a run and the moment a
+where statistics are observable are the end of a run, the moment a
 ``MemoryFault`` / ``MemSafetyViolation`` / ``ProgramAbort`` / exit
-request escapes the VM -- natives only ever *add* to the counters,
-none reads them or re-enters the VM.  Every statement that can raise
-(loads, stores, allocas, integer division, every call) therefore
-carries a *static rollback*: a ``try/except`` subtracts the
-pre-computed charges of exactly the not-yet-executed suffix of the
-block from the accumulators before re-raising, and calls of program
-code resync ``__ins`` from the callee's exactly-published count.
+request escapes the VM, and the return of a direct ``call_function``
+-- natives only ever *add* to the counters, none reads them or
+re-enters the VM.  Each is a moment when no program frame is live, and
+there the VM folds every function's block counts times its block
+vectors into ``RuntimeStats`` (:meth:`CodegenFunction.fold`).  A frame
+has one ``except BaseException`` handler: the line an exception
+passed names the raising step (loads, stores, allocas, integer
+division, every call) in a static line table, so the raising block is
+charged its executed prefix instead of its whole vector, and ``__ins``
+loses the block's unexecuted suffix; calls of program code resync it
+from the callee's exactly-published count first.  Each generated
+statement is one physical line, which the line table relies on.
 Fusion and inlining decisions only move *when* a pure expression is
 computed, never what is charged, so fusion may be depth-capped without
 observable effect.  Operands that evaluate a function address or
@@ -47,14 +51,15 @@ unloaded global (``"f"`` descriptors) are never fused or folded,
 because their evaluation order is program-visible: function addresses
 are assigned lazily at first evaluation, like the tree-walker does.
 
-Profiling (``profile=True``) specializes the emission.  Charges of
-instructions the instrumentation inserted (``meta["mi"]``) also feed a
-per-frame ``__mi`` accumulator, batched and rolled back like every
-other counter -- including the raising instruction's own share, which
-the tree-walker never attributes -- and ``mi`` calls into general
-natives add the ``stats.cycles`` delta of the runtime's internal
-charges.  ``instrumentation_cycles`` thereby equals the tree-walker's
-per-instruction attribution; unprofiled emission is unaffected.
+Profiling (``profile=True``) specializes the emission.  Each block
+vector and each raising step's prefix also carries the cycles of the
+instructions the instrumentation inserted (``meta["mi"]``), folded into
+``instrumentation_cycles`` -- a prefix without the raising
+instruction's own share, which the tree-walker never attributes -- and
+``mi`` calls into general natives add the ``stats.cycles`` delta of
+the runtime's internal charges straight to ``instrumentation_cycles``.
+That equals the tree-walker's per-instruction attribution; unprofiled
+emission carries no attribution code.
 
 Emission is cached on the :class:`Function` itself
 (``fn._codegen_cache``) keyed by the VM environment it depends on.
@@ -352,6 +357,36 @@ def _env_signature(vm: "VirtualMachine") -> Tuple:
     )
 
 
+def _vector(charges, attributed: Optional[int] = None) -> Tuple:
+    """What a run of ``(opcode, cycles, mi)`` charges adds to
+    RuntimeStats: ``(cycles, mi cycles of the first ``attributed``
+    charges (all by default), ((opcode, count), ...))``."""
+    counts: Dict[str, int] = {}
+    for op, _, _ in charges:
+        counts[op] = counts.get(op, 0) + 1
+    return (sum(c for _, c, _ in charges),
+            sum(c for _, c, mi in charges[:attributed] if mi),
+            tuple(counts.items()))
+
+
+def _add(stats, vector: Tuple, times: int) -> None:
+    """Charge ``vector`` ``times`` times; loads, stores and native
+    calls are counted by their opcodes."""
+    cycles, mi, counts = vector
+    stats.cycles += times * cycles
+    stats.instrumentation_cycles += times * mi
+    opcode_counts = stats.opcode_counts
+    for op, count in counts:
+        count *= times
+        opcode_counts[op] += count
+        if op == "load":
+            stats.loads += count
+        elif op == "store":
+            stats.stores += count
+        elif op.startswith("native:"):
+            stats.calls += count
+
+
 def _as_condition(expr: str) -> str:
     """Truthiness form of a generated expression.
 
@@ -399,8 +434,7 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
     a positional native's entry."""
     stats = vm.stats
     ns.update(
-        __vm=vm, __stats=stats, __oc=stats.opcode_counts,
-        __site=vm.memory.site,
+        __vm=vm, __stats=stats, __site=vm.memory.site,
         __alloca=vm.stack.alloca, __call=vm.call_function,
         __dc=vm._codegen_direct_call, __charge=stats.charge,
         __fa=vm.function_address, __fba=vm._functions_by_address,
@@ -416,9 +450,15 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
 
 class CodegenFunction:
     """One IR function translated to generated Python source, bound to
-    one VM."""
+    one VM.
 
-    __slots__ = ("vm", "fn", "arg_count", "source", "_run")
+    ``counts[k]`` is how often block ``k`` was entered since the last
+    :meth:`fold`; ``blocks[k]`` is that block's charge vector, and
+    ``steps`` maps a source line of a raising step to ``(k, prefix
+    vector, suffix instruction count, is a call)``."""
+
+    __slots__ = ("vm", "fn", "arg_count", "source", "_run", "blocks",
+                 "steps", "counts")
 
     def __init__(self, vm: "VirtualMachine", fn: Function, index: int = 0):
         self.vm = vm
@@ -431,18 +471,22 @@ class CodegenFunction:
         sig = _env_signature(vm)
         cached = getattr(fn, "_codegen_cache", None)
         if cached is None or cached[0] != sig:
-            source, template, binds = _SourceEmitter(vm, fn).emit()
+            source, template, binds, blocks, steps = \
+                _SourceEmitter(vm, fn).emit()
             if cached is not None and cached[1] == source:
                 code = cached[2]
             else:
                 code = compile(source, f"<codegen:{fn.name}>", "exec")
-            cached = fn._codegen_cache = (sig, source, code, template, binds)
-        _, source, code, template, binds = cached
+            cached = fn._codegen_cache = (sig, source, code, template, binds,
+                                          blocks, steps)
+        _, source, code, template, binds, self.blocks, self.steps = cached
         # The template is never exec-ed itself, so the per-site
         # inline-cache variables it carries are in their pristine
         # initial state -- no reset loop needed.
         ns = dict(template)
         _bind_vm(ns, vm, binds)
+        self.counts = ns["__bc"] = [0] * len(self.blocks)
+        ns["__unwind"] = self._unwind
         self.source = source
         dump_dir = getattr(vm, "codegen_dump_dir", None)
         if dump_dir:
@@ -464,6 +508,31 @@ class CodegenFunction:
         # Same semantics as the tree-walker's zip over the formals:
         # extra arguments are dropped, missing ones read as None.
         return self._run(*(list(args) + [None] * n)[:n])
+
+    def fold(self) -> None:
+        """Charge every block entered since the last fold; the VM calls
+        this when no program frame is live."""
+        stats = self.vm.stats
+        counts = self.counts
+        for k, n in enumerate(counts):
+            if n:
+                _add(stats, self.blocks[k], n)
+                counts[k] = 0
+
+    def _unwind(self, exc: BaseException, ins: int) -> int:
+        """``__ins`` once ``exc`` leaves the frame: the raising step's
+        block is charged its executed prefix instead of its vector.  A
+        line outside the table (a budget or phi raise between blocks)
+        takes nothing back."""
+        step = self.steps.get(exc.__traceback__.tb_lineno)
+        if step is None:
+            return ins
+        k, prefix, suffix, call = step
+        self.counts[k] -= 1
+        stats = self.vm.stats
+        _add(stats, prefix, 1)
+        # A callee published its exact count, even on a raise.
+        return (stats.instructions if call else ins) - suffix
 
 
 class _SourceEmitter:
@@ -518,23 +587,25 @@ class _SourceEmitter:
         self._pending: Dict[Value, Tuple] = {}
         #: (opcode, cycles, mi) per charged instruction of the block.
         self._charges: List[Tuple[str, int, bool]] = []
-        #: (lines, rollback index, own-charge index, is program call);
-        #: the rollback index is None for a step that cannot raise.
+        #: (lines, prefix end, own-charge index, is program call); the
+        #: prefix end is None for a step that cannot raise.
         self._steps: List[Tuple[List[str], Optional[int], int, bool]] = []
         #: Index of the current instruction's own charge.
         self._own = 0
-        # Function-wide deferred-charge accumulators: opcode -> local
-        # name (insertion-ordered, so generated source is stable).
-        self._acc_names: Dict[str, str] = {}
-        # Profiling: attribute instrumentation cycles into ``__mi``.
+        #: Charge vector of each compiled block, by counter index.
+        self._blocks: List[Tuple] = []
+        #: Line-table entry of each raising step, by marker number.
+        self._raising: List[Tuple] = []
+        # Profiling: attribute the charges of ``mi`` instructions.
         self.profile = vm.stats.profile
-        self._has_mi = False
 
     # -- driver --------------------------------------------------------
     def emit(self) -> Tuple[str, Dict[str, object],
-                            List[Tuple[str, str, object]]]:
-        """The source, its VM-independent namespace template and the
-        per-VM bindings it needs."""
+                            List[Tuple[str, str, object]], List[Tuple],
+                            Dict[int, Tuple]]:
+        """The source, its VM-independent namespace template, the
+        per-VM bindings it needs, the block vectors and the line
+        table."""
         self._assign_slots()
         self._analyze_cfg()
         self.code: Dict[BasicBlock, Tuple[List[str], Tuple]] = {}
@@ -542,8 +613,8 @@ class _SourceEmitter:
             if block in self.reachable:
                 self.code[block] = self._compile_block(block)
         arms = self._layout()
-        source = self._assemble(arms)
-        return source, self.ns, self._vm_binds
+        source, steps = self._assemble(arms)
+        return source, self.ns, self._vm_binds, self._blocks, steps
 
     def _assign_slots(self) -> None:
         fn = self.fn
@@ -700,22 +771,13 @@ class _SourceEmitter:
 
     # -- step / charge bookkeeping -------------------------------------
     def _charge(self, opcode: str, cycles: int, mi: bool = False) -> None:
-        self._charges.append((opcode, cycles, mi))
+        self._charges.append((opcode, cycles, mi and self.profile))
 
     def _step(self, lines: List[str], raising: bool = False,
               call: bool = False) -> None:
         self._steps.append(
             (lines, len(self._charges) if raising else None, self._own,
              call))
-
-    def _acc(self, opcode: str) -> str:
-        """Local accumulator name for a batch opcode (allocated
-        function-wide on first use)."""
-        name = self._acc_names.get(opcode)
-        if name is None:
-            name = self._acc_names[opcode] = \
-                "__o_" + re.sub(r"\W", "_", opcode)
-        return name
 
     def _assign(self, inst: Instruction, desc: Tuple) -> None:
         self._step([f"v{self.slots[inst]} = {self._expr(desc)}"])
@@ -736,85 +798,42 @@ class _SourceEmitter:
             self._assign(value, desc)
         self._pending = {}
 
-    @staticmethod
-    def _aggregate(charges) -> Tuple[int, int, Tuple]:
-        cyc = 0
-        counts: Dict[str, int] = {}
-        for op, c, _ in charges:
-            cyc += c
-            counts[op] = counts.get(op, 0) + 1
-        return cyc, len(charges), tuple(counts.items())
-
-    def _mi_lines(self, op: str, charges) -> List[str]:
-        """``__mi`` update for the instrumentation-owned share of a
-        charge batch (profiling only)."""
-        micyc = sum(c for _, c, mi in charges if mi)
-        if not (self.profile and micyc):
-            return []
-        self._has_mi = True
-        return [f"__mi {op} {micyc}"]
-
     def _attributed(self, inst: Instruction, lines: List[str]) -> List[str]:
         """Wrap the lines of a native call so that, when profiling an
-        ``mi`` call, the ``stats.cycles`` it charges outside the batch
-        -- a general native's internal charges, or the whole call when
-        ``call_function`` charges it -- also go to ``__mi``, completing
-        the tree-walker's per-instruction delta.  Nothing is attributed
-        on a raise, also like the tree-walker."""
+        ``mi`` call, the ``stats.cycles`` it charges outside the block
+        vector -- a general native's internal charges, or the whole
+        call when ``call_function`` charges it -- also go to
+        ``instrumentation_cycles``, completing the tree-walker's
+        per-instruction delta.  Nothing is attributed on a raise, also
+        like the tree-walker."""
         if not (self.profile and "mi" in inst.meta):
             return lines
-        self._has_mi = True
         return (["__m0 = __stats.cycles"] + lines
-                + ["__mi += __stats.cycles - __m0"])
+                + ["__stats.instrumentation_cycles += __stats.cycles - __m0"])
 
     def _finalize_block(self) -> List[str]:
+        # Entering the block counts it; its vector is charged by the
+        # fold, or its prefix by ``__unwind`` when a step raises.
         charges = self._charges
-        out: List[str] = []
-        if charges:
-            # Deferred charging: the whole block batch goes into plain
-            # locals (flushed once per frame by the function's
-            # ``finally``); only ``__ins`` carries the running absolute
-            # instruction count, for budget checks and callees.
-            cyc, n, items = self._aggregate(charges)
-            if cyc:
-                out.append(f"__cy += {cyc}")
-            out.append(f"__ins += {n}")
-            for key, count in items:
-                out.append(f"{self._acc(key)} += {count}")
-            out.extend(self._mi_lines("+=", charges))
+        k = len(self._blocks)
+        self._blocks.append(_vector(charges))
+        out = [f"__ins += {len(charges)}", f"__bc[{k}] += 1"]
         for lines, ci, own, is_call in self._steps:
             if ci is None:
                 out.extend(lines)
                 continue
-            suffix = charges[ci:]
-            cyc, n, items = self._aggregate(suffix)
-            # A raising instruction keeps its own charges but, like in
-            # the tree-walker, never gets them attributed.
-            mi_back = self._mi_lines("-=", charges[own:])
             if is_call:
-                # Publish the exact instruction count to the callee,
-                # resync afterwards (the callee's own ``finally``
-                # published its exact count, even on a raise).
-                body = (["__stats.instructions = __ins"] + lines
-                        + ["__ins = __stats.instructions"])
-                handler = ["__ins = __stats.instructions"
-                           + (f" - {n}" if n else "")]
-            elif suffix or mi_back:
-                body = list(lines)
-                handler = [f"__ins -= {n}"] if n else []
-            else:
-                out.extend(lines)
-                continue
-            if cyc:
-                handler.append(f"__cy -= {cyc}")
-            for key, count in items:
-                handler.append(f"{self._acc(key)} -= {count}")
-            handler.extend(mi_back)
-            out.append("try:")
-            out.extend("    " + ln for ln in body)
-            out.append("except BaseException:")
-            out.extend("    " + ln for ln in handler)
-            out.append("    raise")
+                # Publish the exact instruction count to the callee and
+                # resync from the count it publishes.
+                lines = (["__stats.instructions = __ins"] + lines
+                         + ["__ins = __stats.instructions"])
+            # A raising instruction keeps its own charges but, like in
+            # the tree-walker, never gets them attributed.  Each line
+            # is marked with its entry; ``_assemble`` numbers them.
+            mark = f"\0{len(self._raising)}"
+            self._raising.append((k, _vector(charges[:ci], own),
+                                  len(charges) - ci, is_call))
+            out.extend(ln + mark for ln in lines)
         return out
 
     # -- per-block compilation -----------------------------------------
@@ -825,7 +844,7 @@ class _SourceEmitter:
         term_inst = self.term_insts[block]
         phis = block.phis()
         for _ in phis:
-            # Charged with the block batch, after the moves ran --
+            # Charged with the block vector, after the moves ran --
             # matching the tree-walker's evaluate-then-charge order.
             self._charge("phi", 0)
         for inst in block.instructions[len(phis):]:
@@ -1044,8 +1063,7 @@ class _SourceEmitter:
         ve = self._expr(v)
         d = self._depth(v) + 1
         if op in ("fptosi", "fptoui"):
-            # int(NaN/inf) raises -- standalone statement with exact
-            # charge rollback.
+            # int(NaN/inf) raises -- a standalone raising step.
             assert isinstance(dst_ty, IntType)
             self._step(
                 [f"v{self.slots[inst]} = (int({ve}) & {dst_ty.mask})"],
@@ -1307,9 +1325,10 @@ class _SourceEmitter:
         if isinstance(callee, Function):
             fn = callee
             # Direct call of a defined function or declaration: the
-            # static "call" charge joins the batch.  Defined functions
-            # take the ``__dc`` trampoline, which skips the dispatch
-            # prologue of ``call_function`` (statically dead here).
+            # static "call" charge joins the block vector.  Defined
+            # functions take the ``__dc`` trampoline, which skips the
+            # dispatch prologue of ``call_function`` (statically dead
+            # here).
             self._charge("call", costs.INSTRUCTION_COSTS["call"])
             fname = self._bind(fn)
             helper = "__call" if fn.is_declaration else "__dc"
@@ -1349,9 +1368,10 @@ class _SourceEmitter:
 
     def _compile_native_call(self, inst: Call, fn: Function, descs: List,
                              tgt: str) -> None:
-        """A direct native call: charged in the block batch and rolled
-        back like a load (natives add to ``RuntimeStats`` but never
-        read it), one positional call for a :class:`PositionalNative`.
+        """A direct native call: charged in the block vector and a
+        raising step like a load (natives add to ``RuntimeStats`` but
+        never read it), one positional call for a
+        :class:`PositionalNative`.
         Plain and profiled emission share this path."""
         site = inst.meta.get("mi_site")
         args = [self._expr(d) for d in descs]
@@ -1490,10 +1510,11 @@ class _SourceEmitter:
             self._stack.discard(succ)
 
     # -- assembly ------------------------------------------------------
-    def _assemble(self, arms: List[Tuple[int, List[str]]]) -> str:
+    def _assemble(self, arms: List[Tuple[int, List[str]]]
+                  ) -> Tuple[str, Dict[int, Tuple]]:
         fn = self.fn
         ind = "    "
-        hot = ("__stats", "__oc", "__site")
+        hot = ("__stats", "__bc", "__site")
         params = [f"v{self.slots[a]}" for a in fn.args]
         sig = ", ".join(params + ["*"] + [f"{h}={h}" for h in hot])
         lines = [
@@ -1509,17 +1530,10 @@ class _SourceEmitter:
         lines.append(ind + "__maxi = __vm.max_instructions")
         lines.append(ind + "if __maxi is None:")
         lines.append(ind * 2 + "__maxi = 9223372036854775807")
-        # Deferred-charge locals: cycles, opcode counts, and memory-op
-        # counts accumulate in plain locals and are flushed once, in
-        # the ``finally`` below, at frame exit (return or exception);
         # ``__ins`` carries the absolute instruction count so budget
-        # checks and callees always see an exact value.
+        # checks and callees always see an exact value; it is
+        # published in the ``finally`` below, at frame exit.
         lines.append(ind + "__ins = __stats.instructions")
-        accs = ["__cy"] + list(self._acc_names.values())
-        if self._has_mi:
-            accs.append("__mi")
-        for i in range(0, len(accs), 8):
-            lines.append(ind + " = ".join(accs[i:i + 8]) + " = 0")
         for ln in self._moves_lines(None, fn.entry):
             lines.append(ind + ln)
         lines.append(ind + f"__b = {self.block_index[fn.entry]}")
@@ -1534,26 +1548,19 @@ class _SourceEmitter:
         lines.append(ind * 3 + "else:")  # pragma: no cover - unreachable
         lines.append(ind * 4 + "raise __VMError('codegen dispatch out of"
                                " range')")
+        lines.append(ind + "except BaseException as __e:")
+        lines.append(ind * 2 + "__ins = __unwind(__e, __ins)")
+        lines.append(ind * 2 + "raise")
         lines.append(ind + "finally:")
         lines.append(ind * 2 + "__stats.instructions = __ins")
-        lines.append(ind * 2 + "__stats.cycles += __cy")
-        # Loads, stores and native calls are counted by their opcodes.
-        for field, opcode in (("loads", "load"), ("stores", "store")):
-            if opcode in self._acc_names:
-                lines.append(ind * 2 + f"__stats.{field} += __o_{opcode}")
-        natives = [name for opcode, name in self._acc_names.items()
-                   if opcode.startswith("native:")]
-        if natives:
-            lines.append(ind * 2 + f"__stats.calls += {' + '.join(natives)}")
-        if self._has_mi:
-            lines.append(
-                ind * 2 + "__stats.instrumentation_cycles += __mi")
-        for opcode, name in self._acc_names.items():
-            # Guarded: ``Counter[k] += 0`` would insert a zero-count
-            # key the tree-walker never creates.
-            lines.append(ind * 2 + f"if {name}:")
-            lines.append(ind * 3 + f"__oc[{opcode!r}] += {name}")
-        return "\n".join(lines) + "\n"
+        # The line table: each marked line of a raising step, by its
+        # line number in the source.
+        steps: Dict[int, Tuple] = {}
+        for no, line in enumerate(lines, 1):
+            if "\0" in line:
+                lines[no - 1], entry = line.split("\0")
+                steps[no] = self._raising[int(entry)]
+        return "\n".join(lines) + "\n", steps
 
     def _slots_needing_init(self) -> List[int]:
         """Locals that could be read before assignment on some path

@@ -269,7 +269,8 @@ class VirtualMachine:
         to defined, non-native functions, where :meth:`call_function`'s
         native / declaration / engine dispatch is statically dead, so
         the whole prologue collapses to the call counter plus the
-        codegen frame push.
+        codegen frame push.  The outermost call's exit, returning or
+        raising, folds every function's block counts into the stats.
         """
         self.stats.calls += 1
         compiled = self._codegen.get(fn)
@@ -286,6 +287,9 @@ class VirtualMachine:
             for action in reversed(self._frame_cleanups.pop()):
                 action()
             self.stack.pop_frame()
+            if not self._frame_cleanups:
+                for function in self._codegen.values():
+                    function.fold()
 
     # -- the main loop -----------------------------------------------------------
     def _run_function(self, fn: Function, args: List) -> Optional[object]:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CompileError
 from repro.frontend import parse
 from repro.frontend import ast
+from repro.frontend.parser import MAX_NESTING
 
 
 class TestDeclarations:
@@ -156,3 +157,54 @@ class TestErrors:
     def test_bad_top_level(self):
         with pytest.raises(CompileError):
             parse("42;")
+
+
+def nested_parens(depth: int) -> str:
+    return ("int main() {\n    return "
+            + "(" * depth + "1" + ")" * depth + ";\n}\n")
+
+
+def nested_sums(depth: int) -> str:
+    """``1 + (1 + (...))``: each parenthesised operand is a link too."""
+    return ("int main() {\n    return "
+            + "1 + (" * depth + "1" + ")" * depth + ";\n}\n")
+
+
+def nested_ifs(depth: int) -> str:
+    """One ``if (x) {`` per line, from line 3."""
+    return ("int main() {\n    int x = 1;\n"
+            + "if (x) {\n" * depth + "x = 2;\n" + "}\n" * depth
+            + "    return x;\n}\n")
+
+
+def flat_sum(terms: int) -> str:
+    return ("int main() {\n    return "
+            + " + ".join(["1"] * terms) + ";\n}\n")
+
+
+class TestNestingLimit:
+    """Past ``MAX_NESTING`` the parser raises a one-line CompileError
+    naming the line, before Python's recursion limit can trip here or in
+    a later recursive walk of the tree."""
+
+    @pytest.mark.parametrize("source, lines", [
+        (nested_parens(140), [2]),
+        # The line of the ``if`` whose condition passes the limit.
+        (nested_ifs(245), range(3 + MAX_NESTING // 3, 3 + MAX_NESTING // 2)),
+        (flat_sum(491), [2]),
+    ], ids=["parens", "ifs", "flat-sum"])
+    def test_too_deep_is_compile_error(self, source, lines):
+        with pytest.raises(CompileError) as info:
+            parse(source)
+        line = info.value.line
+        assert line in lines
+        assert str(info.value) == (
+            f"line {line}: nested deeper than {MAX_NESTING} levels")
+
+    @pytest.mark.parametrize("source", [
+        nested_parens(63), nested_sums(63), nested_ifs(127), flat_sum(300),
+    ], ids=["63-parens", "63-parenthesised-sums", "127-blocks", "300-terms"])
+    def test_c11_minimums_parse(self, source):
+        # C11 5.2.4.1: 63 nested parenthesised expressions, 127 nested
+        # blocks.
+        parse(source)

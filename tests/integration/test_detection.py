@@ -171,6 +171,16 @@ RAISE_PROGRAMS.update({
             print_i64(a[1]);
             return 0;
         }""", "violation:deref", "violation:deref"),
+    # The violation fires three program frames deep, and each caller's
+    # block still has charged work after its call.
+    "nested-call-violation": (r"""
+        long walk(long *a, long i, long n) { if (n == 0) return a[i]; return walk(a, i + 1, n - 1) * 3 + i; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 8);
+            print_i64(walk(a, 0, 4));
+            print_i64(walk(a, 20, 3));
+            return 0;
+        }""", "violation:deref", "violation:deref"),
 })
 
 

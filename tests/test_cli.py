@@ -1,8 +1,15 @@
 """Tests for the command-line driver."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.frontend.parser import MAX_NESTING
+from repro.vm.engines import ENGINES
+
+from .frontend.test_parser import (flat_sum, nested_ifs, nested_parens,
+                                   nested_sums)
 
 
 @pytest.fixture
@@ -94,6 +101,29 @@ class TestRun:
         bad.write_text(source)
         assert main(["run", str(bad)]) == 1
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("source", [
+        nested_parens(140), nested_ifs(245), flat_sum(491),
+    ], ids=["parens", "ifs", "flat-sum"])
+    def test_deep_nesting_is_one_line(self, tmp_path, capsys, source):
+        deep = tmp_path / "deep.c"
+        deep.write_text(source)
+        assert main(["run", str(deep)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            rf"error: line \d+: nested deeper than {MAX_NESTING} levels",
+            err[0])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("source, expected", [
+        (nested_parens(63), 1), (nested_sums(63), 64), (nested_ifs(127), 2),
+    ], ids=["63-parens", "63-parenthesised-sums", "127-blocks"])
+    def test_c11_nesting_minimums_run(self, tmp_path, source, expected,
+                                      engine):
+        program = tmp_path / "nested.c"
+        program.write_text(source)
+        assert main(["run", str(program), "--engine", engine]) == expected
 
     def test_unknown_mi_flag_rejected(self, demo_c, capsys):
         # a clean one-line diagnostic and exit code 2 -- no traceback,

@@ -22,10 +22,12 @@ from repro.driver import CompileOptions, compile_program, make_vm, run_program
 from repro.experiments.common import config_for
 from repro.ir import (
     FunctionType,
+    I8,
     I32,
     I64,
     IRBuilder,
     Module,
+    ptr,
 )
 from repro.ir.instructions import Load, Store
 from repro.vm import VirtualMachine
@@ -194,9 +196,10 @@ class TestPhiTupleAssignment:
 
 
 class TestCycleRollback:
-    """A raising step must unroll the block batch so stats reflect
-    exactly the instructions the tree-walker would have charged --
-    under profiling, the instrumentation-cycle share included."""
+    """A raising step charges its block's executed prefix instead of
+    the block's vector, so stats reflect exactly the instructions the
+    tree-walker would have charged -- under profiling, the
+    instrumentation-cycle share included."""
 
     @staticmethod
     def _div_by_zero_module():
@@ -296,22 +299,75 @@ class TestProfiledEmission:
         b.ret(total)
         return mod
 
+    @staticmethod
+    def _native_module():
+        # An instrumentation-tagged call of a general native that
+        # charges cycles of its own (memset's per-byte cost).
+        mod = Module("n")
+        memset = mod.add_function(
+            "memset", FunctionType(ptr(I8), [ptr(I8), I32, I64]))
+        memset.native = True
+        fn = mod.add_function("main", FunctionType(I32, []), [])
+        b = IRBuilder(fn.add_block("entry"))
+        buf = b.alloca(I8, b.const_i64(64))
+        call = b.call(memset, [buf, b.const_i32(0), b.const_i64(64)])
+        call.meta["mi"] = True
+        b.ret(b.const_i32(5))
+        return mod
+
     def test_profiled_run_matches_interp(self):
-        results = _run_engines(self._module, profile=True)
-        assert results["codegen"][0] == 5
-        assert results["codegen"] == results["interp"]
-        assert results["codegen"][1]["instrumentation_cycles"] > 0
+        for build in (self._module, self._native_module):
+            results = _run_engines(build, profile=True)
+            assert results["codegen"][0] == 5
+            assert results["codegen"] == results["interp"]
+            assert results["codegen"][1]["instrumentation_cycles"] > 0
 
     def test_profile_switch_reemits(self):
-        mod = self._module()
+        mod = self._native_module()
         fn = mod.functions["main"]
         VirtualMachine(mod, engine="codegen").run()
         plain = fn._codegen_cache
-        assert "__mi" not in plain[1]
         VirtualMachine(mod, engine="codegen", profile=True).run()
         profiled = fn._codegen_cache
         assert profiled[0] != plain[0]     # signature carries the switch
-        assert "__stats.instrumentation_cycles += __mi" in profiled[1]
+        # Only the profiled source snapshots the native's own cycles.
+        assert "__m0 = __stats.cycles" not in plain[1]
+        assert "__m0 = __stats.cycles" in profiled[1]
+        assert ("__stats.instrumentation_cycles += __stats.cycles - __m0"
+                in profiled[1])
+
+
+class TestGeneratedShape:
+    """Charges are data: a block entry is ``__ins += n`` and
+    ``__bc[k] += 1``, a frame has one ``except`` clause, and every line
+    that can raise is in the line table ``__unwind`` reads."""
+
+    _ACCUMULATOR = re.compile(r"\b__(?:cy|mi)\b|\b__o_")
+    _RAISING_CALL = re.compile(r"__site\(|__alloca\(|__dc\(|__call\(")
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_one_handler_and_raising_lines_in_table(self, label, profile):
+        emitted = 0
+        for name in all_names():
+            program = _compiled_program(name, label)
+            vm = make_vm(program, engine="codegen", profile=profile)
+            vm.load_globals()
+            for fn in program.module.functions.values():
+                if fn.native or fn.is_declaration:
+                    continue
+                compiled = CodegenFunction(vm, fn)
+                source = compiled.source
+                where = f"{name}/{label}: @{fn.name}"
+                assert re.findall(r"^ *except\b.*$", source, re.M) == [
+                    "    except BaseException as __e:"], where
+                assert not self._ACCUMULATOR.search(source), where
+                for no, line in enumerate(source.splitlines(), 1):
+                    if self._RAISING_CALL.search(line):
+                        assert no in compiled.steps, (where, no, line)
+                emitted += 1
+        assert emitted
 
 
 class TestSourceDump:
