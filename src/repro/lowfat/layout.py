@@ -67,12 +67,12 @@ def region_base(region: int) -> int:
 
 #: ``allocation_size`` of every low-fat region, for the recoveries
 #: below: every check and witness computation runs one.
-_CLASS_SIZES = {r: allocation_size(r) for r in range(1, NUM_REGIONS + 1)}
+CLASS_SIZES = {r: allocation_size(r) for r in range(1, NUM_REGIONS + 1)}
 
 
 def base_of(address: int) -> int:
     """Recover the allocation base from a pointer value (Figure 4)."""
-    size = _CLASS_SIZES.get(address >> REGION_SHIFT)
+    size = CLASS_SIZES.get(address >> REGION_SHIFT)
     if size is None:
         return NO_BASE
     return address & ~(size - 1)
@@ -80,4 +80,4 @@ def base_of(address: int) -> int:
 
 def size_of_pointer(address: int) -> int:
     """Recover the (padded) allocation size from a pointer value."""
-    return _CLASS_SIZES.get(address >> REGION_SHIFT, 0)
+    return CLASS_SIZES.get(address >> REGION_SHIFT, 0)

@@ -25,7 +25,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from ..errors import MemSafetyViolation
 from ..vm import costs
-from ..vm.native import PositionalNative
+from ..vm.native import CheckNative, PositionalNative
 from ..vm.stats import RuntimeStats
 from . import layout
 from .allocator import LowFatAllocator
@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _CHECK_COST = costs.INTRINSIC_COSTS["__lf_check"]
 _INVARIANT_COST = costs.INTRINSIC_COSTS["__lf_invariant_check"]
+_U64 = (1 << 64) - 1
+#: The size the inline fail tests read for a base outside the low-fat
+#: regions: more than any u64 offset plus any u64 width, so such a
+#: check never fails (``check`` returns early on size 0 instead).
+_UNCHECKED = 1 << 65
 
 
 def _wide_reason(vm: "VirtualMachine", ptr: int) -> str:
@@ -77,9 +82,24 @@ class LowFatRuntime:
         vm.register_native("__lf_alloca", self._alloca)
         vm.register_native("__lf_compute_base",
                            PositionalNative(layout.base_of, pure=True))
-        vm.register_native("__lf_check", PositionalNative(self.check))
-        vm.register_native("__lf_invariant_check",
-                           PositionalNative(self.invariant_check))
+        # The inline forms of the checks below: the size lookup of
+        # layout.size_of_pointer, and a base outside the low-fat
+        # regions (size 0) is wide.
+        size = {"size": layout.CLASS_SIZES.get}
+        vm.register_native("__lf_check", CheckNative(
+            self.check, 3, "deref", fail=self.fail, helpers=size,
+            # ptr {0}, width {1}, base {2}
+            fails=f"(({{0}} - {{2}}) & {_U64}) > "
+                  f"{{size}}({{2}} >> {layout.REGION_SHIFT}, {_UNCHECKED})"
+                  " - {1}",
+            wide=f"not {layout.LOWFAT_BASE} <= {{2}} < {layout.LOWFAT_END}",
+            reason=self._record_wide_reason))
+        vm.register_native("__lf_invariant_check", CheckNative(
+            self.invariant_check, 2, "invariant", fail=self.invariant_fail,
+            helpers=size,
+            # ptr {0}, base {1}
+            fails=f"(({{0}} - {{1}}) & {_U64}) > "
+                  f"{{size}}({{1}} >> {layout.REGION_SHIFT}, {_UNCHECKED})"))
         vm.global_placer = self._place_global
 
     # -- allocation ----------------------------------------------------------
@@ -122,9 +142,9 @@ class LowFatRuntime:
         return alloc
 
     # -- checks -------------------------------------------------------------------
-    # Positional: the semantics both engines share (the codegen tier
-    # calls them per site directly, the tree-walker through the list
-    # protocol).
+    # As the tree-walker runs them; the codegen tier compares the
+    # templates registered in :meth:`install` instead and calls the
+    # raise-only entries only to fail.
     def check(self, ptr: int, width: int, base: int,
               site: Optional[str] = None) -> None:
         """The dereference check of Figure 5."""
@@ -137,11 +157,21 @@ class LowFatRuntime:
             return
         stats.record_check(site, False, _CHECK_COST)
         if (ptr - base) % (1 << 64) > size - width:
-            raise MemSafetyViolation(
-                "deref",
-                "Low-Fat Pointers: access outside the witness allocation",
-                pointer=ptr, base=base, bound=base + size, site=site,
-            )
+            self.fail(ptr, width, base, site)
+
+    def fail(self, ptr: int, width: int, base: int,
+             site: Optional[str] = None) -> None:
+        """Raise the violation of a failed dereference check."""
+        raise MemSafetyViolation(
+            "deref",
+            "Low-Fat Pointers: access outside the witness allocation",
+            pointer=ptr, base=base, bound=base + layout.size_of_pointer(base),
+            site=site,
+        )
+
+    def _record_wide_reason(self, ptr: int, width: int, base: int,
+                            site: Optional[str] = None) -> None:
+        self.stats.record_reason(site, _wide_reason(self.vm, ptr))
 
     def invariant_check(self, ptr: int, base: int,
                         site: Optional[str] = None) -> None:
@@ -153,10 +183,16 @@ class LowFatRuntime:
         if size == 0:
             return  # non-low-fat pointer: no invariant to establish
         if (ptr - base) % (1 << 64) > size:
-            raise MemSafetyViolation(
-                "invariant",
-                "Low-Fat Pointers: escaping pointer is out of bounds of "
-                "its object (out-of-bounds pointer arithmetic, cf. "
-                "paper Section 4.2)",
-                pointer=ptr, base=base, bound=base + size, site=site,
-            )
+            self.invariant_fail(ptr, base, site)
+
+    def invariant_fail(self, ptr: int, base: int,
+                       site: Optional[str] = None) -> None:
+        """Raise the violation of a failed escape check."""
+        raise MemSafetyViolation(
+            "invariant",
+            "Low-Fat Pointers: escaping pointer is out of bounds of "
+            "its object (out-of-bounds pointer arithmetic, cf. "
+            "paper Section 4.2)",
+            pointer=ptr, base=base, bound=base + layout.size_of_pointer(base),
+            site=site,
+        )

@@ -20,7 +20,6 @@ A dominator-tree walk with scoped hash tables:
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import predecessor_map
@@ -108,12 +107,7 @@ class GVN(FunctionPass):
         # GVN never changes the CFG: one map serves the whole walk.
         self._preds = predecessor_map(fn)
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000 + 10 * len(fn.blocks)))
-        try:
-            self._walk(fn.entry, domtree, pure, memory)
-        finally:
-            sys.setrecursionlimit(old_limit)
+        self._walk(fn.entry, domtree, pure, memory)
         return self._changed
 
     # -- keys -----------------------------------------------------------
@@ -150,15 +144,29 @@ class GVN(FunctionPass):
         return None
 
     # -- walk ---------------------------------------------------------------
-    def _walk(self, block: BasicBlock, domtree: DominatorTree,
+    def _walk(self, entry: BasicBlock, domtree: DominatorTree,
               pure: _ScopedTable, memory: _ScopedTable) -> None:
-        pure.push_scope()
-        memory.push_scope()
-        for inst in list(block.instructions):
-            if inst.parent is None:
+        """Preorder over the dominator tree, with an explicit stack:
+        a block's scopes stay open while its subtree is walked."""
+
+        def enter(block: BasicBlock):
+            pure.push_scope()
+            memory.push_scope()
+            for inst in list(block.instructions):
+                if inst.parent is None:
+                    continue
+                self._process(inst, pure, memory)
+            return block, iter(domtree.children(block))
+
+        stack = [enter(entry)]
+        while stack:
+            block, children = stack[-1]
+            child = next(children, None)
+            if child is None:
+                memory.pop_scope()
+                pure.pop_scope()
+                stack.pop()
                 continue
-            self._process(inst, pure, memory)
-        for child in domtree.children(block):
             # Memory facts may only flow along straight-line dominance:
             # if the child has any predecessor besides this block, some
             # path into it (join or loop back edge) may contain clobbers
@@ -167,9 +175,7 @@ class GVN(FunctionPass):
             preds = self._preds[child]
             if not (len(preds) == 1 and preds[0] is block):
                 self._memgen += 1
-            self._walk(child, domtree, pure, memory)
-        memory.pop_scope()
-        pure.pop_scope()
+            stack.append(enter(child))
 
     def _process(self, inst: Instruction, pure: _ScopedTable, memory: _ScopedTable) -> None:
         if isinstance(inst, Load):

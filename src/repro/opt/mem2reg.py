@@ -88,7 +88,9 @@ class Mem2Reg(FunctionPass):
                 return stack[-1]
             return UndefValue(alloca.allocated_type)
 
-        def rename(block: BasicBlock) -> None:
+        def rename(block: BasicBlock):
+            """Rename ``block`` itself; returns what it pushed, to pop
+            once its dominator subtree is done."""
             pushed: Dict[Alloca, int] = {}
             for inst in list(block.instructions):
                 if isinstance(inst, Phi) and inst in phi_slots:
@@ -108,19 +110,19 @@ class Mem2Reg(FunctionPass):
                 for phi in succ.phis():
                     if phi in phi_slots:
                         phi.add_incoming(value_for(phi_slots[phi]), block)
-            for child in domtree.children(block):
-                rename(child)
+            return pushed, iter(domtree.children(block))
+
+        # Preorder over the dominator tree, with an explicit stack.
+        stack = [rename(fn.entry)]
+        while stack:
+            pushed, children = stack[-1]
+            child = next(children, None)
+            if child is not None:
+                stack.append(rename(child))
+                continue
+            stack.pop()
             for alloca, count in pushed.items():
                 del current[alloca][-count:]
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000 + 10 * len(fn.blocks)))
-        try:
-            rename(fn.entry)
-        finally:
-            sys.setrecursionlimit(old_limit)
 
         for inst in to_erase:
             inst.erase_from_parent()

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 from ..errors import MemSafetyViolation
 from ..vm import costs
 from ..vm import native as libc
-from ..vm.native import PositionalNative
+from ..vm.native import CheckNative
 from ..vm.stats import RuntimeStats
 from .shadow_stack import ShadowStack, WIDE_BASE, WIDE_BOUND
 from .trie import MetadataTrie
@@ -76,7 +76,11 @@ class SoftBoundRuntime:
         vm.register_native("__sb_ss_set_ret", self._ss_set_ret)
         vm.register_native("__sb_ss_get_ret_base", self._ss_get_ret_base)
         vm.register_native("__sb_ss_get_ret_bound", self._ss_get_ret_bound)
-        vm.register_native("__sb_check", PositionalNative(self.check))
+        vm.register_native("__sb_check", CheckNative(
+            self.check, 4, "deref", fail=self.fail,
+            # ptr {0}, width {1}, base {2}, bound {3}: check()'s tests.
+            fails="{0} < {2} or {0} + {1} > {3}",
+            wide=f"{{3}} == {WIDE_BOUND}"))
         for name in WRAPPED_FUNCTIONS:
             vm.register_native(f"__sb_wrap_{name}", self._make_wrapper(name))
 
@@ -137,17 +141,23 @@ class SoftBoundRuntime:
     # -- the dereference check (paper Figure 2) ------------------------------------
     def check(self, ptr: int, width: int, base: int, bound: int,
               site: Optional[str] = None) -> None:
-        """One dereference check, the semantics both engines share
-        (positional: the codegen tier calls it per site directly)."""
+        """One dereference check, as the tree-walker runs it; the
+        codegen tier compares the templates registered in :meth:`install`
+        instead."""
         self.stats.record_check(site, bound == WIDE_BOUND, _CHECK_COST)
         if ptr < base or ptr + width > bound:
-            raise MemSafetyViolation(
-                "deref",
-                "SoftBound: access outside [base, bound)"
-                + ("" if base or bound else " (NULL bounds: missing or "
-                   "stale metadata, cf. paper Sections 4.3-4.5)"),
-                pointer=ptr, base=base, bound=bound, site=site,
-            )
+            self.fail(ptr, width, base, bound, site)
+
+    def fail(self, ptr: int, width: int, base: int, bound: int,
+             site: Optional[str] = None) -> None:
+        """Raise the violation of a failed dereference check."""
+        raise MemSafetyViolation(
+            "deref",
+            "SoftBound: access outside [base, bound)"
+            + ("" if base or bound else " (NULL bounds: missing or "
+               "stale metadata, cf. paper Sections 4.3-4.5)"),
+            pointer=ptr, base=base, bound=bound, site=site,
+        )
 
     def _wrapper_check(self, ptr: int, nbytes: int, slot: int, what: str) -> None:
         if not self.wrapper_checks:

@@ -24,9 +24,13 @@ compiled bytecode over real local variables:
   only the absolute instruction count ``__ins`` is published to
   ``RuntimeStats`` eagerly -- before every call of program code
   (callees check the budget against it) and at frame exit;
-* natives registered as :class:`~repro.vm.native.PositionalNative`
-  (the dereference and escape checks, witness arithmetic) are one
-  positional call per site, or a fused expression when pure.
+* a :class:`~repro.vm.native.CheckNative` (the dereference and
+  escape checks) is compared inline, from the expression templates its
+  runtime registered: a passing check makes no Python-level call, and
+  the runtime is called only to raise the violation;
+* other natives registered as
+  :class:`~repro.vm.native.PositionalNative` (witness arithmetic) are
+  one positional call per site, or a fused expression when pure.
 
 Statistics contract: field-for-field :class:`RuntimeStats` equality
 with the tree-walker at every observable point.  The only points
@@ -36,11 +40,23 @@ request escapes the VM, and the return of a direct ``call_function``
 -- natives only ever *add* to the counters, none reads them or
 re-enters the VM.  Each is a moment when no program frame is live, and
 there the VM folds every function's block counts times its block
-vectors into ``RuntimeStats`` (:meth:`CodegenFunction.fold`).  A frame
+vectors into ``RuntimeStats`` (:meth:`CodegenFunction.fold`).  An
+inline check is part of its call's charge, so the vector counts its
+executions -- ``checks_executed`` or ``invariant_checks`` and the
+site's ``per_site`` entry, through ``RuntimeStats``' bulk ``record_*``
+forms, which create no zero entry.  A check whose wide test is only
+known at run time counts its wide executions in the function's
+``__wd`` list, folded into ``checks_wide`` and the site's ``wide``;
+one whose wide test folds to true at emission is counted wide by its
+vector.  A native wrapped in a plain callable is no check native: it
+gets an ordinary call and its runtime records the check, so each
+check is counted on exactly one path.  A frame
 has one ``except BaseException`` handler: the line an exception
 passed names the raising step (loads, stores, allocas, integer
 division, every call) in a static line table, so the raising block is
-charged its executed prefix instead of its whole vector, and ``__ins``
+charged its executed prefix instead of its whole vector -- a failing
+check's prefix includes the check itself, which the tree-walker
+records before comparing -- and ``__ins``
 loses the block's unexecuted suffix; calls of program code resync it
 from the callee's exactly-published count first.  Each generated
 statement is one physical line, which the line table relies on.
@@ -59,7 +75,13 @@ instruction's own share, which the tree-walker never attributes -- and
 ``mi`` calls into general natives add the ``stats.cycles`` delta of
 the runtime's internal charges straight to ``instrumentation_cycles``.
 That equals the tree-walker's per-instruction attribution; unprofiled
-emission carries no attribution code.
+emission carries no attribution code.  Per-site profiling shares the
+inline path: the fold adds each check site's executions times the
+check's call cost to its ``cycles`` (and, for an escape check, its
+executions to ``invariant``), prefixes included, as the tree-walker
+records a check's cost before comparing.  Only a profiled emission
+calls the runtime on a check's wide path, and only for a check
+native that records dynamic wide reasons (Low-Fat's).
 
 Emission is cached on the :class:`Function` itself
 (``fn._codegen_cache``) keyed by the VM environment it depends on.
@@ -71,10 +93,12 @@ copy, so a fresh VM over the same program skips the emitter and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
 import re
+import string
 import struct
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -120,7 +144,7 @@ from ..ir.values import (
 )
 from . import costs
 from .memory import SparsePages
-from .native import PositionalNative
+from .native import CheckNative, PositionalNative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
@@ -337,6 +361,11 @@ def _native_code(impl) -> object:
     """What a native runs, as opposed to the per-VM object that runs
     it: a runtime registers bound methods of its own per-VM instance,
     which share one code object across VMs."""
+    if isinstance(impl, CheckNative):
+        return (CheckNative, impl.arity, impl.kind, impl.fails, impl.wide,
+                tuple(impl.helpers), _native_code(impl.entry),
+                _native_code(impl.fail),
+                impl.reason and _native_code(impl.reason))
     if isinstance(impl, PositionalNative):
         return (PositionalNative, impl.pure, _native_code(impl.entry))
     func = getattr(impl, "__func__", impl)
@@ -357,22 +386,40 @@ def _env_signature(vm: "VirtualMachine") -> Tuple:
     )
 
 
-def _vector(charges, attributed: Optional[int] = None) -> Tuple:
-    """What a run of ``(opcode, cycles, mi)`` charges adds to
-    RuntimeStats: ``(cycles, mi cycles of the first ``attributed``
-    charges (all by default), ((opcode, count), ...))``."""
+def _vectors(charges, cuts) -> List[Tuple]:
+    """What runs of ``(opcode, cycles, mi, check)`` charges add to
+    RuntimeStats, in one pass: for each ``(end, attributed)`` cut, in
+    ascending order of ends, the vector of ``charges[:end]`` whose mi
+    share covers only the first ``attributed`` charges; then the vector
+    of all of them.  A vector is ``(cycles, mi cycles, ((opcode, count),
+    ...), ((check, count), ...))``, where a check is an inline check
+    site's ``(kind, site, always wide, call cost)``, counted once per
+    execution."""
+    vectors = []
+    cycles = 0
+    mi = [0]                 # mi cycles of charges[:i], by i
     counts: Dict[str, int] = {}
-    for op, _, _ in charges:
-        counts[op] = counts.get(op, 0) + 1
-    return (sum(c for _, c, _ in charges),
-            sum(c for _, c, mi in charges[:attributed] if mi),
-            tuple(counts.items()))
+    checks: Dict[Tuple, int] = {}
+    done = 0
+    for end, attributed in cuts + [(len(charges), len(charges))]:
+        for op, c, is_mi, check in charges[done:end]:
+            cycles += c
+            mi.append(mi[-1] + c if is_mi else mi[-1])
+            counts[op] = counts.get(op, 0) + 1
+            if check is not None:
+                key = check + (c,)
+                checks[key] = checks.get(key, 0) + 1
+        done = end
+        vectors.append((cycles, mi[attributed], tuple(counts.items()),
+                        tuple(checks.items())))
+    return vectors
 
 
 def _add(stats, vector: Tuple, times: int) -> None:
     """Charge ``vector`` ``times`` times; loads, stores and native
-    calls are counted by their opcodes."""
-    cycles, mi, counts = vector
+    calls are counted by their opcodes, and each inline check as many
+    times as the tree-walker would have recorded it."""
+    cycles, mi, counts, checks = vector
     stats.cycles += times * cycles
     stats.instrumentation_cycles += times * mi
     opcode_counts = stats.opcode_counts
@@ -385,6 +432,21 @@ def _add(stats, vector: Tuple, times: int) -> None:
             stats.stores += count
         elif op.startswith("native:"):
             stats.calls += count
+    for (kind, site, wide, cost), count in checks:
+        count *= times
+        if kind == "invariant":
+            stats.record_invariants(site, count, cost)
+            continue
+        stats.record_checks(site, count, cost)
+        if wide:
+            stats.record_wide(site, count)
+
+
+@functools.lru_cache(maxsize=64)
+def _arguments_read(template: str) -> Tuple[int, ...]:
+    """The argument indices a check template names (``{0}``, ...)."""
+    return tuple(int(f) for _, f, _, _ in string.Formatter().parse(template)
+                 if f is not None and f.isdigit())
 
 
 def _as_condition(expr: str) -> str:
@@ -430,8 +492,9 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
              binds: List[Tuple[str, str, object]]) -> None:
     """Add one VM's objects to a namespace copied from a cached,
     VM-independent template: the fixed helpers plus the emission's
-    ``(name, kind, key)`` bindings -- a global's getter, a native, or
-    a positional native's entry."""
+    ``(name, kind, key)`` bindings -- a global's getter, a native, a
+    check native's helper, or an entry point of a positional native
+    (``entry``, or a check's ``fail`` and ``reason``)."""
     stats = vm.stats
     ns.update(
         __vm=vm, __stats=stats, __site=vm.memory.site,
@@ -442,10 +505,12 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
     for name, kind, key in binds:
         if kind == "global":
             ns[name] = _global_getter(vm, key)
-        elif kind == "entry":
-            ns[name] = vm.natives[key].entry
-        else:
+        elif kind == "native":
             ns[name] = vm.natives[key]
+        elif kind == "helper":
+            ns[name] = vm.natives[key[0]].helpers[key[1]]
+        else:
+            ns[name] = getattr(vm.natives[key], kind)
 
 
 class CodegenFunction:
@@ -455,10 +520,12 @@ class CodegenFunction:
     ``counts[k]`` is how often block ``k`` was entered since the last
     :meth:`fold`; ``blocks[k]`` is that block's charge vector, and
     ``steps`` maps a source line of a raising step to ``(k, prefix
-    vector, suffix instruction count, is a call)``."""
+    vector, suffix instruction count, is a call)``.  ``wides[j]``
+    counts the wide executions of the inline check at site
+    ``wide_sites[j]`` whose wideness is only known at run time."""
 
     __slots__ = ("vm", "fn", "arg_count", "source", "_run", "blocks",
-                 "steps", "counts")
+                 "steps", "counts", "wide_sites", "wides")
 
     def __init__(self, vm: "VirtualMachine", fn: Function, index: int = 0):
         self.vm = vm
@@ -471,21 +538,23 @@ class CodegenFunction:
         sig = _env_signature(vm)
         cached = getattr(fn, "_codegen_cache", None)
         if cached is None or cached[0] != sig:
-            source, template, binds, blocks, steps = \
+            source, template, binds, blocks, steps, wide_sites = \
                 _SourceEmitter(vm, fn).emit()
             if cached is not None and cached[1] == source:
                 code = cached[2]
             else:
                 code = compile(source, f"<codegen:{fn.name}>", "exec")
             cached = fn._codegen_cache = (sig, source, code, template, binds,
-                                          blocks, steps)
-        _, source, code, template, binds, self.blocks, self.steps = cached
+                                          blocks, steps, wide_sites)
+        (_, source, code, template, binds, self.blocks, self.steps,
+         self.wide_sites) = cached
         # The template is never exec-ed itself, so the per-site
         # inline-cache variables it carries are in their pristine
         # initial state -- no reset loop needed.
         ns = dict(template)
         _bind_vm(ns, vm, binds)
         self.counts = ns["__bc"] = [0] * len(self.blocks)
+        self.wides = ns["__wd"] = [0] * len(self.wide_sites)
         ns["__unwind"] = self._unwind
         self.source = source
         dump_dir = getattr(vm, "codegen_dump_dir", None)
@@ -510,14 +579,20 @@ class CodegenFunction:
         return self._run(*(list(args) + [None] * n)[:n])
 
     def fold(self) -> None:
-        """Charge every block entered since the last fold; the VM calls
-        this when no program frame is live."""
+        """Charge every block entered since the last fold, and count
+        the wide executions of its checks; the VM calls this when no
+        program frame is live."""
         stats = self.vm.stats
         counts = self.counts
         for k, n in enumerate(counts):
             if n:
                 _add(stats, self.blocks[k], n)
                 counts[k] = 0
+        wides = self.wides
+        for j, n in enumerate(wides):
+            if n:
+                stats.record_wide(self.wide_sites[j], n)
+                wides[j] = 0
 
     def _unwind(self, exc: BaseException, ins: int) -> int:
         """``__ins`` once ``exc`` leaves the frame: the raising step's
@@ -585,8 +660,9 @@ class _SourceEmitter:
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
-        #: (opcode, cycles, mi) per charged instruction of the block.
-        self._charges: List[Tuple[str, int, bool]] = []
+        #: (opcode, cycles, mi, inline check or None) per charged
+        #: instruction of the block.
+        self._charges: List[Tuple[str, int, bool, Optional[Tuple]]] = []
         #: (lines, prefix end, own-charge index, is program call); the
         #: prefix end is None for a step that cannot raise.
         self._steps: List[Tuple[List[str], Optional[int], int, bool]] = []
@@ -596,16 +672,18 @@ class _SourceEmitter:
         self._blocks: List[Tuple] = []
         #: Line-table entry of each raising step, by marker number.
         self._raising: List[Tuple] = []
+        #: Site of each inline check with a wide test, by ``__wd`` index.
+        self._wide_sites: List[object] = []
         # Profiling: attribute the charges of ``mi`` instructions.
         self.profile = vm.stats.profile
 
     # -- driver --------------------------------------------------------
     def emit(self) -> Tuple[str, Dict[str, object],
                             List[Tuple[str, str, object]], List[Tuple],
-                            Dict[int, Tuple]]:
+                            Dict[int, Tuple], List[object]]:
         """The source, its VM-independent namespace template, the
-        per-VM bindings it needs, the block vectors and the line
-        table."""
+        per-VM bindings it needs, the block vectors, the line table
+        and the sites of the ``__wd`` wide counters."""
         self._assign_slots()
         self._analyze_cfg()
         self.code: Dict[BasicBlock, Tuple[List[str], Tuple]] = {}
@@ -614,7 +692,8 @@ class _SourceEmitter:
                 self.code[block] = self._compile_block(block)
         arms = self._layout()
         source, steps = self._assemble(arms)
-        return source, self.ns, self._vm_binds, self._blocks, steps
+        return (source, self.ns, self._vm_binds, self._blocks, steps,
+                self._wide_sites)
 
     def _assign_slots(self) -> None:
         fn = self.fn
@@ -685,12 +764,12 @@ class _SourceEmitter:
         self._vm_binds.append((name, kind, key))
         return name
 
-    def _bind_native(self, kind: str, native: str) -> str:
-        """One binding per native (or positional entry) per function."""
-        name = self._native_binds.get((kind, native))
+    def _bind_native(self, kind: str, key) -> str:
+        """One binding per native (or entry, or helper) per function."""
+        name = self._native_binds.get((kind, key))
         if name is None:
-            name = self._native_binds[(kind, native)] = \
-                self._bind_per_vm(kind, native)
+            name = self._native_binds[(kind, key)] = \
+                self._bind_per_vm(kind, key)
         return name
 
     def _new_site(self) -> Tuple[str, str, str, str, str]:
@@ -770,8 +849,9 @@ class _SourceEmitter:
         return all(d[0] in ("s", "c", "p") for d in descs)
 
     # -- step / charge bookkeeping -------------------------------------
-    def _charge(self, opcode: str, cycles: int, mi: bool = False) -> None:
-        self._charges.append((opcode, cycles, mi and self.profile))
+    def _charge(self, opcode: str, cycles: int, mi: bool = False,
+                check: Optional[Tuple] = None) -> None:
+        self._charges.append((opcode, cycles, mi and self.profile, check))
 
     def _step(self, lines: List[str], raising: bool = False,
               call: bool = False) -> None:
@@ -783,9 +863,10 @@ class _SourceEmitter:
         self._step([f"v{self.slots[inst]} = {self._expr(desc)}"])
 
     def _sink_value(self, inst: Instruction, desc: Tuple, operands) -> None:
-        """Fuse a pure value into its single consumer, or materialize
-        it into its local at the current position."""
-        if (desc[0] in ("c", "p")
+        """Fuse a pure value (or forward a local) into its single
+        consumer, or materialize it into its local at the current
+        position."""
+        if (desc[0] in ("s", "c", "p")
                 and self.uses.get(inst, 0) == 1
                 and self._fusable(*operands)
                 and self._depth(desc) <= _MAX_FUSE_DEPTH):
@@ -816,7 +897,11 @@ class _SourceEmitter:
         # fold, or its prefix by ``__unwind`` when a step raises.
         charges = self._charges
         k = len(self._blocks)
-        self._blocks.append(_vector(charges))
+        *prefixes, whole = _vectors(
+            charges, [(ci, own) for _, ci, own, _ in self._steps
+                      if ci is not None])
+        self._blocks.append(whole)
+        prefixes = iter(prefixes)
         out = [f"__ins += {len(charges)}", f"__bc[{k}] += 1"]
         for lines, ci, own, is_call in self._steps:
             if ci is None:
@@ -831,8 +916,8 @@ class _SourceEmitter:
             # the tree-walker, never gets them attributed.  Each line
             # is marked with its entry; ``_assemble`` numbers them.
             mark = f"\0{len(self._raising)}"
-            self._raising.append((k, _vector(charges[:ci], own),
-                                  len(charges) - ci, is_call))
+            self._raising.append((k, next(prefixes), len(charges) - ci,
+                                  is_call))
             out.extend(ln + mark for ln in lines)
         return out
 
@@ -1086,6 +1171,11 @@ class _SourceEmitter:
             desc = ("p", f"((({ve} ^ {half}) - {half}) & {dst_ty.mask})", d)
         elif op == "ptrtoint":
             mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
+            if mask == U64_MASK:
+                # Pointer values are already u64: a check's pointer
+                # operand stays an atom.
+                self._sink_value(inst, v, (v,))
+                return
             desc = ("p", f"({ve} & {mask})", d)
         elif op == "inttoptr":
             desc = ("p", f"({ve} & {U64_MASK})", d)
@@ -1371,14 +1461,19 @@ class _SourceEmitter:
         """A direct native call: charged in the block vector and a
         raising step like a load (natives add to ``RuntimeStats`` but
         never read it), one positional call for a
-        :class:`PositionalNative`.
+        :class:`PositionalNative`, an inline comparison for a
+        :class:`CheckNative`.
         Plain and profiled emission share this path."""
         site = inst.meta.get("mi_site")
+        impl = self.vm.natives.get(fn.name)
+        if (isinstance(impl, CheckNative) and not tgt
+                and len(descs) == impl.arity):
+            self._compile_check(inst, fn.name, impl, descs, site)
+            return
         args = [self._expr(d) for d in descs]
         if site is not None:
-            args.append(repr(site) if type(site) is str else self._bind(site))
+            args.append(self._site_expr(site))
         arglist = ", ".join(args)
-        impl = self.vm.natives.get(fn.name)
         if impl is None:
             # No implementation registered at emission time:
             # call_function raises (or resolves a late registration)
@@ -1401,6 +1496,65 @@ class _SourceEmitter:
         name = self._bind_native("native", fn.name)
         self._step(self._attributed(
             inst, [f"{tgt}{name}(__vm, [{arglist}])"]), raising=True)
+
+    def _site_expr(self, site) -> str:
+        return repr(site) if site is None or type(site) is str \
+            else self._bind(site)
+
+    def _compile_check(self, inst: Call, name: str, impl: CheckNative,
+                       descs: List, site) -> None:
+        """A check site, compared inline: at most a wide-test line and
+        one ``if <fails>: <fail>(<args>, <site>)`` line, so a passing
+        check makes no Python-level call.  The check's charge carries
+        it, so the block vector counts its executions -- a raising
+        step's prefix included, since the tree-walker records a check
+        before comparing.  Wide executions go to ``__wd``, unless the
+        wide test folds at emission: then the vector counts them too.
+        A profiled run also records each dynamic wide reason."""
+        lines: List[str] = []
+        exprs: List[str] = []
+        for d in descs:
+            if d[0] in ("s", "c"):
+                exprs.append(self._expr(d))
+            else:
+                # Evaluated once, in argument order, like the tree-walker.
+                exprs.append(f"__t{len(lines)}")
+                lines.append(f"{exprs[-1]} = {self._expr(d)}")
+        helpers = {h: self._bind_native("helper", (name, h))
+                   for h in impl.helpers}
+        args = ", ".join(exprs + [self._site_expr(site)])
+        reason = impl.reason is not None and self.profile
+        always_wide = False
+        if impl.wide is not None:
+            wide = None if reason else self._folded(impl, impl.wide, descs)
+            if wide is None:
+                line = (f"if {impl.wide.format(*exprs, **helpers)}: "
+                        f"__wd[{len(self._wide_sites)}] += 1")
+                self._wide_sites.append(site)
+                if reason:
+                    line += f"; {self._bind_native('reason', name)}({args})"
+                lines.append(line)
+            else:
+                always_wide = wide
+        if self._folded(impl, impl.fails, descs) is not False:
+            lines.append(f"if {impl.fails.format(*exprs, **helpers)}: "
+                         f"{self._bind_native('fail', name)}({args})")
+        self._charge(f"native:{name}", costs.call_cost(name),
+                     mi="mi" in inst.meta,
+                     check=(impl.kind, site, always_wide))
+        self._step(lines, raising=True)
+
+    @staticmethod
+    def _folded(impl: CheckNative, template: str,
+                descs: List) -> Optional[bool]:
+        """The value of a check's test when every argument it reads is
+        a constant, evaluated now over those constants and the check's
+        helpers; None when it depends on run-time values."""
+        if any(descs[i][0] != "c" for i in _arguments_read(template)):
+            return None
+        consts = [repr(d[1]) if d[0] == "c" else "None" for d in descs]
+        return bool(eval(template.format(
+            *consts, **{h: h for h in impl.helpers}), dict(impl.helpers)))
 
     # -- control flow --------------------------------------------------
     def _compile_terminator(self, block: BasicBlock,
@@ -1514,7 +1668,8 @@ class _SourceEmitter:
                   ) -> Tuple[str, Dict[int, Tuple]]:
         fn = self.fn
         ind = "    "
-        hot = ("__stats", "__bc", "__site")
+        hot = ("__stats", "__bc", "__site") + (
+            ("__wd",) if self._wide_sites else ())
         params = [f"v{self.slots[a]}" for a in fn.args]
         sig = ", ".join(params + ["*"] + [f"{h}={h}" for h in hot])
         lines = [

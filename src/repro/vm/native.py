@@ -12,13 +12,16 @@ The native-call contract, which every implementation registered with
 ``impl(vm, args)`` after the VM charged the call, it may *add* to
 ``RuntimeStats`` counters but never reads them, and it never re-enters
 the VM (no calls back into program code).  Both engines rely on it to
-charge native calls in whatever order suits them.
+charge native calls in whatever order suits them.  A
+:class:`CheckNative` narrows it further: its only effect on the
+counters is the one its ``kind`` names, so the codegen tier may count
+its executions instead of calling it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..errors import MemoryFault
 from ..ir.types import FunctionType, IntType, PointerType, F64, I32, I64, I8, VOID
@@ -51,6 +54,46 @@ class PositionalNative:
 
     def __call__(self, vm: "VirtualMachine", args: List):
         return self.entry(*args)
+
+
+class CheckNative(PositionalNative):
+    """A memory-safety check that generated code compares inline.
+
+    ``entry(*args, site)``, with ``arity`` arguments before the site,
+    is the whole check, the tree-walker's path:
+    it records the check in ``RuntimeStats`` (``record_check`` for a
+    ``"deref"`` check, ``record_invariant`` for an ``"invariant"``
+    one), then calls ``fail(*args, site)`` when the comparison fails.
+    ``fail`` only raises, so each violation is written once.
+
+    The codegen tier instead evaluates two expression templates over
+    the argument expressions (``{0}``, ``{1}``, ...) and the
+    ``helpers`` by name (``{size}``): ``fails`` is true exactly when
+    ``entry`` would call ``fail``, and ``wide`` (dereference checks
+    only) exactly when it records the check as wide.  Neither may have
+    side effects or call Python-level code.  Executions are counted from
+    block counts, so a passing check makes no call.  ``reason(*args,
+    site)``, when set, records a wide check's dynamic reason and is
+    called on the wide path of profiled runs only.
+    """
+
+    __slots__ = ("arity", "kind", "fails", "wide", "helpers", "fail",
+                 "reason")
+
+    def __init__(self, entry: Callable, arity: int, kind: str, fails: str,
+                 fail: Callable, wide: Optional[str] = None,
+                 helpers: Optional[Dict[str, object]] = None,
+                 reason: Optional[Callable] = None):
+        super().__init__(entry)
+        if kind not in ("deref", "invariant"):
+            raise ValueError(f"check kind {kind!r}")
+        self.arity = arity
+        self.kind = kind
+        self.fails = fails
+        self.wide = wide
+        self.helpers = helpers or {}
+        self.fail = fail
+        self.reason = reason
 
 
 def _charged_bytes(vm: "VirtualMachine", name: str, nbytes: int) -> None:

@@ -60,6 +60,12 @@ class RuntimeStats:
         self.instructions += 1
         self.opcode_counts[opcode] += 1
 
+    def _site(self, site: str) -> Counter:
+        counter = self.per_site.get(site)
+        if counter is None:
+            counter = self.per_site[site] = Counter()
+        return counter
+
     def record_check(
         self,
         site: str,
@@ -67,27 +73,41 @@ class RuntimeStats:
         cost: int = 0,
         reason: str = None,
     ) -> None:
-        self.checks_executed += 1
-        counter = self.per_site.get(site)
-        if counter is None:
-            counter = self.per_site[site] = Counter()
-        counter["executed"] += 1
-        if self.profile:
-            counter["cycles"] += cost
+        """One dereference check, as the tree-walker executes it."""
+        self.record_checks(site, 1, cost)
         if wide:
-            self.checks_wide += 1
-            counter["wide"] += 1
+            self.record_wide(site, 1)
             if self.profile and reason is not None:
-                counter["reason:" + reason] += 1
+                self.record_reason(site, reason)
 
     def record_invariant(self, site: str, cost: int = 0) -> None:
-        self.invariant_checks += 1
+        """One escape-invariant check, as the tree-walker executes it."""
+        self.record_invariants(site, 1, cost)
+
+    # Counts in bulk: the codegen tier folds its checks' executions from
+    # block counts, ``n > 0`` of them at a time, so no per-site counter
+    # gains a zero entry.
+    def record_checks(self, site: str, n: int, cost: int = 0) -> None:
+        self.checks_executed += n
+        counter = self._site(site)
+        counter["executed"] += n
         if self.profile:
-            counter = self.per_site.get(site)
-            if counter is None:
-                counter = self.per_site[site] = Counter()
-            counter["invariant"] += 1
-            counter["cycles"] += cost
+            counter["cycles"] += n * cost
+
+    def record_wide(self, site: str, n: int) -> None:
+        self.checks_wide += n
+        self._site(site)["wide"] += n
+
+    def record_reason(self, site: str, reason: str) -> None:
+        """Why one wide check was wide (profiling only)."""
+        self._site(site)["reason:" + reason] += 1
+
+    def record_invariants(self, site: str, n: int, cost: int = 0) -> None:
+        self.invariant_checks += n
+        if self.profile:
+            counter = self._site(site)
+            counter["invariant"] += n
+            counter["cycles"] += n * cost
 
     @property
     def unsafe_percent(self) -> float:

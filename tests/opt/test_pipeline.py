@@ -2,6 +2,8 @@
 behaviour, at every extension-point configuration, on a battery of
 MiniC programs."""
 
+import sys
+
 import pytest
 
 from repro.frontend import compile_source
@@ -195,3 +197,21 @@ def test_pipeline_is_deterministic():
         build_pipeline(3).run(mod)
         outputs.add(str(mod))
     assert len(outputs) == 1
+
+
+def test_dominator_walks_keep_the_recursion_limit(monkeypatch):
+    """GVN and mem2reg walk the dominator tree with an explicit stack,
+    so a tree deeper than Python's default recursion limit (1,200
+    sequential ifs nest 1,200 deep) compiles without either pass
+    touching the process-wide limit."""
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    body = "".join(f"    if (i > {k % 7}) x = x + {k};\n" for k in range(1200))
+    src = (f"long f(long i) {{\n    long x = 0;\n{body}    return x;\n}}\n"
+           "int main() { print_i64(f(3)); return 0; }")
+    mod = compile_source(src)
+    build_pipeline(3).run(mod)
+    verify_module(mod)
+    assert calls == []
+    expected = sum(k for k in range(1200) if 3 > k % 7)
+    assert execute(mod) == (0, [str(expected)])

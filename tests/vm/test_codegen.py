@@ -33,10 +33,16 @@ from repro.ir.instructions import Load, Store
 from repro.vm import VirtualMachine
 from repro.vm.codegen import CodegenFunction
 from repro.vm.engines import ENGINES
+from repro.vm.native import CheckNative
 from repro.errors import VMError
 from repro.workloads.registry import all_names
 
-from .test_engine_differential import LABELS, _compiled_program
+from .test_engine_differential import (
+    LABELS,
+    MAX_INSTRUCTIONS,
+    _compiled_program,
+    _reference_run,
+)
 from .test_fcmp import OPERANDS, PREDICATES, _fcmp_module, reference
 
 
@@ -339,8 +345,9 @@ class TestProfiledEmission:
 
 class TestGeneratedShape:
     """Charges are data: a block entry is ``__ins += n`` and
-    ``__bc[k] += 1``, a frame has one ``except`` clause, and every line
-    that can raise is in the line table ``__unwind`` reads."""
+    ``__bc[k] += 1``, a frame has one ``except`` clause, every line
+    that can raise is in the line table ``__unwind`` reads, and a check
+    site calls its runtime only to fail."""
 
     _ACCUMULATOR = re.compile(r"\b__(?:cy|mi)\b|\b__o_")
     _RAISING_CALL = re.compile(r"__site\(|__alloca\(|__dc\(|__call\(")
@@ -368,6 +375,74 @@ class TestGeneratedShape:
                         assert no in compiled.steps, (where, no, line)
                 emitted += 1
         assert emitted
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("label", ["softbound", "lowfat",
+                                       "softbound-hoist", "lowfat-hoist"])
+    def test_checks_compared_inline(self, label, profile):
+        """A check site is an inline comparison: no line calls a check
+        native's full entry, and its raise-only entry is named only as
+        the call guarded by an ``if <fails>:`` line in the line
+        table."""
+        guarded = 0
+        for name in all_names():
+            program = _compiled_program(name, label)
+            vm = make_vm(program, engine="codegen", profile=profile)
+            vm.load_globals()
+            checks = {native for native, impl in vm.natives.items()
+                      if isinstance(impl, CheckNative)}
+            assert checks
+            for fn in program.module.functions.values():
+                if fn.native or fn.is_declaration:
+                    continue
+                compiled = CodegenFunction(vm, fn)
+                binds = fn._codegen_cache[4]
+                where = f"{name}/{label}: @{fn.name}"
+                assert not [b for b in binds if b[1] in ("entry", "native")
+                            and b[2] in checks], where
+                fails = [n for n, kind, _ in binds if kind == "fail"]
+                for no, line in enumerate(compiled.source.splitlines(), 1):
+                    for n in fails:
+                        if re.search(rf"\b{n}\(", line):
+                            assert re.fullmatch(rf" *if .+: {n}\(.*\)",
+                                                line), (where, line)
+                            assert no in compiled.steps, (where, no, line)
+                            guarded += 1
+        assert guarded
+
+
+class TestWrappedCheckNatives:
+    """A check native wrapped in a plain ``impl(vm, args)`` callable,
+    as perfbench's tracer wraps every ``__sb_*``/``__lf_*`` native, is
+    no check native to the emitter: generated code calls it, the
+    runtime records each check, and nothing is counted twice."""
+
+    @pytest.mark.parametrize("label", ["softbound", "lowfat"])
+    @pytest.mark.parametrize("name", ["456hmmer", "164gzip"])
+    def test_stats_identical_to_interp(self, name, label, monkeypatch):
+        reference = _reference_run(name, label)
+        register = VirtualMachine.register_native
+        wrapped = []
+
+        def register_wrapped(vm, native, impl):
+            if isinstance(impl, CheckNative):
+                wrapped.append(native)
+                impl = (lambda vm, args, check=impl: check(vm, args))
+            register(vm, native, impl)
+
+        monkeypatch.setattr(VirtualMachine, "register_native",
+                            register_wrapped)
+        result = run_program(_compiled_program(name, label),
+                             max_instructions=MAX_INSTRUCTIONS,
+                             engine="codegen")
+        assert wrapped
+        assert result.output == reference.output
+        assert (dataclasses.asdict(result.stats)
+                == dataclasses.asdict(reference.stats))
+        assert result.stats.checks_executed
+        if (name, label) == ("164gzip", "softbound"):
+            assert result.stats.checks_wide
 
 
 class TestSourceDump:
