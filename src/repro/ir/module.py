@@ -18,14 +18,45 @@ from .values import Argument, Constant, Value
 
 
 class BasicBlock(Value):
-    """A straight-line sequence of instructions ending in a terminator."""
+    """A straight-line sequence of instructions ending in a terminator.
+
+    A block is in ``parent.blocks`` exactly while ``parent`` is set
+    (construction with a parent, then insertion; ``remove_block`` or
+    SimplifyCFG's merge clears it).  ``name`` and ``parent`` are
+    properties that keep the parent's count of block names, which
+    :meth:`Function.add_block` reads, exact."""
 
     def __init__(self, name: str = "", parent: Optional["Function"] = None):
+        self._parent: Optional["Function"] = None
         # Blocks have no first-class type; use a placeholder struct type
         # that is never queried.
         super().__init__(StructType("__label__"), name)
-        self.parent = parent
         self.instructions: List[Instruction] = []
+        self.parent = parent
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        parent = self._parent
+        if parent is not None:
+            parent._forget_block_name(self._name)
+            parent._count_block_name(name)
+        self._name = name
+
+    @property
+    def parent(self) -> Optional["Function"]:
+        return self._parent
+
+    @parent.setter
+    def parent(self, fn: Optional["Function"]) -> None:
+        if self._parent is not None:
+            self._parent._forget_block_name(self._name)
+        if fn is not None:
+            fn._count_block_name(self._name)
+        self._parent = fn
 
     # -- instruction management ---------------------------------------
     def append(self, inst: Instruction) -> Instruction:
@@ -129,6 +160,11 @@ class Function(Value):
             Argument(ty, names[i], i, self) for i, ty in enumerate(fnty.params)
         ]
         self._name_counter = itertools.count()
+        #: How many blocks carry each name, and per base name the
+        #: suffix ``add_block`` tries first (every smaller one is
+        #: taken), so a new block's name costs no rescan of ``blocks``.
+        self._block_names: Dict[str, int] = {}
+        self._next_suffix: Dict[str, int] = {}
 
     @property
     def fnty(self) -> FunctionType:
@@ -157,13 +193,12 @@ class Function(Value):
         # loop emitted by the frontend).
         if not name:
             name = self.next_name("bb")
-        else:
-            used = {b.name for b in self.blocks}
-            if name in used:
-                suffix = 1
-                while f"{name}.{suffix}" in used:
-                    suffix += 1
-                name = f"{name}.{suffix}"
+        elif name in self._block_names:
+            suffix = self._next_suffix.get(name, 1)
+            while f"{name}.{suffix}" in self._block_names:
+                suffix += 1
+            self._next_suffix[name] = suffix + 1
+            name = f"{name}.{suffix}"
         block = BasicBlock(name, self)
         if after is None:
             self.blocks.append(block)
@@ -174,6 +209,19 @@ class Function(Value):
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
+
+    def _count_block_name(self, name: str) -> None:
+        self._block_names[name] = self._block_names.get(name, 0) + 1
+
+    def _forget_block_name(self, name: str) -> None:
+        left = self._block_names.pop(name) - 1
+        if left:
+            self._block_names[name] = left
+            return
+        # A freed ``base.k`` is again the first suffix to try for base.
+        base, _, k = name.rpartition(".")
+        if k.isdecimal() and 0 < int(k) < self._next_suffix.get(base, 0):
+            self._next_suffix[base] = int(k)
 
     def next_name(self, prefix: str = "t") -> str:
         return f"{prefix}{next(self._name_counter)}"

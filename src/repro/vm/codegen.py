@@ -15,9 +15,12 @@ compiled bytecode over real local variables:
 * icmp/fcmp/binops/casts/GEPs are inlined as expressions, with
   branch-free sign correction (``(x ^ half) - half``), and single-use
   pure values fused textually into their consumer;
-* loads/stores carry a per-site inline cache of the last allocation
-  they hit, as five module-level variables filled by ``Memory.site``
-  and invalidated by nothing but the allocation's ``freed`` flag;
+* a load or store is two lines over a per-site inline cache of the
+  last allocation it hit -- four module-level variables (allocation,
+  low and high bound, buffer): one line refills them from
+  ``Memory.site`` unless the pointer hits and the allocation is not
+  ``freed`` (the only invalidation), the other reads or writes the
+  buffer, a bytearray or an mmap alike, at ``p - low``;
 * a block's charges -- native calls' included -- are static data:
   entering the block runs ``__ins += n`` and ``__bc[k] += 1``, and the
   block's vector of cycles and opcode counts is multiplied in later;
@@ -143,7 +146,6 @@ from ..ir.values import (
     Value,
 )
 from . import costs
-from .memory import SparsePages
 from .native import CheckNative, PositionalNative
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,12 +162,8 @@ _MAX_FUSE_DEPTH = 24
 #: indentation; blocks past the cap get a dispatch label instead).
 _MAX_INLINE_DEPTH = 36
 
-#: What a load reads from a SparsePages page that was never written.
-_ZERO_PAGE = bytes(SparsePages.PAGE_SIZE)
-
-_BUDGET_CHECK = "if __ins > __maxi:"
-_BUDGET_RAISE = (
-    '    raise __VMError("instruction budget exceeded (infinite loop?)")')
+_BUDGET_CHECK = ('if __ins > __maxi: raise __VMError('
+                 '"instruction budget exceeded (infinite loop?)")')
 
 _ICMP_SYM = {
     "eq": "==", "ne": "!=",
@@ -638,11 +636,9 @@ class _SourceEmitter:
         self.ns: Dict[str, object] = {
             "__VMError": VMError,
             "__MemoryFault": MemoryFault,
-            "__up": struct.unpack,
-            "__pk": struct.pack,
             "__fb": int.from_bytes,
             # Pre-bound Struct methods: no per-access format parsing,
-            # no intermediate bytes objects on the bytearray fast path.
+            # no intermediate bytes objects on any buffer.
             "__ld2": struct.Struct("<H").unpack_from,
             "__ld4": struct.Struct("<I").unpack_from,
             "__ld8": struct.Struct("<Q").unpack_from,
@@ -653,7 +649,6 @@ class _SourceEmitter:
             "__lf8": struct.Struct("<d").unpack_from,
             "__sf4": struct.Struct("<f").pack_into,
             "__sf8": struct.Struct("<d").pack_into,
-            "__ZP": _ZERO_PAGE,
             "__fmod": math.fmod,
             "__INF": float("inf"),
             "__NAN": float("nan"),
@@ -772,21 +767,20 @@ class _SourceEmitter:
                 self._bind_per_vm(kind, key)
         return name
 
-    def _new_site(self) -> Tuple[str, str, str, str, str]:
+    def _new_site(self) -> Tuple[str, str, str, str]:
         """Fresh per-site inline-cache variables (module-level, so
         they persist across calls), in the order of the
         :meth:`Memory.site` tuple that refills them: allocation, low
         bound, inclusive high bound (pre-adjusted by the access size
-        so the hit test is one chained comparison), the backing
-        bytearray and the SparsePages page dict (each None when the
-        storage is not of its kind, so a hit picks its path without
-        loading ``alloc.data`` or testing its type)."""
+        so the hit test is one chained comparison) and the backing
+        buffer, so a hit touches neither ``alloc.data`` nor
+        :class:`Memory`."""
         k = self._nsite
         self._nsite += 1
-        names = (f"__ca{k}", f"__cl{k}", f"__ch{k}", f"__cd{k}", f"__cp{k}")
+        names = (f"__ca{k}", f"__cl{k}", f"__ch{k}", f"__cd{k}")
         # Initially empty: ``0 <= p <= -1`` never hits, so the first
         # access refills before the allocation is ever touched.
-        self.ns.update(zip(names, (None, 0, -1, None, None)))
+        self.ns.update(zip(names, (None, 0, -1, None)))
         self._globals.extend(names)
         return names
 
@@ -1301,93 +1295,58 @@ class _SourceEmitter:
         ty = inst.type
         size = size_of(ty)
         dst = f"v{self.slots[inst]}"
-        pe = self._expr(self._operand(inst.pointer))
         if isinstance(ty, FloatType):
-            fmt = "<f" if size == 4 else "<d"
-            fast = f"{dst} = __lf{size}({{buf}}, {{off}})[0]"
-            slow = f"{dst} = __up({fmt!r}, {{data}}[__o:__o + {size}])[0]"
+            access = f"{dst} = __lf{size}({{buf}}, {{off}})[0]"
         elif size == 1:
-            fast = f"{dst} = {{buf}}[{{off}}]"
-            slow = f"{dst} = {{data}}[__o]"
+            access = f"{dst} = {{buf}}[{{off}}]"
+        elif size in (2, 4, 8):
+            access = f"{dst} = __ld{size}({{buf}}, {{off}})[0]"
         else:
-            fast = (f"{dst} = __ld{size}({{buf}}, {{off}})[0]"
-                    if size in (2, 4, 8) else None)
-            slow = f"{dst} = __fb({{data}}[__o:__o + {size}], 'little')"
-        self._access(pe, size, False, [], fast, slow)
+            access = (f"{dst} = __fb({{buf}}[{{off}}:{{off}} + {size}], "
+                      "'little')")
+        self._access(self._operand(inst.pointer), size, False, [], access)
 
     def _compile_store(self, inst: Store) -> None:
         ty = inst.value.type
         size = size_of(ty)
-        pe = self._expr(self._operand(inst.pointer))
+        pointer = self._operand(inst.pointer)
         ve = self._expr(self._operand(inst.value))
         mask = (1 << (8 * size)) - 1
         # ``__v`` is computed before address resolution -- the
         # tree-walker's order: pointer, value, then the int()
         # conversion (which may raise on NaN).
         if isinstance(ty, FloatType):
-            fmt = "<f" if size == 4 else "<d"
             value = f"__v = {ve}"
-            fast = f"__sf{size}({{buf}}, {{off}}, __v)"
-            slow = f"{{data}}[__o:__o + {size}] = __pk({fmt!r}, __v)"
+            access = f"__sf{size}({{buf}}, {{off}}, __v)"
         elif size == 1:
             value = f"__v = int({ve}) & 255"
-            fast = "{buf}[{off}] = __v"
-            slow = "{data}[__o] = __v"
+            access = "{buf}[{off}] = __v"
         elif size in (2, 4, 8):
             value = f"__v = int({ve}) & {mask}"
-            fast = f"__st{size}({{buf}}, {{off}}, __v)"
-            slow = (f"{{data}}[__o:__o + {size}] = "
-                    f"__v.to_bytes({size}, 'little')")
+            access = f"__st{size}({{buf}}, {{off}}, __v)"
         else:
             value = f"__v = (int({ve}) & {mask}).to_bytes({size}, 'little')"
-            fast = None
-            slow = f"{{data}}[__o:__o + {size}] = __v"
-        self._access(pe, size, True, [value], fast, slow)
+            access = f"{{buf}}[{{off}}:{{off}} + {size}] = __v"
+        self._access(pointer, size, True, [value], access)
 
-    def _access(self, pe: str, size: int, write: bool, prep: List[str],
-                fast: Optional[str], slow: str) -> None:
-        """One load or store of ``size`` bytes at ``pe``, through a
-        fresh per-site inline cache: ``prep`` (a store's value), the
-        hit test, the :meth:`Memory.site` refill on a miss, then the
-        access itself.  ``fast`` accesses a bytearray ``{buf}`` at
-        ``{off}`` -- the allocation's own, or one SparsePages page;
-        ``slow`` goes through the allocation's ``{data}`` at ``__o``,
-        for a page-straddling access or a shape with no ``fast``."""
-        ca, cl, ch, cd, cp = self._new_site()
-        lines = [f"__p = {pe}"] + prep + [
-            f"if not {cl} <= __p <= {ch} or {ca}.freed:",
-            f"    {ca}, {cl}, {ch}, {cd}, {cp} = __site(__p, {size}, {write})",
-            f"__o = __p - {cl}",
-        ]
-        slow = slow.format(data=f"{ca}.data")
-        if fast is None:
-            lines.append(slow)
-        else:
-            page = f"__o >> {SparsePages.PAGE_SHIFT}"
-            if write:
-                # Materialize a missing page like SparsePages._page.
-                get_page = [
-                    f"__pg = {cp}.get({page})",
-                    "if __pg is None:",
-                    f"    __pg = {cp}[{page}] = "
-                    f"bytearray({SparsePages.PAGE_SIZE})",
-                ]
-            else:
-                get_page = [f"__pg = {cp}.get({page}, __ZP)"]
-            lines += [
-                f"if {cd} is not None:",
-                "    " + fast.format(buf=cd, off="__o"),
-                "else:",
-                f"    __po = __o & {SparsePages.PAGE_SIZE - 1}",
-                f"    if {cp} is not None and "
-                f"__po <= {SparsePages.PAGE_SIZE - size}:",
-            ]
-            lines += ["        " + ln for ln in get_page]
-            lines += [
-                "        " + fast.format(buf="__pg", off="__po"),
-                "    else:",
-                "        " + slow,
-            ]
+    def _access(self, pointer: Tuple, size: int, write: bool,
+                prep: List[str], access: str) -> None:
+        """One load or store of ``size`` bytes through a fresh per-site
+        inline cache: the pointer into ``__p`` (a local or a constant
+        is used in place), ``prep`` (a store's value), one line that
+        refills the cache from :meth:`Memory.site` unless the access
+        hits, and ``access`` on the cached buffer ``{buf}`` at
+        ``{off}``."""
+        ca, cl, ch, cd = self._new_site()
+        p = self._expr(pointer)
+        lines = []
+        if pointer[0] not in ("s", "c"):
+            lines.append(f"__p = {p}")
+            p = "__p"
+        lines += prep
+        lines.append(f"if not {cl} <= {p} <= {ch} or {ca}.freed: "
+                     f"{ca}, {cl}, {ch}, {cd} = __site({p}, {size}, {write})")
+        lines.append(access.format(buf=cd, off=f"{p} - {cl}"))
         self._step(lines, raising=True)
 
     def _compile_alloca(self, inst: Alloca) -> None:
@@ -1646,7 +1605,6 @@ class _SourceEmitter:
         # Terminator decided, then budget check, then phi moves, then
         # the next block -- the tree-walker's order.
         out.append(_BUDGET_CHECK)
-        out.append(_BUDGET_RAISE)
         moves = self._moves_lines(pred, succ)
         out.extend(moves)
         if moves and moves[-1].startswith("raise "):

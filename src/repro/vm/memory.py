@@ -7,7 +7,9 @@ must round-trip without the VM noticing -- both impossible with opaque
 pointer handles.
 
 The address space is an interval map from address ranges to
-:class:`Allocation` objects (each holding a bytearray).  An access that
+:class:`Allocation` objects, each holding one writable buffer: a
+``bytearray``, or an anonymous private ``mmap`` from
+:data:`SPARSE_THRESHOLD` up.  An access that
 falls entirely inside a live allocation succeeds -- even if it is
 out-of-bounds *of the object the programmer meant*, which is how real
 silent corruption works and why padding hides overflows from Low-Fat
@@ -29,9 +31,10 @@ Layout (all constants in :data:`LAYOUT`):
 from __future__ import annotations
 
 import bisect
+import mmap
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import MemoryFault, VMError
 
@@ -45,67 +48,28 @@ STACK_LIMIT = 0x7FF0_0000_0000
 
 ADDRESS_MASK = (1 << 64) - 1
 
-#: Allocations at or above this size get sparse page-backed storage so
-#: multi-gigabyte allocations (e.g. 429mcf's >1 GiB array) cost memory
-#: proportional to the bytes actually touched.
+#: Allocations at or above this size are backed by an anonymous
+#: private ``mmap``, which the OS commits a page at a time on first
+#: write, so multi-gigabyte allocations (e.g. 429mcf's >1 GiB array)
+#: cost memory proportional to the pages actually written.
 SPARSE_THRESHOLD = 1 << 21
 
+#: Private, so forked experiment workers never share pages.
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+              else {})
 
-class SparsePages:
-    """Page-sparse byte storage with bytearray-compatible slicing."""
 
-    PAGE_SHIFT = 16
-    PAGE_SIZE = 1 << PAGE_SHIFT
-
-    def __init__(self, size: int):
-        self.size = size
-        self._pages: Dict[int, bytearray] = {}
-
-    def __len__(self) -> int:
-        return self.size
-
-    def _page(self, index: int) -> bytearray:
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(self.PAGE_SIZE)
-            self._pages[index] = page
-        return page
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            page = self._pages.get(key >> self.PAGE_SHIFT)
-            return page[key & (self.PAGE_SIZE - 1)] if page else 0
-        start, stop, _ = key.indices(self.size)
-        out = bytearray()
-        pos = start
-        while pos < stop:
-            index = pos >> self.PAGE_SHIFT
-            offset = pos & (self.PAGE_SIZE - 1)
-            take = min(self.PAGE_SIZE - offset, stop - pos)
-            page = self._pages.get(index)
-            if page is None:
-                out.extend(bytes(take))
-            else:
-                out.extend(page[offset : offset + take])
-            pos += take
-        return bytes(out)
-
-    def __setitem__(self, key, value) -> None:
-        if isinstance(key, int):
-            self._page(key >> self.PAGE_SHIFT)[key & (self.PAGE_SIZE - 1)] = value
-            return
-        start, stop, _ = key.indices(self.size)
-        pos = start
-        consumed = 0
-        while pos < stop:
-            index = pos >> self.PAGE_SHIFT
-            offset = pos & (self.PAGE_SIZE - 1)
-            take = min(self.PAGE_SIZE - offset, stop - pos)
-            self._page(index)[offset : offset + take] = value[
-                consumed : consumed + take
-            ]
-            pos += take
-            consumed += take
+def _buffer(size: int):
+    """The zero-filled writable buffer backing a ``size``-byte
+    allocation: a bytearray, or an anonymous mapping from
+    :data:`SPARSE_THRESHOLD` up.  A mapping the host refuses is a
+    one-line :class:`VMError`."""
+    if size < SPARSE_THRESHOLD:
+        return bytearray(size)
+    try:
+        return mmap.mmap(-1, size, **_MAP_FLAGS)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise VMError(f"cannot map a {size}-byte allocation: {exc}") from None
 
 
 @dataclass
@@ -118,14 +82,13 @@ class Allocation:
     name: str = ""
     requested_size: int = 0    # pre-padding size (low-fat pads)
     freed: bool = False
-    data: object = None        # bytearray or SparsePages
+    #: The bytes of ``[base, end)``: a bytearray, or an mmap at or
+    #: above :data:`SPARSE_THRESHOLD` (see :func:`_buffer`).
+    data: object = None
 
     def __post_init__(self) -> None:
         if self.data is None:
-            if self.size >= SPARSE_THRESHOLD:
-                self.data = SparsePages(self.size)
-            else:
-                self.data = bytearray(self.size)
+            self.data = _buffer(self.size)
         if self.requested_size == 0:
             self.requested_size = self.size
 
@@ -236,17 +199,16 @@ class Memory:
                 return alloc, address - base
         raise MemoryFault(address, size, "access to unmapped memory")
 
-    def site(self, address: int, size: int, write: bool) -> Tuple[
-            Allocation, int, int, Optional[bytearray], Optional[dict]]:
+    def site(self, address: int, size: int,
+             write: bool) -> Tuple[Allocation, int, int, object]:
         """Resolve an access for a per-site inline cache.
 
-        Returns ``(alloc, base, high, buf, pages)``: ``high`` is the
-        largest address at which a ``size``-byte access still fits,
-        so a later access hits when ``base <= p <= high`` and the
-        allocation is not freed; ``buf`` is the backing bytearray and
-        ``pages`` the :class:`SparsePages` page dict, whichever
-        applies (the other is None).  A valid access costs no further
-        Python call; an invalid one raises :meth:`locate`'s fault.
+        Returns ``(alloc, base, high, buf)``: ``high`` is the largest
+        address at which a ``size``-byte access still fits, so a later
+        access hits when ``base <= p <= high`` and the allocation is
+        not freed, and reads or writes ``buf`` (``alloc.data``) at
+        ``p - base``.  A valid access costs no further Python call; an
+        invalid one raises :meth:`locate`'s fault.
         """
         idx = bisect.bisect_right(self._bases, address) - 1
         alloc = self._allocs[idx] if idx >= 0 else None
@@ -254,10 +216,7 @@ class Memory:
                 or address + size > alloc.base + alloc.size):
             alloc, _ = self.locate(address, size, write)
         base = alloc.base
-        data = alloc.data
-        if type(data) is bytearray:
-            return alloc, base, base + alloc.size - size, data, None
-        return alloc, base, base + alloc.size - size, None, data._pages
+        return alloc, base, base + alloc.size - size, alloc.data
 
     # -- typed access ----------------------------------------------------
     def read_bytes(self, address: int, size: int) -> bytes:
@@ -272,8 +231,6 @@ class Memory:
         alloc, offset = self.locate(address, size, write=False)
         if size == 1 and not signed:
             return alloc.data[offset]
-        # int.from_bytes accepts the bytearray (or SparsePages bytes)
-        # slice directly: no intermediate bytes() copy.
         return int.from_bytes(alloc.data[offset : offset + size], "little",
                               signed=signed)
 
@@ -287,20 +244,13 @@ class Memory:
 
     def read_float(self, address: int, size: int) -> float:
         alloc, offset = self.locate(address, size, write=False)
-        data = alloc.data
-        if type(data) is bytearray:
-            return struct.unpack_from("<f" if size == 4 else "<d", data, offset)[0]
-        return struct.unpack("<f" if size == 4 else "<d",
-                             data[offset : offset + size])[0]
+        return struct.unpack_from("<f" if size == 4 else "<d", alloc.data,
+                                  offset)[0]
 
     def write_float(self, address: int, value: float, size: int) -> None:
         alloc, offset = self.locate(address, size, write=True)
-        data = alloc.data
-        if type(data) is bytearray:
-            struct.pack_into("<f" if size == 4 else "<d", data, offset, value)
-        else:
-            data[offset : offset + size] = struct.pack(
-                "<f" if size == 4 else "<d", value)
+        struct.pack_into("<f" if size == 4 else "<d", alloc.data, offset,
+                         value)
 
 
 class StandardAllocator:

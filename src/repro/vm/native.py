@@ -116,7 +116,7 @@ def native_calloc(vm: "VirtualMachine", args: List[int]) -> int:
     count, size = args
     alloc = vm.heap.malloc(count * size)
     vm.stats.heap_allocs += 1
-    return alloc.base  # bytearray is zero-initialized already
+    return alloc.base  # every buffer is zero-initialized already
 
 
 def native_realloc(vm: "VirtualMachine", args: List[int]) -> int:

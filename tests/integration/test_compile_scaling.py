@@ -5,16 +5,19 @@ The dataflow engine, GVN, SimplifyCFG and the verifier ask for the
 predecessors of every block (or of every edge), so they build one
 ``predecessor_map`` per run instead.  These tests count property
 evaluations through a patched property, the way perfbench's tracer
-counts ``ir.predecessors_calls``.
+counts ``ir.predecessors_calls``, or the Python lines a function
+executes, through a line tracer -- counts, never wall time.
 """
 
+import sys
 from collections import Counter
 
 from repro.analysis.dataflow import ForwardDataflow
 from repro.driver import CompileOptions, compile_program
 from repro.experiments.common import config_for
+from repro.frontend import compile_source
 from repro.ir import verifier
-from repro.ir.module import BasicBlock
+from repro.ir.module import BasicBlock, Function
 from repro.opt.gvn import GVN
 from repro.opt.simplifycfg import SimplifyCFG
 from repro.workloads import get
@@ -86,3 +89,42 @@ def test_successor_queries_grow_linearly_with_function_size(monkeypatch):
         evaluations[n] = calls[0]
     # Linear work gives 4x; a per-block rescan of the function gives 16x.
     assert evaluations[400] <= 5 * evaluations[100], evaluations
+
+
+def _lines_executed(function, run) -> int:
+    """Python lines executed in ``function``'s frames and in the frames
+    it calls directly (such as a comprehension's) while ``run()``
+    runs."""
+    code = function.__code__
+    lines = [0]
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return count
+
+    def on_call(frame, event, arg):
+        caller = frame.f_back
+        if frame.f_code is code or (caller is not None
+                                    and caller.f_code is code):
+            return count
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines[0]
+
+
+def test_add_block_work_grows_linearly_with_function_size():
+    # Every ``if`` adds ``if.then``/``if.else``/``if.end`` blocks under
+    # names already taken: a rescan of the function's block names, or
+    # a probe of every suffix from ``.1``, per new block is quadratic.
+    lines = {n: _lines_executed(Function.add_block,
+                                lambda: compile_source(_if_chain(n)))
+             for n in (250, 1000)}
+    # Linear work gives 4x; a per-call rescan gives 16x.
+    assert lines[1000] <= 5 * lines[250], lines

@@ -1,6 +1,7 @@
 """Tests for module containers, linking, and the textual printer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ir import (
     ArrayType,
@@ -15,6 +16,7 @@ from repro.ir import (
     format_module,
     ptr,
 )
+from repro.ir.module import BasicBlock
 
 
 class TestModule:
@@ -42,6 +44,65 @@ class TestModule:
         s1 = mod.get_or_create_struct("node")
         s2 = mod.get_or_create_struct("node")
         assert s1 is s2
+
+
+def _first_free(names, name):
+    """``add_block``'s naming rule, from a scan of every block name:
+    ``name`` if free, else the first free ``name.1``, ``name.2``..."""
+    if name not in names:
+        return name
+    suffix = 1
+    while f"{name}.{suffix}" in names:
+        suffix += 1
+    return f"{name}.{suffix}"
+
+
+_BASES = ("x", "x.1", "y", "1")
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(("add", "add", "remove", "merge", "rename", "insert")),
+    st.integers(0, 63), st.sampled_from(_BASES + ("x.2", "x.3", "y.1"))),
+    max_size=60)
+
+
+class TestAddBlockNames:
+    """``add_block`` keeps counts instead of rescanning the function,
+    and must name blocks exactly as a rescan would, whatever edited
+    ``blocks`` or block names directly in between."""
+
+    def test_suffixes(self):
+        fn = Module("t").add_function("f", FunctionType(I32, []))
+        names = [fn.add_block("x").name for _ in range(4)]
+        assert names == ["x", "x.1", "x.2", "x.3"]
+        fn.remove_block(fn.blocks[1])
+        assert fn.add_block("x").name == "x.1"
+        fn.blocks[1].name = "y"               # was x.2
+        assert fn.add_block("x").name == "x.2"
+        assert fn.add_block("x").name == "x.4"
+
+    @given(_EDITS)
+    def test_matches_a_rescan_after_any_edits(self, edits):
+        fn = Module("t").add_function("f", FunctionType(I32, []))
+        for op, index, name in edits:
+            blocks = fn.blocks
+            if op == "add":
+                expected = _first_free({b.name for b in blocks}, name)
+                assert fn.add_block(name).name == expected
+            elif op == "insert":
+                # The parser and the inliner insert blocks themselves.
+                blocks.insert(index % (len(blocks) + 1),
+                              BasicBlock(name, fn))
+            elif not blocks:
+                continue
+            elif op == "remove":
+                fn.remove_block(blocks[index % len(blocks)])
+            elif op == "merge":
+                # SimplifyCFG drops merged blocks and clears their parent.
+                gone = blocks[index % len(blocks)]
+                blocks[:] = [b for b in blocks if b is not gone]
+                gone.parent = None
+            else:
+                # The printer renames blocks in place.
+                blocks[index % len(blocks)].name = name
 
 
 class TestLinking:

@@ -1,5 +1,6 @@
 """Tests for the command-line driver."""
 
+import mmap
 import re
 
 import pytest
@@ -114,6 +115,24 @@ class TestRun:
         assert re.fullmatch(
             rf"error: line \d+: nested deeper than {MAX_NESTING} levels",
             err[0])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_refused_mapping_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                         engine):
+        # A 4 MiB allocation is an mmap; when the host refuses it,
+        # both engines report the same one-line error.
+        def refuse(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        program = tmp_path / "big.c"
+        program.write_text("int main() {\n"
+                           "  char *p = (char *) malloc(4194304);\n"
+                           "  p[0] = 1;\n  return p[0];\n}\n")
+        assert main(["run", str(program), "--engine", engine]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot map a 4194304-byte allocation: "
+            "[Errno 12] Cannot allocate memory"]
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("source, expected", [

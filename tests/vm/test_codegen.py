@@ -21,6 +21,7 @@ import pytest
 from repro.driver import CompileOptions, compile_program, make_vm, run_program
 from repro.experiments.common import config_for
 from repro.ir import (
+    F32,
     FunctionType,
     I8,
     I32,
@@ -269,6 +270,30 @@ class TestCycleRollback:
                     vm.run()
                 stats[engine] = _stats_dict(vm)
             assert stats["codegen"] == stats["interp"], profile
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["codegen", "codegen-profile"])
+    def test_float_store_overflow_stats_identical(self, profile):
+        # ``pack_into`` rejects a double too large for an f32 slot on
+        # the store's access line, as ``write_float`` does in the
+        # tree-walker: the line is in the table, the block is charged
+        # its prefix.
+        def build():
+            mod = Module("f32")
+            fn = mod.add_function("main", FunctionType(I32, []), [])
+            b = IRBuilder(fn.add_block("entry"))
+            slot = b.alloca(F32)
+            b.store(b.const_float(1e300, F32), slot).meta["mi"] = True
+            b.ret(b.add(b.const_i32(1), b.const_i32(2)))
+            return mod
+
+        stats = {}
+        for engine in ENGINES:
+            vm = VirtualMachine(build(), engine=engine, profile=profile)
+            with pytest.raises(OverflowError):
+                vm.run()
+            stats[engine] = _stats_dict(vm)
+        assert stats["codegen"] == stats["interp"]
 
 
 class TestFcmpNaN:
@@ -578,8 +603,8 @@ int main() {
     return 0;
 }"""
 
-#: Byte, int, long, float and double accesses around 64 KiB page
-#: boundaries of a SparsePages-backed allocation.
+#: Byte, int, long, float and double accesses around 64 KiB
+#: boundaries of an mmap-backed allocation.
 SPARSE_SOURCE = r"""
 int main() {
     char *p = (char *) malloc(4194304);
@@ -604,6 +629,21 @@ int main() {
 SPARSE_OUTPUT = ["19", "123456789012345", "5", "0", "2.500000", "1.250000",
                  "0.000000", "77", "300", "1.500000", "0.500000", "0.000000",
                  "88"]
+
+
+#: A 4-byte load walking a 16-byte allocation one byte at a time: at
+#: ``p + 12`` it fits exactly, at ``p + 13`` it straddles the end.
+STRADDLE_SOURCE = r"""
+int main() {
+    char *p = (char *) malloc(16);
+    long s = 0;
+    int i;
+    for (i = 0; i < 14; i++) {
+        s = s + *(int *)(p + i);
+        print_i64(i);
+    }
+    return (int) s;
+}"""
 
 
 class TestSiteCache:
@@ -638,22 +678,45 @@ class TestSiteCache:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_sparse_page_accesses(self, label):
-        # A 4 MiB allocation is SparsePages-backed: every shape takes
-        # the page-direct path, or the generic one when it straddles a
-        # 64 KiB page; unwritten pages read as zero.
+        # A 4 MiB allocation is mmap-backed: every shape reads and
+        # writes the mapping directly, across 64 KiB boundaries too;
+        # unwritten pages read as zero.
         outputs = self._outputs(SPARSE_SOURCE, label)
         assert outputs == {engine: SPARSE_OUTPUT for engine in ENGINES}
 
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_straddle_after_hit_faults(self, profile):
+        # The site hits up to the last address the load fits at; one
+        # byte further it misses and faults through ``Memory.locate``,
+        # with the tree-walker's message and statistics.
+        program = compile_program(STRADDLE_SOURCE)
+        results = [run_program(program, engine=engine, profile=profile)
+                   for engine in ENGINES]
+        for result in results:
+            assert result.output == [str(i) for i in range(13)]
+            assert result.fault is not None, result.describe()
+            assert result.fault.reason == (
+                "access straddles end of heap#0 allocation")
+        stats = [dataclasses.asdict(result.stats) for result in results]
+        assert all(s == stats[0] for s in stats)
+
+    #: The hit-or-refill line of site K at pointer P (``__p``, a local
+    #: or a constant), then the access on ``__cdK`` at ``P - __clK``.
     _ACCESS = re.compile(
-        r"^( *)if not __cl(\d+) <= __p <= __ch\2 or __ca\2\.freed:\n"
-        r"\1    __ca\2, __cl\2, __ch\2, __cd\2, __cp\2 = "
-        r"__site\(__p, \d+, (?:True|False)\)$", re.M)
-    _INDEX_INTERNALS = re.compile(r"_bases|_allocs|bisect|epoch|\b__E\b")
+        r"^( *)if not __cl(\d+) <= (__p|v\d+|\(?-?\d+\)?) <= __ch\2 "
+        r"or __ca\2\.freed: __ca\2, __cl\2, __ch\2, __cd\2 = "
+        r"__site\(\3, \d+, (?:True|False)\)\n"
+        r"\1(?! ).*\b__cd\2(?:\[|, )\3 - __cl\2\b.*$", re.M)
+    _RETIRED = re.compile(
+        r"_bases|_allocs|bisect|epoch|\b__E\b|__cp\d|__pg\b|__po\b"
+        r"|__ZP\b|_pages")
 
     @pytest.mark.parametrize("label", LABELS)
     def test_one_refill_per_access(self, label):
+        # An access is one hit-or-refill line and one access line.
         # Generated code names no part of how Memory indexes its
-        # allocations, and has no second invalidation rule.
+        # allocations, has no page path and no second invalidation
+        # rule.
         for name in all_names():
             program = _compiled_program(name, label)
             vm = make_vm(program, engine="codegen")
@@ -663,10 +726,15 @@ class TestSiteCache:
                     continue
                 source = CodegenFunction(vm, fn).source
                 where = f"{name}/{label}: @{fn.name}"
-                assert not self._INDEX_INTERNALS.search(source), where
+                assert not self._RETIRED.search(source), where
                 accesses = sum(isinstance(inst, (Load, Store))
                                for block in fn.blocks
                                for inst in block.instructions)
-                sites = [k for _, k in self._ACCESS.findall(source)]
+                sites = [m[1] for m in self._ACCESS.findall(source)]
                 assert len(set(sites)) == len(sites) == accesses, where
-                assert source.count("__site(") == accesses, where
+                refills = [ln for ln in source.splitlines()
+                           if "__site(" in ln]
+                assert len(refills) == accesses, where
+                assert all(ln.count("__site(") == 1
+                           and ln.lstrip().startswith("if not __cl")
+                           for ln in refills), where

@@ -1,5 +1,7 @@
 """Tests for the simulated address space."""
 
+import mmap
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,6 @@ from repro.vm.memory import (
     HEAP_BASE,
     Memory,
     SPARSE_THRESHOLD,
-    SparsePages,
     StackAllocator,
     StandardAllocator,
 )
@@ -67,16 +68,17 @@ class TestSite:
         assert type(alloc.data) is bytearray
         for address in (0x10000, 0x10038):
             site = mem.site(address, 8, False)
-            assert site == (alloc, 0x10000, 0x10038, alloc.data, None)
+            assert site == (alloc, 0x10000, 0x10038, alloc.data)
             assert site[3] is alloc.data
 
-    def test_page_dict_form(self):
+    def test_mmap_form(self):
         mem = Memory()
         alloc = mem.map(Allocation(HEAP_BASE, SPARSE_THRESHOLD, "heap"))
+        assert type(alloc.data) is mmap.mmap
         site = mem.site(HEAP_BASE + 100, 4, True)
         assert site == (alloc, HEAP_BASE, HEAP_BASE + SPARSE_THRESHOLD - 4,
-                        None, alloc.data._pages)
-        assert site[4] is alloc.data._pages
+                        alloc.data)
+        assert site[3] is alloc.data
 
     @pytest.mark.parametrize("address, size, reason", [
         (0, 8, "null pointer dereference"),
@@ -216,35 +218,63 @@ class TestAllocators:
         assert a.end <= b.base
 
 
-class TestSparsePages:
+class TestLargeAllocations:
+    """From ``SPARSE_THRESHOLD`` up an allocation's ``data`` is an
+    anonymous mapping: zero-filled, committed only where written."""
+
+    @staticmethod
+    def _data(size=1 << 30):
+        return Allocation(HEAP_BASE, size, "heap").data
+
     def test_default_zero(self):
-        sp = SparsePages(1 << 30)
-        assert sp[12345] == 0
-        assert sp[0:16] == bytes(16)
+        data = self._data()
+        assert data[12345] == 0
+        assert data[0:16] == bytes(16)
 
     def test_write_read_roundtrip(self):
-        sp = SparsePages(1 << 30)
-        sp[1000:1008] = b"abcdefgh"
-        assert sp[1000:1008] == b"abcdefgh"
-        assert sp[999] == 0
+        data = self._data()
+        data[1000:1008] = b"abcdefgh"
+        assert data[1000:1008] == b"abcdefgh"
+        assert data[999] == 0
 
     def test_cross_page_slice(self):
-        sp = SparsePages(1 << 30)
-        boundary = SparsePages.PAGE_SIZE - 4
-        sp[boundary : boundary + 8] = b"12345678"
-        assert sp[boundary : boundary + 8] == b"12345678"
+        # Across a 64 KiB boundary (the former software page size).
+        data = self._data()
+        boundary = (1 << 16) - 4
+        data[boundary : boundary + 8] = b"12345678"
+        assert data[boundary : boundary + 8] == b"12345678"
 
     @given(
         st.integers(0, (1 << 22) - 64),
         st.binary(min_size=1, max_size=64),
     )
     def test_random_offsets_roundtrip(self, offset, data):
-        sp = SparsePages(1 << 22)
-        sp[offset : offset + len(data)] = data
-        assert sp[offset : offset + len(data)] == data
+        buf = self._data(1 << 22)
+        buf[offset : offset + len(data)] = data
+        assert buf[offset : offset + len(data)] == data
 
     def test_huge_allocation_is_cheap(self):
         alloc = Allocation(HEAP_BASE, 1 << 31, "heap")
-        assert isinstance(alloc.data, SparsePages)
+        assert type(alloc.data) is mmap.mmap
         alloc.data[1 << 30] = 42
         assert alloc.data[1 << 30] == 42
+
+    def test_refused_mapping_is_one_line_vm_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        with pytest.raises(VMError) as info:
+            Allocation(HEAP_BASE, 4 << 20, "heap")
+        message = str(info.value)
+        assert "\n" not in message
+        assert str(4 << 20) in message
+        # Below the threshold nothing is mapped.
+        assert type(Allocation(HEAP_BASE, 64, "heap").data) is bytearray
+
+    def test_unmappable_size_is_one_line_vm_error(self):
+        # ``malloc(-1)`` asks for 2**64 - 1 bytes, more than any mapping
+        # can hold: the same one-line error, not an OverflowError.
+        with pytest.raises(VMError, match=r"^cannot map a "
+                           r"18446744073709551615-byte allocation: [^\n]*$"):
+            Allocation(HEAP_BASE, (1 << 64) - 1, "heap")
