@@ -26,10 +26,12 @@ perf-smoke gates).
 Timing methodology: each engine is timed as min-of-N fresh VM runs over
 a once-compiled program (compilation excluded, emission cached after
 the first run), each run after an untimed garbage collection.  The
-fast tiers get more repeats than the tree-walker because their runs
-are cheap and the minimum filters scheduler noise; the tree-walker is
-the expensive denominator, and the geomean across workloads averages
-its noise out.  A workload's labels take turns within each engine's
+minimum filters scheduler noise, so every engine gets at least three
+repeats by default: the tree-walker is the expensive denominator of
+every speedup, and one wall-clock run of it per cell can swing by half
+on a shared host (back-to-back single runs of the same tree read
+183equake's baseline at 0.67 s and 1.04 s), more than most changes the
+speedups record.  A workload's labels take turns within each engine's
 repeats, so a host that changes speed mid-run skews the
 instrumented/baseline ratios less than the absolute times.
 """
@@ -124,8 +126,8 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="timing repeats for the fast tiers "
                              "(min-of-N; default 3)")
-    parser.add_argument("--interp-repeats", type=int, default=1, metavar="N",
-                        help="timing repeats for the tree-walker (default 1)")
+    parser.add_argument("--interp-repeats", type=int, default=3, metavar="N",
+                        help="timing repeats for the tree-walker (default 3)")
     parser.add_argument("--min-speedup", type=float, default=None, metavar="X",
                         help="fail (exit 1) if any engine's geomean "
                              "speedup over the reference engine is below X "

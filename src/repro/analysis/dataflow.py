@@ -24,6 +24,7 @@ the block's entry state (see :meth:`ForwardDataflow.replay`).
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.instructions import Instruction, Phi
@@ -119,9 +120,14 @@ class ForwardDataflow:
         if not order:
             return {}
         rpo_index = {block: i for i, block in enumerate(order)}
-        # The CFG is fixed while the analysis runs: one map serves
-        # every join.
+        # The CFG is fixed while the analysis runs: predecessor,
+        # successor and phi lists are built once and serve every flow.
         preds = predecessor_map(fn)
+        succs = {block: [s for s in block.successors if s in rpo_index]
+                 for block in order}
+        phis = {block: block.phis() for block in order}
+        phi_keys = {block: {("v", id(phi)) for phi in phis[block]}
+                    for block in order}
         # A block is a widening point iff some predecessor comes later
         # in reverse postorder -- i.e. the block closes a cycle.
         widen_points = {
@@ -146,25 +152,26 @@ class ForwardDataflow:
         # an always-feasible edge (e.g. the loop entry) and ping-pong
         # with the widening forever.
         topped: Dict[BasicBlock, set] = {}
-        pending = {entry}
+        # The worklist pops the pending block earliest in reverse
+        # postorder: a heap of RPO indices, each queued at most once.
+        pending = [0]
+        queued = {entry}
         iterations = 0
         while pending:
             iterations += 1
             if iterations > self.max_iterations:  # pragma: no cover
                 raise RuntimeError("dataflow fixpoint did not converge")
-            block = min(pending, key=lambda b: rpo_index[b])
-            pending.discard(block)
+            block = order[heapq.heappop(pending)]
+            queued.discard(block)
             out = self._flow_block(block, block_in[block])
-            for succ in block.successors:
-                if succ not in rpo_index:
-                    continue
+            for succ in succs[block]:
                 edge_state = client.refine_edge(block, succ, dict(out))
                 if edge_state.get(INFEASIBLE):
                     # The branch cannot be taken under current facts:
                     # this edge contributes bottom to the join.
                     edge_out.pop((block, succ), None)
                 else:
-                    for phi in succ.phis():
+                    for phi in phis[succ]:
                         fact = client.phi_incoming_fact(
                             phi, phi.incoming_value_for(block), edge_state
                         )
@@ -182,8 +189,7 @@ class ForwardDataflow:
                 ]
                 if not edges:
                     continue  # no feasible edge reaches succ (yet)
-                phi_keys = {("v", id(phi)) for phi in succ.phis()}
-                new_in = self._merge_edges(edges, phi_keys)
+                new_in = self._merge_edges(edges, phi_keys[succ])
                 for key in topped.get(succ, ()):
                     new_in.pop(key, None)
                 old_in = block_in.get(succ)
@@ -198,7 +204,9 @@ class ForwardDataflow:
                         new_in = widened
                 if old_in != new_in:
                     block_in[succ] = new_in
-                    pending.add(succ)
+                    if succ not in queued:
+                        queued.add(succ)
+                        heapq.heappush(pending, rpo_index[succ])
         return block_in
 
     def _merge_edges(self, edges: List[State], phi_keys: set) -> State:

@@ -54,7 +54,6 @@ from ..ir.types import (
     Type,
     size_of,
 )
-from .dominators import DominatorTree
 from .induction import affine_pointer, analyze_counted_loop, extent_bytes
 from .loops import LoopInfo
 from .ranges import (
@@ -179,7 +178,8 @@ def _lint_inttoptr(fn: Function, unit: str) -> List[Diagnostic]:
     )]
 
 
-def _lint_bytewise_copies(fn: Function, unit: str) -> List[Diagnostic]:
+def _lint_bytewise_copies(fn: Function, unit: str,
+                          loops: LoopInfo) -> List[Diagnostic]:
     """Byte-granularity loads/stores, inside a loop, through a pointer
     derived from a cast of pointer-typed storage (Section 4.5)."""
     suspicious: List[Cast] = []
@@ -201,7 +201,6 @@ def _lint_bytewise_copies(fn: Function, unit: str) -> List[Diagnostic]:
     if not suspicious:
         return []
 
-    loops = LoopInfo(fn)
     out: List[Diagnostic] = []
     for cast in suspicious:
         # Follow derived pointers (geps/casts) to dereferences.
@@ -242,13 +241,12 @@ def _lint_bytewise_copies(fn: Function, unit: str) -> List[Diagnostic]:
 
 
 def _lint_ranges(fn: Function, unit: str,
-                 summaries: ReturnSummaries) -> List[Diagnostic]:
+                 analysis: FunctionRangeAnalysis) -> List[Diagnostic]:
     """Definite out-of-bounds pointers and accesses (Section 4.2).
 
     Only *must*-violations are reported: the abstract offset interval
     has to lie entirely outside the allocation.  Forming a
     one-past-the-end pointer is legal C and stays silent."""
-    analysis = FunctionRangeAnalysis(fn, summaries)
     out: List[Diagnostic] = []
     for block in fn.blocks:
         for inst in block.instructions:
@@ -307,7 +305,8 @@ def _lint_ranges(fn: Function, unit: str,
 
 
 def _lint_proven_oob_loops(fn: Function, unit: str,
-                           summaries: ReturnSummaries) -> List[Diagnostic]:
+                           analysis: FunctionRangeAnalysis,
+                           loopinfo: LoopInfo) -> List[Diagnostic]:
     """Loop accesses whose *extent* is provably out of bounds
     (Section 4.2, loop form).
 
@@ -317,11 +316,7 @@ def _lint_proven_oob_loops(fn: Function, unit: str,
     a static trip count, an affine access's byte hull is static, and a
     hull endpoint outside the witness allocation is an access some
     iteration *definitely* performs."""
-    domtree = DominatorTree(fn)
-    loopinfo = LoopInfo(fn, domtree)
-    if not loopinfo.loops:
-        return []
-    analysis = FunctionRangeAnalysis(fn, summaries)
+    domtree = loopinfo.domtree
     out: List[Diagnostic] = []
     for loop in loopinfo.all_loops():
         counted = analyze_counted_loop(loop, domtree, analysis)
@@ -435,21 +430,22 @@ def lint_module(module: Module, unit: Optional[str] = None) -> List[Diagnostic]:
     for fn in module.functions.values():
         if fn.native or fn.is_declaration:
             continue
+        # One range analysis and one loop nest serve every detector.
+        analysis = FunctionRangeAnalysis(fn, summaries)
+        loops = LoopInfo(fn)
         found = (
             _lint_inttoptr(fn, unit)
-            + _lint_bytewise_copies(fn, unit)
-            + _lint_ranges(fn, unit, summaries)
-            + _lint_proven_oob_loops(fn, unit, summaries)
+            + _lint_bytewise_copies(fn, unit, loops)
+            + _lint_ranges(fn, unit, analysis)
+            + _lint_proven_oob_loops(fn, unit, analysis, loops)
             + _lint_huge_allocations(fn, unit)
         )
-        if found:
-            loops = LoopInfo(fn)
-            for diag in found:
-                diag.function = fn.name
-                if diag.inst is not None:
-                    diag.line = diag.inst.meta.get("line")
-                    if diag.inst.parent is not None:
-                        diag.loop_depth = loops.loop_depth(diag.inst.parent)
+        for diag in found:
+            diag.function = fn.name
+            if diag.inst is not None:
+                diag.line = diag.inst.meta.get("line")
+                if diag.inst.parent is not None:
+                    diag.loop_depth = loops.loop_depth(diag.inst.parent)
         diagnostics.extend(found)
     diagnostics.sort(key=_sort_key)
     return diagnostics

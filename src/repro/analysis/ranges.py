@@ -147,15 +147,23 @@ class IntRange:
         return self
 
     def join(self, other: "IntRange") -> Optional["IntRange"]:
+        """The hull; an operand that already covers the other is
+        returned itself, so equal facts stay one object."""
         if other.bits != self.bits:
             return None
-        return IntRange(self.bits, min(self.lo, other.lo),
-                        max(self.hi, other.hi)).clamped()
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        if lo == self.lo and hi == self.hi:
+            return self.clamped()
+        if lo == other.lo and hi == other.hi:
+            return other.clamped()
+        return IntRange(self.bits, lo, hi).clamped()
 
     def widen(self, newer: "IntRange") -> Optional["IntRange"]:
         """Push every unstable bound to the type bound."""
         lo = self.lo if newer.lo >= self.lo else self.type_min
         hi = self.hi if newer.hi <= self.hi else self.type_max
+        if lo == self.lo and hi == self.hi:
+            return self.clamped()
         return IntRange(self.bits, lo, hi).clamped()
 
     def intersect(self, lo: Optional[int], hi: Optional[int]) -> "IntRange":
@@ -266,6 +274,10 @@ class PtrFact:
         offset = self.offset.join(other.offset)
         if offset is None:
             return None
+        if offset is self.offset:
+            return self
+        if offset is other.offset:
+            return other
         return PtrFact(self.site, self.size, offset)
 
     def widen(self, newer: "PtrFact") -> Optional["PtrFact"]:
@@ -274,6 +286,8 @@ class PtrFact:
         offset = self.offset.widen(newer.offset)
         if offset is None:
             return None
+        if offset is self.offset:
+            return self
         return PtrFact(self.site, self.size, offset)
 
     def proves_in_bounds(self, width: int) -> bool:
@@ -461,6 +475,9 @@ class RangeClient(DataflowClient):
         self.fn = fn
         self.summaries = summaries
         self.slots = non_escaping_slots(fn)
+        # inst -> (the state keys its fact is computed from, the facts
+        # they held at its last computation, that fact); see transfer.
+        self._memo: Dict[Instruction, Tuple[tuple, tuple, object]] = {}
 
     # -- fact lookup ----------------------------------------------------
     def value_fact(self, value: Value, state: State):
@@ -507,13 +524,35 @@ class RangeClient(DataflowClient):
         return self.value_fact(value, state)
 
     def transfer(self, inst: Instruction, state: State) -> None:
+        # Besides the facts under its input keys, a fact depends only
+        # on what stays fixed during one analysis: constants, global
+        # sizes, type layouts and memoized return summaries.  So equal
+        # inputs give an equal fact, and the last one is reused; a
+        # recomputed fact equal to the last keeps the last object, so
+        # equal facts reach a merge as one object.
+        memo = self._memo.get(inst)
+        keys = memo[0] if memo is not None else self._input_keys(inst)
+        inputs = tuple(map(state.get, keys))
+        if memo is not None and inputs == memo[1]:
+            fact = memo[2]
+        else:
+            fact = self._compute_fact(inst, state)
+            if memo is not None and fact == memo[2]:
+                fact = memo[2]
+            self._memo[inst] = (keys, inputs, fact)
         key = _vkey(inst)
-        fact = self._compute_fact(inst, state)
         if fact is None:
             state.pop(key, None)
         else:
             state[key] = fact
         self._memory_effects(inst, state)
+
+    def _input_keys(self, inst: Instruction) -> tuple:
+        """The state keys ``_compute_fact(inst, ...)`` may read."""
+        keys = tuple(_vkey(op) for op in inst.operands)
+        if isinstance(inst, Load) and id(inst.pointer) in self.slots:
+            keys += (_mkey(self.slots[id(inst.pointer)]),)
+        return keys
 
     # -- per-instruction facts ------------------------------------------
     def _compute_fact(self, inst: Instruction, state: State):

@@ -1310,24 +1310,28 @@ class _SourceEmitter:
         ty = inst.value.type
         size = size_of(ty)
         pointer = self._operand(inst.pointer)
-        ve = self._expr(self._operand(inst.value))
+        desc = self._operand(inst.value)
+        ve = self._expr(desc)
         mask = (1 << (8 * size)) - 1
         # ``__v`` is computed before address resolution -- the
         # tree-walker's order: pointer, value, then the int()
-        # conversion (which may raise on NaN).
+        # conversion (which may raise on NaN).  A constant has nothing
+        # to evaluate: its masked value goes into the access itself.
+        const = desc[0] == "c" and size in (1, 2, 4, 8)
         if isinstance(ty, FloatType):
-            value = f"__v = {ve}"
-            access = f"__sf{size}({{buf}}, {{off}}, __v)"
-        elif size == 1:
-            value = f"__v = int({ve}) & 255"
-            access = "{buf}[{off}] = __v"
-        elif size in (2, 4, 8):
-            value = f"__v = int({ve}) & {mask}"
-            access = f"__st{size}({{buf}}, {{off}}, __v)"
+            value = ve if const else "__v"
+            prep = f"__v = {ve}"
+            access = f"__sf{size}({{buf}}, {{off}}, {value})"
+        elif size in (1, 2, 4, 8):
+            const = const and type(desc[1]) is int
+            value = repr(desc[1] & mask) if const else "__v"
+            prep = f"__v = int({ve}) & {mask}"
+            access = (f"{{buf}}[{{off}}] = {value}" if size == 1 else
+                      f"__st{size}({{buf}}, {{off}}, {value})")
         else:
-            value = f"__v = (int({ve}) & {mask}).to_bytes({size}, 'little')"
+            prep = f"__v = (int({ve}) & {mask}).to_bytes({size}, 'little')"
             access = f"{{buf}}[{{off}}:{{off}} + {size}] = __v"
-        self._access(pointer, size, True, [value], access)
+        self._access(pointer, size, True, [] if const else [prep], access)
 
     def _access(self, pointer: Tuple, size: int, write: bool,
                 prep: List[str], access: str) -> None:

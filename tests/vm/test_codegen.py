@@ -738,3 +738,17 @@ class TestSiteCache:
                 assert all(ln.count("__site(") == 1
                            and ln.lstrip().startswith("if not __cl")
                            for ln in refills), where
+
+    def test_constant_store_is_folded(self):
+        # A constant has nothing to evaluate: storing 7 to a char puts
+        # the masked 7 straight into the access line, with no ``__v``
+        # line and no run-time int() conversion.
+        program = compile_program(r"""
+        char c[2];
+        int main() { c[1] = 7; print_i64(c[1]); return 0; }""")
+        vm = make_vm(program, engine="codegen")
+        vm.load_globals()
+        main = program.module.get_function("main")
+        source = CodegenFunction(vm, main).source
+        assert "int(" not in source and "__v =" not in source
+        assert re.search(r"^ *__cd(\d+)\[\d+ - __cl\1\] = 7$", source, re.M)
