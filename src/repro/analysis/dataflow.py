@@ -93,16 +93,6 @@ class DataflowClient:
         steps.  Defaults to giving up (top)."""
         return None
 
-    def keep_unmatched_key(self, key: object) -> bool:
-        """Whether a key present in only one of two joined states
-        survives the join.
-
-        SSA value facts may survive: a definition dominates its uses,
-        so a value bound on one path cannot be consulted past the
-        merge except through a phi (which flows edge-wise).  Facts
-        about *memory* must not survive -- report False for them."""
-        return True
-
 
 class ForwardDataflow:
     """Worklist fixpoint solver for a :class:`DataflowClient`."""
@@ -126,8 +116,6 @@ class ForwardDataflow:
         succs = {block: [s for s in block.successors if s in rpo_index]
                  for block in order}
         phis = {block: block.phis() for block in order}
-        phi_keys = {block: {("v", id(phi)) for phi in phis[block]}
-                    for block in order}
         # A block is a widening point iff some predecessor comes later
         # in reverse postorder -- i.e. the block closes a cycle.
         widen_points = {
@@ -189,7 +177,7 @@ class ForwardDataflow:
                 ]
                 if not edges:
                     continue  # no feasible edge reaches succ (yet)
-                new_in = self._merge_edges(edges, phi_keys[succ])
+                new_in = self._merge_edges(edges)
                 for key in topped.get(succ, ()):
                     new_in.pop(key, None)
                 old_in = block_in.get(succ)
@@ -209,13 +197,15 @@ class ForwardDataflow:
                         heapq.heappush(pending, rpo_index[succ])
         return block_in
 
-    def _merge_edges(self, edges: List[State], phi_keys: set) -> State:
+    def _merge_edges(self, edges: List[State]) -> State:
         """Join the recorded incoming edge states of one block.
 
-        Phi keys require a fact on *every* edge (a phi takes a
-        different value per edge; one unknown incoming makes it
-        unknown).  Other keys follow the client's
-        :meth:`~DataflowClient.keep_unmatched_key` policy.
+        A key survives only if *every* edge carries it: an absent key
+        is top, and top joined with anything is top.  This holds for
+        every key alike -- a phi's fact, an SSA value's fact and a
+        memory slot's fact.  (A value defined on only one path cannot
+        be read past the merge except through a phi, whose facts flow
+        edge-wise, so dropping its fact here costs no precision.)
 
         A single edge is the merged state itself, and facts that are
         one object need no join: both shortcuts rely on
@@ -226,30 +216,17 @@ class ForwardDataflow:
         merged = dict(edges[0])
         # Fold the remaining edges in one at a time: a key's facts are
         # joined in edge order, exactly as a per-key join would.
-        dropped = set()
         for state in edges[1:]:
             step: State = {}
             for key, fact in merged.items():
                 other = state.get(key, _ABSENT)
-                if other is fact:
-                    step[key] = fact
-                elif other is _ABSENT:
-                    if key in phi_keys or not client.keep_unmatched_key(key):
-                        dropped.add(key)
-                    else:
-                        step[key] = fact
-                else:
-                    joined = client.join_fact(fact, other)
-                    if joined is None:
-                        dropped.add(key)
-                    else:
-                        step[key] = joined
-            for key in state.keys() - merged.keys() - dropped:
-                # Absent from every earlier edge.
-                if key in phi_keys or not client.keep_unmatched_key(key):
-                    dropped.add(key)
-                else:
-                    step[key] = state[key]
+                if other is _ABSENT:
+                    continue
+                if other is not fact:
+                    fact = client.join_fact(fact, other)
+                    if fact is None:
+                        continue
+                step[key] = fact
             merged = step
         return merged
 

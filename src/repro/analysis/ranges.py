@@ -500,11 +500,6 @@ class RangeClient(DataflowClient):
         return fact if isinstance(fact, PtrFact) else None
 
     # -- engine hooks ---------------------------------------------------
-    def keep_unmatched_key(self, key: object) -> bool:
-        # Memory facts only survive a merge when every incoming edge
-        # agrees; SSA facts are per-value and may pass through.
-        return not (isinstance(key, tuple) and key[0] == "m")
-
     def join_fact(self, a: object, b: object) -> Optional[object]:
         if isinstance(a, IntRange) and isinstance(b, IntRange):
             return a.join(b)

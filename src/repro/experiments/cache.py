@@ -36,8 +36,12 @@ from .. import __version__
 #: incompatibly; old entries then miss instead of deserializing
 #: garbage.  Version 3: TargetStatistics gained the hoist counters and
 #: static verdicts, and InstrumentationConfig gained ``opt_hoist``.
-#: Version 4: every key carries the VM execution engine.
-CACHE_FORMAT_VERSION = 4
+#: Version 4: every key carries the VM execution engine.  Version 5:
+#: the range analysis joins soundly (a fact survives a merge only if
+#: every edge carries it), which changes verdicts and emitted checks
+#: on some workloads; keys hold the package version but no code
+#: digest, so a warm cache would otherwise serve the old results.
+CACHE_FORMAT_VERSION = 5
 
 #: Payload fields that do not influence the measured result: the
 #: reference output is itself a deterministic function of the keyed
