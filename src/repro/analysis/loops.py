@@ -33,8 +33,12 @@ from .dominators import DominatorTree
 
 
 class Loop:
-    def __init__(self, header: BasicBlock):
+    def __init__(self, header: BasicBlock,
+                 preds: Dict[BasicBlock, List[BasicBlock]]):
         self.header = header
+        #: The function's predecessor map, shared with the
+        #: :class:`LoopInfo` that found this loop.
+        self.preds = preds
         self.blocks: Set[BasicBlock] = {header}
         #: ``blocks`` in reverse post order (header first).  Iterate
         #: this, not the set, whenever the result influences output.
@@ -67,10 +71,7 @@ class Loop:
 
     def preheader(self) -> Optional[BasicBlock]:
         """The unique out-of-loop predecessor of the header, if any."""
-        assert self.header.parent is not None
-        preds = [
-            p for p in self.header.predecessors if p not in self.blocks
-        ]
+        preds = [p for p in self.preds[self.header] if p not in self.blocks]
         if len(preds) == 1 and len(preds[0].successors) == 1:
             return preds[0]
         return None
@@ -86,6 +87,10 @@ class LoopInfo:
         self.function = fn
         self.domtree = domtree or DominatorTree(fn)
         self.loops: List[Loop] = []
+        #: Predecessors of every block, in function order.  A pass that
+        #: edits the CFG while it still uses these loops (LICM adding a
+        #: preheader) updates it.
+        self.predecessor_map = predecessor_map(fn)
         self._loop_of: Dict[BasicBlock, Loop] = {}
         self._rpo_index: Dict[BasicBlock, int] = {
             block: i for i, block in enumerate(self.domtree.rpo)
@@ -93,7 +98,7 @@ class LoopInfo:
         self._find_loops()
 
     def _find_loops(self) -> None:
-        preds = predecessor_map(self.function)
+        preds = self.predecessor_map
         # One loop per header, merging every back edge into it.
         headers: Dict[BasicBlock, List[BasicBlock]] = {}
         rpo_index = self._rpo_index
@@ -110,7 +115,7 @@ class LoopInfo:
         for header in self.domtree.rpo:
             if header not in headers:
                 continue
-            loop = Loop(header)
+            loop = Loop(header, preds)
             loop.latches = list(headers[header])
             worklist = list(loop.latches)
             while worklist:

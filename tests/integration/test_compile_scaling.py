@@ -3,7 +3,8 @@
 ``BasicBlock.predecessors`` rescans the whole function on every call.
 The dataflow engine, GVN, SimplifyCFG and the verifier ask for the
 predecessors of every block (or of every edge), so they build one
-``predecessor_map`` per run instead.  These tests count property
+``predecessor_map`` per run instead, and loops read the one their
+``LoopInfo`` keeps.  These tests count property
 evaluations through a patched property, the way perfbench's tracer
 counts ``ir.predecessors_calls``, or the Python lines a function
 executes, through a line tracer -- counts, never wall time.
@@ -20,7 +21,7 @@ from repro.ir import verifier
 from repro.ir.module import BasicBlock, Function
 from repro.opt.gvn import GVN
 from repro.opt.simplifycfg import SimplifyCFG
-from repro.workloads import get
+from repro.workloads import all_workloads, get
 
 
 def _count_property(monkeypatch, name, active=lambda: True):
@@ -67,6 +68,17 @@ def test_whole_function_consumers_build_one_map(monkeypatch):
                         CompileOptions(verify=True))
     assert set(entered) == set(consumers)
     assert inside[0] == 0
+
+
+def test_compiling_the_workloads_never_rescans_predecessors(monkeypatch):
+    # Loops read the predecessor map their LoopInfo built (LICM keeps
+    # it current when it inserts a preheader), so no pass of the
+    # pipeline asks a block for its predecessors.
+    calls = _count_property(monkeypatch, "predecessors")
+    for workload in all_workloads():
+        for label in ("softbound-hoist", "lowfat-hoist"):
+            compile_program(workload.sources, config_for(label))
+    assert calls[0] == 0
 
 
 def _if_chain(n: int) -> str:
