@@ -21,6 +21,8 @@ any run.  Each detector corresponds to one Section 4 case study:
   (accesses) the range analysis proves out of bounds on every
   execution.  Low-Fat's escape invariant rejects even the un-derefed
   intermediate pointer; one-past-the-end is allowed and not flagged.
+  ``proven-oob`` is the loop form: a counted loop's access that some
+  iteration provably performs out of bounds.
 * ``huge-allocation`` (Section 4.6) -- constant allocations too large
   for Low-Fat's largest region class (> 2^30 bytes): the object falls
   back to the standard allocator and is effectively unprotected, cf.
@@ -54,7 +56,7 @@ from ..ir.types import (
     Type,
     size_of,
 )
-from .induction import affine_pointer, analyze_counted_loop, extent_bytes
+from .induction import CountedLoops, hull_in_bounds
 from .loops import LoopInfo
 from .ranges import (
     FunctionRangeAnalysis,
@@ -241,12 +243,21 @@ def _lint_bytewise_copies(fn: Function, unit: str,
 
 
 def _lint_ranges(fn: Function, unit: str,
-                 analysis: FunctionRangeAnalysis) -> List[Diagnostic]:
+                 loops: CountedLoops) -> List[Diagnostic]:
     """Definite out-of-bounds pointers and accesses (Section 4.2).
 
     Only *must*-violations are reported: the abstract offset interval
     has to lie entirely outside the allocation.  Forming a
-    one-past-the-end pointer is legal C and stays silent."""
+    one-past-the-end pointer is legal C and stays silent.
+
+    Per-point facts cannot flag the classic ``i <= N`` off-by-one:
+    only the final iteration violates, so no single program point is a
+    must-violation.  The loop model can (``proven-oob``, the loop
+    form): for a counted loop with a static trip count, an affine
+    access's byte hull is static, and a hull endpoint outside the
+    witness allocation is an access some iteration *definitely*
+    performs."""
+    analysis = loops.analysis
     out: List[Diagnostic] = []
     for block in fn.blocks:
         for inst in block.instructions:
@@ -285,9 +296,7 @@ def _lint_ranges(fn: Function, unit: str,
                 width = size_of(inst.type if isinstance(inst, Load)
                                 else inst.value.type)
                 fact = analysis.pointer_fact_before(inst, pointer)
-                if fact is None:
-                    continue
-                if fact.proves_out_of_bounds(width):
+                if fact is not None and fact.proves_out_of_bounds(width):
                     out.append(Diagnostic(
                         code="oob-access",
                         severity="error",
@@ -301,65 +310,11 @@ def _lint_ranges(fn: Function, unit: str,
                             "every instrumentation check here will "
                             "fire"),
                     ))
-    return out
-
-
-def _lint_proven_oob_loops(fn: Function, unit: str,
-                           analysis: FunctionRangeAnalysis,
-                           loopinfo: LoopInfo) -> List[Diagnostic]:
-    """Loop accesses whose *extent* is provably out of bounds
-    (Section 4.2, loop form).
-
-    Per-point range facts cannot flag the classic ``i <= N`` off-by-one:
-    only the final iteration violates, so no single program point is a
-    must-violation.  The induction analysis can: for a counted loop with
-    a static trip count, an affine access's byte hull is static, and a
-    hull endpoint outside the witness allocation is an access some
-    iteration *definitely* performs."""
-    domtree = loopinfo.domtree
-    out: List[Diagnostic] = []
-    for loop in loopinfo.all_loops():
-        counted = analyze_counted_loop(loop, domtree, analysis)
-        if counted is None or counted.static_last is None:
-            continue
-        for block in loop.block_order:
-            # Subloop blocks may run zero times per iteration, so a
-            # hull endpoint there is not necessarily accessed.  Header
-            # blocks run once *more* (the final exit-test entry with
-            # iv == last + step), so their hull is one step wider --
-            # which is what catches the classic rotated do-while
-            # off-by-one.
-            if loopinfo.loop_of(block) is not loop:
-                continue
-            if not domtree.dominates_block(block, counted.latch):
-                continue
-            header_resident = block is loop.header
-            for inst in block.instructions:
-                if not isinstance(inst, (Load, Store)):
                     continue
-                width = size_of(inst.type if isinstance(inst, Load)
-                                else inst.value.type)
-                fact = analysis.pointer_fact_before(inst, inst.pointer)
-                if fact is not None and fact.proves_out_of_bounds(width):
-                    continue  # already an ``oob-access`` finding
-                aff = affine_pointer(inst.pointer, counted.iv,
-                                     counted.preheader.terminator, domtree,
-                                     counted.iv_range(header_resident))
-                if aff is None:
+                hull = loops.hull(block, pointer, width)
+                if hull is None or hull_in_bounds(hull.lo, hull.hi,
+                                                  hull.root) is not False:
                     continue
-                extent = extent_bytes(aff, counted, width,
-                                      header_resident)
-                if extent is None:
-                    continue
-                root_fact = analysis.pointer_fact_before(
-                    counted.preheader.terminator, aff.root)
-                if root_fact is None or root_fact.size is None:
-                    continue
-                lo, hi = extent
-                off = root_fact.offset
-                if off.lo + hi <= root_fact.size and off.hi + lo >= 0:
-                    continue
-                trips = counted.static_trip_count()
                 out.append(Diagnostic(
                     code="proven-oob",
                     severity="error",
@@ -367,9 +322,9 @@ def _lint_proven_oob_loops(fn: Function, unit: str,
                     location=_location(unit, fn, inst),
                     inst=inst,
                     message=(
-                        f"loop provably accesses bytes {lo}..{hi} of a "
-                        f"{root_fact.size}-byte allocation over "
-                        f"{trips} iterations; some iteration's "
+                        f"loop provably accesses bytes {hull.lo}..{hull.hi} "
+                        f"of a {hull.root.size}-byte allocation over "
+                        f"{hull.trips} iterations; some iteration's "
                         f"{width}-byte access is out of bounds and "
                         "every instrumentation aborts here"),
                 ))
@@ -430,14 +385,12 @@ def lint_module(module: Module, unit: Optional[str] = None) -> List[Diagnostic]:
     for fn in module.functions.values():
         if fn.native or fn.is_declaration:
             continue
-        # One range analysis and one loop nest serve every detector.
-        analysis = FunctionRangeAnalysis(fn, summaries)
-        loops = LoopInfo(fn)
+        # One range analysis and one loop model serve every detector.
+        loops = CountedLoops(FunctionRangeAnalysis(fn, summaries))
         found = (
             _lint_inttoptr(fn, unit)
-            + _lint_bytewise_copies(fn, unit, loops)
-            + _lint_ranges(fn, unit, analysis)
-            + _lint_proven_oob_loops(fn, unit, analysis, loops)
+            + _lint_bytewise_copies(fn, unit, loops.loopinfo)
+            + _lint_ranges(fn, unit, loops)
             + _lint_huge_allocations(fn, unit)
         )
         for diag in found:
@@ -445,7 +398,8 @@ def lint_module(module: Module, unit: Optional[str] = None) -> List[Diagnostic]:
             if diag.inst is not None:
                 diag.line = diag.inst.meta.get("line")
                 if diag.inst.parent is not None:
-                    diag.loop_depth = loops.loop_depth(diag.inst.parent)
+                    diag.loop_depth = loops.loopinfo.loop_depth(
+                        diag.inst.parent)
         diagnostics.extend(found)
     diagnostics.sort(key=_sort_key)
     return diagnostics

@@ -24,13 +24,14 @@ from ..analysis.dominators import DominatorTree
 from ..analysis.induction import (
     AffinePointer,
     CountedLoop,
+    CountedLoops,
     affine_pointer,
-    analyze_counted_loop,
     extent_bytes,
+    hull_in_bounds,
     _may_abort_call,
 )
-from ..analysis.loops import LoopInfo
-from ..analysis.ranges import FunctionRangeAnalysis, ReturnSummaries
+from ..analysis.loops import Loop
+from ..analysis.ranges import FunctionRangeAnalysis
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function
 from ..ir.types import I8, I64, PointerType
@@ -39,19 +40,22 @@ from .itarget import ITarget, TargetKind
 
 
 def dominance_filter(
-    fn: Function, targets: List[ITarget]
+    fn: Function, targets: List[ITarget],
+    loops: Optional[CountedLoops] = None,
 ) -> Tuple[List[ITarget], int]:
     """Drop dominated duplicate dereference checks.
 
     Two checks are duplicates when they check the *same pointer SSA
     value* and the surviving (dominating) check covers at least the
-    width of the dropped one.  Returns the filtered target list and the
-    number of checks removed.
+    width of the dropped one.  The dominator tree is the loop model's
+    when the range analysis runs, else one built here; either is built
+    only when there are two checks to compare.  Returns the filtered
+    target list and the number of checks removed.
     """
     checks = [t for t in targets if t.kind == TargetKind.CHECK_DEREF]
     if len(checks) < 2:
         return targets, 0
-    domtree = DominatorTree(fn)
+    domtree = loops.domtree if loops is not None else DominatorTree(fn)
     by_pointer: Dict[int, List[ITarget]] = {}
     for target in checks:
         by_pointer.setdefault(id(target.pointer), []).append(target)
@@ -77,10 +81,7 @@ def dominance_filter(
 
 
 def range_filter(
-    fn: Function,
-    targets: List[ITarget],
-    summaries: Optional[ReturnSummaries] = None,
-    analysis: Optional[FunctionRangeAnalysis] = None,
+    targets: List[ITarget], analysis: FunctionRangeAnalysis,
 ) -> Tuple[List[ITarget], int]:
     """Drop dereference checks the range analysis proves in bounds.
 
@@ -112,8 +113,6 @@ def range_filter(
     """
     if not any(t.kind == TargetKind.CHECK_DEREF for t in targets):
         return targets, 0
-    if analysis is None:
-        analysis = FunctionRangeAnalysis(fn, summaries)
     removed = set()
     for target in targets:
         if target.kind != TargetKind.CHECK_DEREF or target.pointer is None:
@@ -171,10 +170,16 @@ def _synthesize_check(
     )
 
 
+#: One counted loop's hoistable checks: (root id, slope,
+#: header-resident) -> (root, [(check, its decomposition)]).
+_Groups = Dict[Tuple[int, int, bool],
+               Tuple[Value, List[Tuple[ITarget, AffinePointer]]]]
+
+
 def _hoist_loop_groups(
     fn: Function,
     counted: CountedLoop,
-    members: "Dict[Tuple[int, int, bool], Tuple[Value, List[Tuple[ITarget, AffinePointer]]]]",
+    members: _Groups,
     site_counter: List[int],
 ) -> Tuple[List[ITarget], set]:
     """Synthesize one widened preheader check per (root, slope,
@@ -215,7 +220,6 @@ def _hoist_loop_groups(
         return last_value
 
     for (_, slope, header_resident), (root, group) in members.items():
-        extra = counted.step if header_resident else 0
         min_b = min(aff.intercept for _, aff in group)
         max_end = max(aff.intercept + t.width for t, aff in group)
         max_width = max(t.width for t, _ in group)
@@ -224,15 +228,16 @@ def _hoist_loop_groups(
         if slope == 0:
             lo, extent = min_b, max_end - min_b
         elif counted.static_last is not None:
-            first = slope * counted.init
-            last = slope * (counted.static_last + extra)
-            lo = min(first, last) + min_b
-            extent = max(first, last) + max_end - lo
+            # The group's hull is that of one access at its lowest
+            # intercept, as wide as the bytes one iteration covers.
+            lo, hi = extent_bytes(AffinePointer(root, slope, min_b), counted,
+                                  max_end - min_b, header_resident)
+            extent = hi - lo
         else:
             builder.position_before(anchor)
             last_v = runtime_last()
-            if extra:
-                last_v = builder.add(last_v, builder.const_i64(extra))
+            if header_resident:
+                last_v = builder.add(last_v, builder.const_i64(counted.step))
             scaled = builder.mul(last_v, builder.const_i64(slope))
             if slope > 0:
                 lo = slope * counted.init + min_b
@@ -249,10 +254,7 @@ def _hoist_loop_groups(
 
 
 def hoist_filter(
-    fn: Function,
-    targets: List[ITarget],
-    summaries: Optional[ReturnSummaries] = None,
-    analysis: Optional[FunctionRangeAnalysis] = None,
+    fn: Function, targets: List[ITarget], loops: CountedLoops,
 ) -> Tuple[List[ITarget], int, int, int]:
     """Hoist per-iteration loop checks into one widened preheader
     check, then coalesce same-root constant-offset check runs within
@@ -263,10 +265,10 @@ def hoist_filter(
 
     * only *counted* loops qualify (exact trip count, header-only
       exit, no may-abort calls, proven to run at least once, no
-      IV/index wrap), and only checks whose block dominates the latch
-      (they execute on every iteration); header-resident checks
-      additionally run on the final exit-test entry with
-      ``iv == last + step``, so their hull is widened by one step;
+      IV/index wrap), and only checks ``loops.access`` finds running
+      once per iteration; header-resident checks additionally run on
+      the final exit-test entry with ``iv == last + step``, so their
+      hull is widened by one step;
     * the widened check's extent is computed from the *dynamic* trip
       count -- synthesized i64 arithmetic on the loop bound -- so the
       checked interval is exactly the hull of the accessed bytes;
@@ -285,10 +287,7 @@ def hoist_filter(
     ]
     if not checks:
         return targets, 0, 0, 0
-    domtree = DominatorTree(fn)
-    loopinfo = LoopInfo(fn, domtree)
-    if analysis is None:
-        analysis = FunctionRangeAnalysis(fn, summaries)
+    domtree = loops.domtree
 
     site_counter = [0]
     removed: set = set()
@@ -296,38 +295,21 @@ def hoist_filter(
     hoisted = 0
 
     # -- stage 1: loop hoisting ---------------------------------------
-    loops = sorted(loopinfo.all_loops(),
-                   key=lambda l: domtree._rpo_index.get(l.header, 0))
-    for loop in loops:
-        counted = analyze_counted_loop(loop, domtree, analysis)
-        if counted is None:
+    # Group each loop's checks by (root, slope, header residency):
+    # header checks also run on the final exit-test entry, so their
+    # group's hull covers one extra step.
+    by_loop: Dict[Loop, Tuple[CountedLoop, _Groups]] = {}
+    for target in checks:
+        found = loops.access(target.instruction.parent, target.pointer)
+        if found is None:
             continue
-        groups: Dict[Tuple[int, int, bool],
-                     Tuple[Value, List[Tuple[ITarget, AffinePointer]]]] = {}
-        for target in checks:
-            if id(target) in removed:
-                continue
-            block = target.instruction.parent
-            # The check must live in this loop *proper*: a subloop
-            # member runs a subloop-trip-count (possibly zero) number
-            # of times per iteration, so "once per iteration" fails.
-            if loopinfo.loop_of(block) is not loop:
-                continue
-            if not domtree.dominates_block(block, counted.latch):
-                continue
-            # Header instructions also run on the final exit-test
-            # entry (iv == last + step): their group's hull must cover
-            # one extra step, so they are keyed separately.
-            header_resident = block is loop.header
-            aff = affine_pointer(target.pointer, counted.iv,
-                                 counted.preheader.terminator, domtree,
-                                 counted.iv_range(header_resident))
-            if aff is None:
-                continue
-            key = (id(aff.root), aff.slope, header_resident)
-            groups.setdefault(key, (aff.root, []))[1].append((target, aff))
-        if not groups:
-            continue
+        counted, header_resident, aff = found
+        groups = by_loop.setdefault(counted.loop, (counted, {}))[1]
+        key = (id(aff.root), aff.slope, header_resident)
+        groups.setdefault(key, (aff.root, []))[1].append((target, aff))
+    # Loops in header RPO order, so site names follow the CFG.
+    for loop in sorted(by_loop, key=lambda l: domtree._rpo_index[l.header]):
+        counted, groups = by_loop[loop]
         new_checks, replaced = _hoist_loop_groups(
             fn, counted, groups, site_counter)
         synthesized.extend(new_checks)
@@ -379,9 +361,7 @@ def hoist_filter(
             if aff is not None:
                 run.append((target, aff))
                 run_root_id = id(aff.root)
-                prev_pos = pos
-            else:
-                prev_pos = pos
+            prev_pos = pos
         flush()
 
     if not removed:
@@ -398,13 +378,11 @@ def hoist_filter(
 PROVEN_SAFE = "proven-safe"
 PROVEN_VIOLATING = "proven-violating"
 UNKNOWN = "unknown"
+_VERDICTS = {True: PROVEN_SAFE, False: PROVEN_VIOLATING, None: UNKNOWN}
 
 
 def check_verdicts(
-    fn: Function,
-    targets: List[ITarget],
-    summaries: Optional[ReturnSummaries] = None,
-    analysis: Optional[FunctionRangeAnalysis] = None,
+    targets: List[ITarget], loops: CountedLoops,
 ) -> Dict[str, str]:
     """Per-check-site static safety verdicts over the gathered checks.
 
@@ -414,69 +392,28 @@ def check_verdicts(
     * the per-point range/provenance fact of the checked pointer
       (exactly the range filter's criterion, plus its dual for
       proven violations);
-    * the loop-extent argument: for a counted loop with a static trip
-      count, the accessed byte hull of an affine check is static, and
-      comparing it against the known witness allocation proves every
-      iteration safe -- or proves the hull's genuinely-accessed
-      endpoint out of bounds (``proven-violating``), which per-point
-      facts cannot (only the *last* iterations violate).
+    * the loop-extent argument (``loops.hull``): for a counted loop
+      with a static trip count, the accessed byte hull of an affine
+      check is static, and comparing it against the known witness
+      allocation proves every iteration safe -- or proves the hull's
+      genuinely-accessed endpoint out of bounds
+      (``proven-violating``), which per-point facts cannot (only the
+      *last* iterations violate).
     """
     verdicts: Dict[str, str] = {}
-    checks = [
-        t for t in targets
-        if t.kind == TargetKind.CHECK_DEREF and t.pointer is not None
-    ]
-    if not checks:
-        return verdicts
-    if analysis is None:
-        analysis = FunctionRangeAnalysis(fn, summaries)
-    for target in checks:
-        fact = analysis.pointer_fact_before(target.instruction,
-                                            target.pointer)
-        if fact is not None and fact.proves_in_bounds(target.width):
-            verdicts[target.site] = PROVEN_SAFE
-        elif fact is not None and fact.proves_out_of_bounds(target.width):
-            verdicts[target.site] = PROVEN_VIOLATING
-        else:
-            verdicts[target.site] = UNKNOWN
-
-    domtree = DominatorTree(fn)
-    loopinfo = LoopInfo(fn, domtree)
-    for loop in loopinfo.all_loops():
-        counted = analyze_counted_loop(loop, domtree, analysis)
-        if counted is None or counted.static_last is None:
+    for target in targets:
+        if target.kind != TargetKind.CHECK_DEREF or target.pointer is None:
             continue
-        for target in checks:
-            if verdicts.get(target.site) != UNKNOWN:
-                continue
-            block = target.instruction.parent
-            # Same membership rule as hoisting: the extremes of the
-            # hull are genuinely accessed only if the check runs once
-            # per iteration of *this* loop (not a possibly-zero-trip
-            # subloop).  Header-resident checks run once more, on the
-            # final exit-test entry, so their hull is one step wider.
-            if loopinfo.loop_of(block) is not loop:
-                continue
-            if not domtree.dominates_block(block, counted.latch):
-                continue
-            header_resident = block is loop.header
-            aff = affine_pointer(target.pointer, counted.iv,
-                                 counted.preheader.terminator, domtree,
-                                 counted.iv_range(header_resident))
-            if aff is None:
-                continue
-            extent = extent_bytes(aff, counted, target.width,
-                                  header_resident)
-            if extent is None:
-                continue
-            root_fact = analysis.pointer_fact_before(
-                counted.preheader.terminator, aff.root)
-            if root_fact is None or root_fact.size is None:
-                continue
-            lo, hi = extent
-            off = root_fact.offset
-            if off.lo + lo >= 0 and off.hi + hi <= root_fact.size:
-                verdicts[target.site] = PROVEN_SAFE
-            elif off.lo + hi > root_fact.size or off.hi + lo < 0:
-                verdicts[target.site] = PROVEN_VIOLATING
+        fact = loops.analysis.pointer_fact_before(target.instruction,
+                                                  target.pointer)
+        if fact is not None and fact.proves_in_bounds(target.width):
+            proof: Optional[bool] = True
+        elif fact is not None and fact.proves_out_of_bounds(target.width):
+            proof = False
+        else:
+            hull = loops.hull(target.instruction.parent, target.pointer,
+                              target.width)
+            proof = None if hull is None else hull_in_bounds(
+                hull.lo, hull.hi, hull.root)
+        verdicts[target.site] = _VERDICTS[proof]
     return verdicts

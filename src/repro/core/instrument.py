@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..analysis.induction import CountedLoops
 from ..analysis.ranges import FunctionRangeAnalysis, ReturnSummaries
 from ..ir.module import Function, Module
 from ..ir.verifier import verify_module
@@ -85,25 +86,26 @@ class MemInstrumentPass:
         stats = TargetStatistics()
         for target in targets:
             stats.count(target)
-        # One range analysis serves the range filter, the hoist
-        # filter's >=1-iteration proofs, and the static verdicts.
-        analysis: Optional[FunctionRangeAnalysis] = None
+        # One range analysis and one loop model (with the function's
+        # one dominator tree) serve the static verdicts and every
+        # filter.
+        loops: Optional[CountedLoops] = None
         if (self.config.opt_ranges or self.config.opt_hoist
                 or self.collect_verdicts):
-            analysis = FunctionRangeAnalysis(fn, summaries)
-            verdicts = check_verdicts(fn, targets, summaries, analysis)
+            loops = CountedLoops(FunctionRangeAnalysis(fn, summaries))
+            verdicts = check_verdicts(targets, loops)
             self.check_verdicts.update(verdicts)
             for verdict in verdicts.values():
                 stats.verdicts[verdict] = stats.verdicts.get(verdict, 0) + 1
         if self.config.opt_dominance:
-            targets, removed = dominance_filter(fn, targets)
+            targets, removed = dominance_filter(fn, targets, loops)
             stats.filtered_checks = removed
         if self.config.opt_ranges:
-            targets, removed = range_filter(fn, targets, summaries, analysis)
+            targets, removed = range_filter(targets, loops.analysis)
             stats.range_filtered_checks = removed
         if self.config.opt_hoist and self.config.insert_deref_checks:
             targets, hoisted, coalesced, synthesized = hoist_filter(
-                fn, targets, summaries, analysis)
+                fn, targets, loops)
             stats.hoisted_checks = hoisted
             stats.coalesced_checks = coalesced
             stats.synthesized_checks = synthesized

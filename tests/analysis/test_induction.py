@@ -443,6 +443,36 @@ class TestTerminationProver:
         assert any(c.loop.depth == 1 for c, _ in counted)
 
 
+class TestNeNeedsStepOne:
+    """An ``!=`` exit test only stops a step-1 IV for sure: a larger
+    step can jump over the bound and run until the IV wraps.  The
+    recognizer and the termination prover share this rule."""
+
+    def test_ne_loop_with_step_two_not_counted(self):
+        fn = _fn(r"""
+        int f(int *a) {
+            int s = 0;
+            for (int i = 0; i != 8; i = i + 2) s = s + a[i];
+            return s;
+        }""", "f")
+        assert _counted_loops(fn) == []
+
+    def test_ne_subloop_with_step_two_rejects_both_levels(self):
+        # Without a termination proof for the inner loop the outer loop
+        # is not counted either.
+        fn = _fn(r"""
+        int f(int *a) {
+            int s = 0;
+            for (int i = 0; i < 4; i++) {
+                int j = 0;
+                while (j != 8) { s = s + a[j]; j = j + 2; }
+                s = s + a[i];
+            }
+            return s;
+        }""", "f")
+        assert _counted_loops(fn) == []
+
+
 # ---------------------------------------------------------------------
 # Header-resident accesses: the header runs trip_count + 1 times, so
 # its hull is one step wider (REVIEW regression).

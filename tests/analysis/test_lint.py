@@ -210,6 +210,72 @@ class TestRendering:
 
 
 # ---------------------------------------------------------------------
+# proven-oob: a loop's static extent leaves the allocation
+# ---------------------------------------------------------------------
+
+
+def _proven_oob_message(lo, hi, size, trips, width):
+    return (f"loop provably accesses bytes {lo}..{hi} of a {size}-byte "
+            f"allocation over {trips} iterations; some iteration's "
+            f"{width}-byte access is out of bounds and every "
+            "instrumentation aborts here")
+
+
+def _loop_program(loop):
+    return ("int main() {\n"
+            "    int a[8];\n"
+            f"    {loop}\n"
+            "    return 0;\n"
+            "}\n")
+
+
+class TestProvenOobLoops:
+    """Per-point facts cannot see an off-by-one that only the last
+    iteration commits; the loop's static hull can."""
+
+    def test_inclusive_bound_off_by_one(self):
+        diags = lint.lint_sources(
+            _loop_program("for (int i = 0; i <= 8; i++) a[i] = i;"))
+        assert [(d.code, d.severity, d.line, d.loop_depth, d.message)
+                for d in diags] == [
+            ("proven-oob", "error", 3, 1,
+             _proven_oob_message(0, 36, 32, 9, 4))]
+
+    def test_heap_read_one_past_the_end(self):
+        diags = lint.lint_sources(r"""
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 10);
+            long s = 0;
+            for (int i = 0; i < 11; i++) s = s + a[i];
+            print_i64(s);
+            return 0;
+        }""")
+        assert [(d.code, d.message) for d in diags] == [
+            ("proven-oob", _proven_oob_message(0, 88, 80, 11, 8))]
+
+    def test_negative_offset_below_the_start(self):
+        diags = lint.lint_sources(
+            _loop_program("for (int i = 0; i < 8; i++) a[i - 1] = i;"))
+        assert [(d.code, d.message) for d in diags] == [
+            ("proven-oob", _proven_oob_message(-4, 28, 32, 8, 4))]
+
+    def test_in_bounds_loop_is_clean(self):
+        assert lint.lint_sources(
+            _loop_program("for (int i = 0; i < 8; i++) a[i] = i;")) == []
+
+    def test_header_resident_access_spans_one_more_step(self):
+        # The compare-on-phi loop stores in its header, which also runs
+        # on the final exit test with i == bound: bound 8 over 8 slots
+        # writes a[8] although the loop iterates 8 times.
+        from tests.core.test_hoist_filter import TestRotatedLoopHoist
+
+        diags = lint.lint_module(TestRotatedLoopHoist._rotated_main(8, 8))
+        assert [(d.code, d.message) for d in diags] == [
+            ("proven-oob", _proven_oob_message(0, 36, 32, 8, 4))]
+        assert lint.lint_module(TestRotatedLoopHoist._rotated_main(9, 8)) == []
+
+
+# ---------------------------------------------------------------------
 # the bundled workloads: known pitfalls, and only those
 # ---------------------------------------------------------------------
 

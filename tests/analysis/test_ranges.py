@@ -233,14 +233,14 @@ class TestRangeFilter:
             for (int i = 0; i < 8; i++) a[i] = i;
             return 0;
         }""")
-        filtered, removed = range_filter(fn, targets)
+        filtered, removed = range_filter(targets, FunctionRangeAnalysis(fn))
         assert removed >= 1
         assert len(filtered) == len(targets) - removed
 
     def test_unprovable_accesses_kept(self):
         fn, targets = self._targets(r"""
         int take(int *p, int i) { return p[i]; }""", "take")
-        filtered, removed = range_filter(fn, targets)
+        filtered, removed = range_filter(targets, FunctionRangeAnalysis(fn))
         assert removed == 0 and filtered == targets
 
     def test_invariant_targets_never_dropped(self):
@@ -253,7 +253,7 @@ class TestRangeFilter:
             return 0;
         }""")
         invariants = sum(1 for t in targets if t.is_invariant())
-        filtered, _ = range_filter(fn, targets)
+        filtered, _ = range_filter(targets, FunctionRangeAnalysis(fn))
         assert sum(1 for t in filtered if t.is_invariant()) == invariants
 
 

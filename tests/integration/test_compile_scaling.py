@@ -4,16 +4,22 @@
 The dataflow engine, GVN, SimplifyCFG and the verifier ask for the
 predecessors of every block (or of every edge), so they build one
 ``predecessor_map`` per run instead, and loops read the one their
-``LoopInfo`` keeps.  These tests count property
+``LoopInfo`` keeps.  MemInstrument builds one loop model per function
+for its verdicts and filters.  These tests count property
 evaluations through a patched property, the way perfbench's tracer
-counts ``ir.predecessors_calls``, or the Python lines a function
-executes, through a line tracer -- counts, never wall time.
+counts ``ir.predecessors_calls``, constructions and calls through
+patched entry points, or the Python lines a function executes,
+through a line tracer -- counts, never wall time.
 """
 
 import sys
 from collections import Counter
 
+from repro.analysis import induction
 from repro.analysis.dataflow import ForwardDataflow
+from repro.analysis.dominators import DominatorTree
+from repro.analysis.loops import LoopInfo
+from repro.core.instrument import MemInstrumentPass
 from repro.driver import CompileOptions, compile_program
 from repro.experiments.common import config_for
 from repro.frontend import compile_source
@@ -79,6 +85,51 @@ def test_compiling_the_workloads_never_rescans_predecessors(monkeypatch):
         for label in ("softbound-hoist", "lowfat-hoist"):
             compile_program(workload.sources, config_for(label))
     assert calls[0] == 0
+
+
+def test_meminstrument_recognizes_each_loop_once(monkeypatch):
+    # The verdicts, the dominance filter and the hoist filter share one
+    # loop model: per instrumented function at most one dominator tree
+    # and one LoopInfo, and no loop is recognized twice.
+    current = []        # (builds, recognitions) while a function runs
+    per_function = []
+    instrument_function = MemInstrumentPass._instrument_function
+
+    def scoped(pass_, *args, **kwargs):
+        current.append((Counter(), Counter()))
+        try:
+            return instrument_function(pass_, *args, **kwargs)
+        finally:
+            per_function.append(current.pop())
+
+    def counted(label, init):
+        def wrapper(self, *args, **kwargs):
+            if current:
+                current[-1][0][label] += 1
+            init(self, *args, **kwargs)
+        return wrapper
+
+    analyze = induction.analyze_counted_loop
+
+    def recognize(loop, *args):
+        if current:
+            current[-1][1][loop] += 1
+        return analyze(loop, *args)
+
+    monkeypatch.setattr(MemInstrumentPass, "_instrument_function", scoped)
+    monkeypatch.setattr(DominatorTree, "__init__",
+                        counted("DominatorTree", DominatorTree.__init__))
+    monkeypatch.setattr(LoopInfo, "__init__",
+                        counted("LoopInfo", LoopInfo.__init__))
+    monkeypatch.setattr(induction, "analyze_counted_loop", recognize)
+    for workload in all_workloads():
+        for label in ("softbound-ranges", "lowfat-ranges",
+                      "softbound-hoist", "lowfat-hoist"):
+            compile_program(workload.sources, config_for(label))
+    builds = [b for b, _ in per_function]
+    assert max(b["DominatorTree"] for b in builds) == 1
+    assert max(b["LoopInfo"] for b in builds) == 1
+    assert max(max(r.values(), default=0) for _, r in per_function) == 1
 
 
 def _if_chain(n: int) -> str:
