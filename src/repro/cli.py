@@ -599,6 +599,50 @@ def _run_experiment(args, parser) -> int:
     return 0
 
 
+def _dispatch(args, config: InstrumentationConfig, parser) -> int:
+    """Run the parsed subcommand and return its exit code."""
+    if args.command == "lint":
+        return _run_lint(args)
+    if args.command == "profile":
+        return _run_profile(args, config)
+    if args.command == "fuzz":
+        return _run_fuzz(args)
+    if args.command == "bench":
+        return _run_bench(args, config, parser)
+    if args.command == "campaign":
+        return _run_campaign(args)
+    if args.command == "serve":
+        return _run_serve(args)
+    if args.command in EXPERIMENT_COMMANDS:
+        return _run_experiment(args, parser)
+
+    program = compile_program(
+        _load_sources(args.files), config,
+        CompileOptions(opt_level=args.opt_level,
+                       extension_point=args.extension_point,
+                       link_time_optimization=not args.no_lto,
+                       verify=args.verify),
+    )
+    if args.command == "emit":
+        print(format_module(program.module), end="")
+        return 0
+    result = run_program(program, entry=args.entry,
+                         max_instructions=args.max_instructions,
+                         engine=args.engine,
+                         dump_codegen=args.dump_codegen)
+    for line in result.output:
+        print(line)
+    if not result.ok:
+        print(result.describe(), file=sys.stderr)
+    if args.stats:
+        print(result.stats.summary(), file=sys.stderr)
+    if result.violation is not None or result.abort is not None:
+        return 134
+    if result.fault is not None:
+        return 139
+    return result.exit_code or 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     mi_flags, rest = _split_mi_flags(argv)
@@ -607,143 +651,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.command == "run" and args.dump_codegen
             and args.engine != "codegen"):
         parser.error("--dump-codegen needs --engine codegen")
+    # Every command maps errors to exit codes the same way, with a
+    # one-line diagnostic instead of a traceback: an invalid flag or
+    # configuration value (unknown -mi-* flags included) exits 2, any
+    # other error the program reports exits 1.
     try:
-        config = _config_from(mi_flags)
-    except ReproError as exc:
-        # Unknown -mi-* flags and bad config values get a clean
-        # one-line diagnostic, not a traceback or a usage dump.
+        return _dispatch(args, _config_from(mi_flags), parser)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "lint":
-        try:
-            return _run_lint(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "profile":
-        try:
-            return _run_profile(args, config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "fuzz":
-        try:
-            return _run_fuzz(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "bench":
-        try:
-            return _run_bench(args, config, parser)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "campaign":
-        try:
-            return _run_campaign(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "serve":
-        try:
-            return _run_serve(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command in EXPERIMENT_COMMANDS:
-        try:
-            return _run_experiment(args, parser)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    options_kwargs = dict(
-        opt_level=args.opt_level,
-        extension_point=args.extension_point,
-        link_time_optimization=not args.no_lto,
-        verify=args.verify,
-    )
-
-    try:
-        if args.command == "run":
-            program = compile_program(
-                _load_sources(args.files), config,
-                CompileOptions(**options_kwargs),
-            )
-            result = run_program(program, entry=args.entry,
-                                 max_instructions=args.max_instructions,
-                                 engine=args.engine,
-                                 dump_codegen=args.dump_codegen)
-            for line in result.output:
-                print(line)
-            if not result.ok:
-                print(result.describe(), file=sys.stderr)
-            if args.stats:
-                print(result.stats.summary(), file=sys.stderr)
-            if result.violation is not None or result.abort is not None:
-                return 134
-            if result.fault is not None:
-                return 139
-            return result.exit_code or 0
-
-        if args.command == "emit":
-            program = compile_program(
-                _load_sources(args.files), config,
-                CompileOptions(**options_kwargs),
-            )
-            print(format_module(program.module), end="")
-            return 0
-
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

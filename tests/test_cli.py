@@ -264,6 +264,18 @@ int main() {
         assert main(["lint", "/nonexistent.c"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_lint_compile_error_exits_like_run(self, tmp_path, capsys):
+        # A program MiniC rejects is an error of the input, not of the
+        # command line: lint exits 1 with run's one-line message.
+        bad = tmp_path / "bad.c"
+        bad.write_text("int main() { return }")
+        assert main(["run", str(bad)]) == 1
+        run_err = capsys.readouterr().err.splitlines()
+        assert main(["lint", str(bad)]) == 1
+        lint_err = capsys.readouterr().err.splitlines()
+        assert len(lint_err) == 1 and lint_err[0].startswith("error: line 1: ")
+        assert lint_err == run_err
+
 
 class TestProfile:
     def test_profile_source_file(self, demo_c, capsys):
