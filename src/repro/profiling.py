@@ -86,7 +86,9 @@ def build_profile(
     # The static-vs-dynamic join the verdicts exist for: what share of
     # the *executed* dereference checks ran at a site the range
     # analysis had already proven safe (pure overhead under these
-    # configs -- exactly what ``-mi-opt-ranges`` would have removed).
+    # configs).  ``-mi-opt-ranges`` removes only the sites proven point
+    # by point; a site proven through its loop's static extent keeps
+    # its check there.
     provable_executed = sum(
         c.get("executed", 0) for site, c in stats.per_site.items()
         if verdicts.get(site) == "proven-safe"
