@@ -668,6 +668,8 @@ class CountedLoops:
     def __init__(self, analysis: FunctionRangeAnalysis):
         self.analysis = analysis
         self._counted: Dict[Loop, Optional[CountedLoop]] = {}
+        self._access: Dict[Tuple[BasicBlock, Value], Optional[
+            Tuple[CountedLoop, bool, AffinePointer]]] = {}
 
     @cached_property
     def domtree(self) -> DominatorTree:
@@ -683,7 +685,18 @@ class CountedLoops:
         """The counted loop that runs ``block`` once per iteration,
         whether ``block`` is its header, and ``pointer``'s affine
         decomposition over the IV values the block runs at; None when
-        any of the three does not exist."""
+        any of the three does not exist.  Each answer is computed once:
+        the IR a decomposition reads is not changed while the loop
+        model is in use (the hoist filter asks about every check before
+        it inserts code)."""
+        key = (block, pointer)
+        if key not in self._access:
+            self._access[key] = self._decompose(block, pointer)
+        return self._access[key]
+
+    def _decompose(
+        self, block: BasicBlock, pointer: Value,
+    ) -> Optional[Tuple[CountedLoop, bool, AffinePointer]]:
         loop = self.loopinfo.loop_of(block)
         if loop is None:
             return None

@@ -8,12 +8,7 @@ from .filters import (
     range_filter,
 )
 from .gather import gather_function_targets
-from .instrument import (
-    InstrumenterHandle,
-    MemInstrumentPass,
-    instrument_module,
-    make_instrumenter,
-)
+from .instrument import MemInstrumentPass, instrument_module
 from .itarget import ITarget, TargetKind, TargetStatistics
 from .lf_mechanism import LowFatMechanism
 from .mechanism import (
@@ -31,7 +26,6 @@ __all__ = [
     "ITarget",
     "InstrumentationConfig",
     "InstrumentationMechanism",
-    "InstrumenterHandle",
     "LowFatMechanism",
     "MechanismRegistration",
     "MemInstrumentPass",
@@ -49,5 +43,4 @@ __all__ = [
     "range_filter",
     "register_mechanism",
     "instrument_module",
-    "make_instrumenter",
 ]

@@ -145,8 +145,8 @@ def _synthesize_check(
     and return the replacement ITarget.
 
     The pointer is built as ``gep i8* (bitcast root), lo`` rather than
-    through ``ptrtoint`` arithmetic: both mechanisms resolve a check's
-    witness by stripping GEP/bitcast chains, so the synthesized check
+    through ``ptrtoint`` arithmetic: the lowering framework resolves a
+    check's witness through GEP/bitcast chains, so the synthesized check
     inherits the *root's* witness (exactly the allocation the original
     per-iteration checks were checked against).  Every instruction is
     tagged ``meta["mi"]`` so re-gathering skips it and the profiler

@@ -7,17 +7,18 @@ Runs the framework stages of paper Section 3 over a module:
 2. **gather**  -- collect the approach-independent ITargets (Table 1);
 3. **filter**  -- approach-independent check optimizations (the
    dominance-based elimination of Section 5.3, when enabled);
-4. **lower**   -- the mechanism materializes witnesses and emits
-   checks, metadata updates and invariant code.
+4. **lower**   -- the framework propagates witnesses and places the
+   checks; the mechanism supplies witness sources and lowers the
+   invariant targets (:mod:`.mechanism`).
 
-``make_instrumenter`` wraps the pass as a pipeline callback so it can
-be plugged into any of the compiler pipeline's extension points
-(Figure 8), and records static statistics on the returned handle.
+A pass's ``run`` is the callback that plugs it into any of the
+compiler pipeline's extension points (Figure 8); the pass keeps the
+static statistics, check sites and verdicts of its module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.induction import CountedLoops
 from ..analysis.ranges import FunctionRangeAnalysis, ReturnSummaries
@@ -26,7 +27,7 @@ from ..ir.verifier import verify_module
 from .config import InstrumentationConfig
 from .filters import check_verdicts, dominance_filter, hoist_filter, range_filter
 from .gather import gather_function_targets
-from .itarget import CheckSiteInfo, ITarget, TargetStatistics
+from .itarget import CheckSiteInfo, TargetKind, TargetStatistics
 from .mechanism import InstrumentationMechanism, create_mechanism
 
 
@@ -88,10 +89,12 @@ class MemInstrumentPass:
             stats.count(target)
         # One range analysis and one loop model (with the function's
         # one dominator tree) serve the static verdicts and every
-        # filter.
+        # filter.  ``summaries`` is set whenever they are asked for;
+        # they decide only about dereference checks, so a function
+        # without one needs neither.
         loops: Optional[CountedLoops] = None
-        if (self.config.opt_ranges or self.config.opt_hoist
-                or self.collect_verdicts):
+        if summaries is not None and any(
+                t.kind == TargetKind.CHECK_DEREF for t in targets):
             loops = CountedLoops(FunctionRangeAnalysis(fn, summaries))
             verdicts = check_verdicts(targets, loops)
             self.check_verdicts.update(verdicts)
@@ -100,10 +103,11 @@ class MemInstrumentPass:
         if self.config.opt_dominance:
             targets, removed = dominance_filter(fn, targets, loops)
             stats.filtered_checks = removed
-        if self.config.opt_ranges:
+        if self.config.opt_ranges and loops is not None:
             targets, removed = range_filter(targets, loops.analysis)
             stats.range_filtered_checks = removed
-        if self.config.opt_hoist and self.config.insert_deref_checks:
+        if (self.config.opt_hoist and self.config.insert_deref_checks
+                and loops is not None):
             targets, hoisted, coalesced, synthesized = hoist_filter(
                 fn, targets, loops)
             stats.hoisted_checks = hoisted
@@ -122,38 +126,3 @@ def instrument_module(
     pass_.run(module)
     return pass_
 
-
-def make_instrumenter(
-    config: InstrumentationConfig, verify: bool = False,
-    collect_verdicts: bool = False,
-) -> "InstrumenterHandle":
-    """An instrumentation callback for
-    :func:`repro.opt.pipeline.build_pipeline`'s ``instrument`` hook."""
-    return InstrumenterHandle(config, verify, collect_verdicts)
-
-
-class InstrumenterHandle:
-    def __init__(self, config: InstrumentationConfig, verify: bool,
-                 collect_verdicts: bool = False):
-        self.pass_ = MemInstrumentPass(config, verify, collect_verdicts)
-        self.ran = False
-
-    def __call__(self, module: Module) -> None:
-        self.pass_.run(module)
-        self.ran = True
-
-    @property
-    def statistics(self) -> TargetStatistics:
-        return self.pass_.statistics
-
-    @property
-    def per_function(self) -> Dict[str, TargetStatistics]:
-        return self.pass_.per_function
-
-    @property
-    def check_sites(self) -> Dict[str, CheckSiteInfo]:
-        return self.pass_.check_sites
-
-    @property
-    def check_verdicts(self) -> Dict[str, str]:
-        return self.pass_.check_verdicts

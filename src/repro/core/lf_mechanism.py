@@ -8,11 +8,12 @@ Follows Table 1's Low-Fat column:
   custom low-fat allocator; ``alloca`` is *replaced* by region-backed
   ``__lf_alloca`` ("mirror, replace"); globals are mirrored into the
   regions by the runtime's global placer;
-* witnesses are base pointers: geps/bitcasts inherit them, phis and
-  selects get companions, and pointers whose provenance crosses a
-  function or memory boundary (loads, arguments, call results,
-  inttoptr) *assume the in-bounds invariant* and recompute the base
-  from the pointer value (``__lf_compute_base``);
+* a witness is the base pointer alone, ``(base,)``, which the
+  framework propagates through geps, bitcasts, phis and selects;
+  pointers whose provenance crosses a function or memory boundary
+  (loads, arguments, call results, inttoptr) *assume the in-bounds
+  invariant* and recompute the base from the pointer value
+  (``__lf_compute_base``);
 * the invariant is established by escape checks
   (``__lf_invariant_check``) at stores, calls, returns and
   pointer-to-integer casts -- the behaviour that makes Low-Fat report
@@ -22,30 +23,22 @@ Follows Table 1's Low-Fat column:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional, Tuple
 
-from ..ir.instructions import (
-    Alloca,
-    Call,
-    Cast,
-    GEP,
-    Instruction,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-)
+from ..ir.instructions import Alloca, Cast, Instruction
 from ..ir.module import Function, GlobalVariable, Module
-from ..ir.types import I64, IntType, PointerType, size_of
-from ..ir.values import Argument, ConstantInt, ConstantNull, UndefValue, Value
-from .itarget import CheckSiteInfo, ITarget, TargetKind
+from ..ir.types import I8, I64, VOID, FunctionType, PointerType, ptr
+from ..ir.values import Argument, ConstantInt, Value
+from .itarget import ITarget, TargetKind
 from .mechanism import (
     InstrumentationMechanism,
-    RUNTIME_DECLARATIONS,
+    Witness,
+    alloca_bytes,
     register_mechanism,
     set_flag,
 )
+
+I8P = ptr(I8)
 
 #: libc allocation entry points and their low-fat replacements.
 ALLOCATOR_REPLACEMENTS = {
@@ -58,44 +51,42 @@ ALLOCATOR_REPLACEMENTS = {
 
 class LowFatMechanism(InstrumentationMechanism):
     name = "lowfat"
+    # Checks are barriers to the optimizer, as SoftBound's are; the
+    # base computation is pure arithmetic on the pointer value.
+    runtime = {
+        "__lf_check": (FunctionType(VOID, [I64, I64, I64]),
+                       frozenset({"mi_check", "may_abort"})),
+        "__lf_invariant_check": (FunctionType(VOID, [I64, I64]),
+                                 frozenset({"mi_check", "may_abort"})),
+        "__lf_compute_base": (FunctionType(I64, [I64]),
+                              frozenset({"readnone"})),
+        "__lf_malloc": (FunctionType(I8P, [I64]), frozenset()),
+        "__lf_calloc": (FunctionType(I8P, [I64, I64]), frozenset()),
+        "__lf_realloc": (FunctionType(I8P, [I8P, I64]), frozenset()),
+        "__lf_free": (FunctionType(VOID, [I8P]), frozenset()),
+        "__lf_alloca": (FunctionType(I8P, [I64]), frozenset()),
+    }
+    check_native = "__lf_check"
+    witness_parts = ("lf.base",)
 
-    def __init__(self, config):
-        super().__init__(config)
-        self._memo: Dict[int, Value] = {}
-        self._fn: Optional[Function] = None
-
-    # ------------------------------------------------------------------
-    # module preparation
-    # ------------------------------------------------------------------
     def prepare_module(self, module: Module) -> None:
         super().prepare_module(module)
-        for name in RUNTIME_DECLARATIONS:
-            if name.startswith("__lf_"):
-                self.declare_runtime(module, name)
-        self._replace_allocator_calls(module)
         if self.config.lf_transform_common_to_weak_linkage:
             for gv in module.globals.values():
                 if gv.linkage == "common":
                     gv.linkage = "weak"
 
-    def _replace_allocator_calls(self, module: Module) -> None:
-        for fn in module.functions.values():
-            for inst in list(fn.instructions()):
-                if not isinstance(inst, Call):
-                    continue
-                callee = inst.callee_function
-                if callee is None or not callee.native:
-                    continue
-                replacement = ALLOCATOR_REPLACEMENTS.get(callee.name)
-                if replacement is not None:
-                    inst.set_operand(0, module.get_function(replacement))
+    def redirect(self, callee: Function) -> Optional[Function]:
+        replacement = ALLOCATOR_REPLACEMENTS.get(callee.name)
+        if replacement is None:
+            return None
+        return self.module.get_function(replacement)
 
     def prepare_function(self, fn: Function) -> None:
         """Replace every alloca by region-backed ``__lf_alloca``.
 
         Runs before target gathering so the checks see the replaced
         pointers."""
-        self._fn = fn
         lf_alloca = self.module.get_function("__lf_alloca")
         for block in fn.blocks:
             for inst in list(block.instructions):
@@ -103,183 +94,59 @@ class LowFatMechanism(InstrumentationMechanism):
                     continue
                 builder = self.marked_builder(fn)
                 builder.position_before(inst)
-                size: Value = ConstantInt(I64, size_of(inst.allocated_type))
-                if inst.count is not None:
-                    count = inst.count
-                    if isinstance(count.type, IntType) and count.type.bits < 64:
-                        count = builder.sext(count, I64)
-                    size = builder.mul(size, count)
-                raw = builder.call(lf_alloca, [size])
+                raw = builder.call(lf_alloca, [alloca_bytes(builder, inst)])
                 typed = builder.bitcast(raw, inst.type)
                 inst.replace_all_uses_with(typed)
                 inst.erase_from_parent()
 
-    # ------------------------------------------------------------------
-    # function instrumentation
-    # ------------------------------------------------------------------
-    def instrument_function(self, fn: Function, targets: List[ITarget]) -> None:
-        self._fn = fn
-        self._memo = {}
-        for target in targets:
-            if target.kind == TargetKind.CHECK_DEREF:
-                if self.config.insert_deref_checks:
-                    self._lower_check(target)
-            elif target.kind == TargetKind.INVARIANT_STORE:
-                self._lower_escape(target, target.pointer)
-            elif target.kind == TargetKind.INVARIANT_CALL:
-                call = target.instruction
-                assert isinstance(call, Call)
-                for arg in call.args:
-                    if isinstance(arg.type, PointerType):
-                        self._lower_escape(target, arg)
-            elif target.kind == TargetKind.INVARIANT_RET:
-                self._lower_escape(target, target.pointer)
-            elif target.kind == TargetKind.INVARIANT_CAST:
-                self._lower_escape(target, target.pointer)
+    # -- invariants: escape checks -------------------------------------------
+    def lower_invariant(self, target: ITarget) -> None:
+        """Establish the in-bounds invariant for every pointer that
+        escapes at a store, call, return or pointer-to-integer cast."""
+        if target.kind == TargetKind.INVARIANT_CALL:
+            pointers = [a for a in target.instruction.args
+                        if isinstance(a.type, PointerType)]
+        else:
+            pointers = [target.pointer]
+        for pointer in pointers:
+            (base,) = self.witness(pointer)
+            builder = self.marked_builder(self.fn)
+            builder.position_before(target.instruction)
+            p64 = builder.ptrtoint(pointer, I64)
+            check = builder.call(
+                self.module.get_function("__lf_invariant_check"), [p64, base])
+            self.record_site(check, target, pointer, "invariant")
 
-    def _lower_check(self, target: ITarget) -> None:
-        base = self._witness(target.pointer)
-        builder = self.marked_builder(self._fn)
-        builder.position_before(target.instruction)
-        p64 = builder.ptrtoint(target.pointer, I64)
-        # Hoisted checks cover a symbolic extent (the loop's accessed
-        # byte count, computed in the preheader) instead of a constant.
-        width = target.width_value or ConstantInt(I64, target.width)
-        check = builder.call(
-            self.module.get_function("__lf_check"),
-            [p64, width, base],
-        )
-        check.meta["mi_site"] = target.site
-        self._record_site(target, target.pointer, "deref")
-
-    def _lower_escape(self, target: ITarget, pointer: Value) -> None:
-        """Establish the in-bounds invariant for an escaping pointer."""
-        base = self._witness(pointer)
-        builder = self.marked_builder(self._fn)
-        builder.position_before(target.instruction)
-        p64 = builder.ptrtoint(pointer, I64)
-        check = builder.call(
-            self.module.get_function("__lf_invariant_check"), [p64, base]
-        )
-        check.meta["mi_site"] = target.site
-        self._record_site(target, pointer, "invariant")
-
-    def _record_site(self, target: ITarget, pointer: Value, kind: str) -> None:
-        source, wide_hint = self._classify_pointer(pointer)
-        self.site_infos[target.site] = CheckSiteInfo(
-            site=target.site,
-            function=self._fn.name,
-            kind=kind,
-            mechanism=self.name,
-            line=target.instruction.meta.get("line"),
-            source=source,
-            wide_hint=wide_hint,
-        )
-
-    def _classify_pointer(self, pointer: Value):
-        """Static provenance of a checked pointer under Low-Fat's
-        witness rules: a base that ``__lf_compute_base`` recomputes can
-        only go wide dynamically (non-low-fat allocation), whereas
-        external globals and code pointers are wide by construction."""
-        seen = set()
-        while id(pointer) not in seen:
-            seen.add(id(pointer))
-            if isinstance(pointer, GEP):
-                pointer = pointer.pointer
-                continue
-            if isinstance(pointer, Cast) and pointer.opcode == "bitcast" \
-                    and isinstance(pointer.value.type, PointerType):
-                pointer = pointer.value
-                continue
-            break
-        if isinstance(pointer, GlobalVariable):
-            if pointer.is_declaration:
-                return ("external-global", "unmirrored-external-global")
-            return ("global", "")
-        if isinstance(pointer, Argument):
-            return ("argument", "")
-        if isinstance(pointer, (Phi, Select)):
-            return ("phi-or-select", "")
-        if isinstance(pointer, Function):
-            return ("function-pointer", "function-pointer")
-        if isinstance(pointer, Cast) and pointer.opcode == "inttoptr":
-            return ("inttoptr", "")
-        if isinstance(pointer, (ConstantNull, UndefValue)):
-            return ("null", "")
-        if isinstance(pointer, Instruction):
-            return ("recomputed-base", "")
-        return ("unknown", "unknown-producer")
-
-    # ------------------------------------------------------------------
-    # witness materialization: the base pointer
-    # ------------------------------------------------------------------
-    def _witness(self, pointer: Value) -> Value:
-        key = id(pointer)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        witness = self._materialize(pointer)
-        self._memo[key] = witness
-        return witness
-
-    def _materialize(self, pointer: Value) -> Value:
-        if isinstance(pointer, GEP):
-            return self._witness(pointer.pointer)
-        if isinstance(pointer, Cast) and pointer.opcode == "bitcast":
-            if isinstance(pointer.value.type, PointerType):
-                return self._witness(pointer.value)
-        if isinstance(pointer, (ConstantNull, UndefValue)):
-            return ConstantInt(I64, 0)
-        if isinstance(pointer, Phi):
-            return self._phi_witness(pointer)
-        if isinstance(pointer, Select):
-            return self._select_witness(pointer)
-        if isinstance(pointer, Argument):
-            return self._compute_base_at_entry(pointer)
-        if isinstance(pointer, GlobalVariable):
-            return self._compute_base_at_entry(pointer)
-        if isinstance(pointer, Function):
-            return ConstantInt(I64, 0)  # code pointers: wide
-        if isinstance(pointer, Instruction):
+    # -- witness sources: the base pointer -------------------------------
+    def source_witness(self, pointer: Value) -> Witness:
+        builder = self.marked_builder(self.fn)
+        if isinstance(pointer, (Argument, GlobalVariable)):
+            builder.position_at_start(self.fn.entry)
+        elif isinstance(pointer, Instruction):
             # Loads, call results, inttoptr casts, __lf_alloca /
             # __lf_malloc results: rely on the in-bounds invariant and
             # recompute the base from the pointer value (Figure 4).
-            return self._compute_base_after(pointer)
-        return ConstantInt(I64, 0)
-
-    def _compute_base_after(self, pointer: Instruction) -> Value:
-        builder = self.marked_builder(self._fn)
-        builder.position_after(pointer)
+            builder.position_after(pointer)
+        else:
+            return (ConstantInt(I64, 0),)  # null, undef, code: wide
         p64 = builder.ptrtoint(pointer, I64)
-        return builder.call(
-            self.module.get_function("__lf_compute_base"), [p64]
-        )
+        return (builder.call(self.module.get_function("__lf_compute_base"),
+                             [p64]),)
 
-    def _compute_base_at_entry(self, pointer: Value) -> Value:
-        builder = self.marked_builder(self._fn)
-        builder.position_at_start(self._fn.entry)
-        p64 = builder.ptrtoint(pointer, I64)
-        return builder.call(
-            self.module.get_function("__lf_compute_base"), [p64]
-        )
-
-    def _phi_witness(self, phi: Phi) -> Value:
-        base_phi = Phi(I64, self._fn.next_name("lf.base"))
-        self.mark(base_phi)
-        block = phi.parent
-        assert block is not None
-        block.insert(0, base_phi)
-        self._memo[id(phi)] = base_phi  # terminate cycles through loops
-        for value, pred in phi.incoming:
-            base_phi.add_incoming(self._witness(value), pred)
-        return base_phi
-
-    def _select_witness(self, select: Select) -> Value:
-        true_base = self._witness(select.true_value)
-        false_base = self._witness(select.false_value)
-        builder = self.marked_builder(self._fn)
-        builder.position_after(select)
-        return builder.select(select.condition, true_base, false_base)
+    # -- site provenance -----------------------------------------------------
+    def classify_source(self, root: Value) -> Tuple[str, str]:
+        """A base that ``__lf_compute_base`` recomputes can only go wide
+        dynamically (non-low-fat allocation), whereas external globals
+        and code pointers are wide by construction."""
+        if isinstance(root, GlobalVariable):
+            if root.is_declaration:
+                return ("external-global", "unmirrored-external-global")
+            return ("global", "")
+        if isinstance(root, Cast) and root.opcode == "inttoptr":
+            return ("inttoptr", "")
+        if isinstance(root, Instruction):
+            return ("recomputed-base", "")
+        return super().classify_source(root)
 
 
 def _lowfat_runtime(config, lf_region_capacity=None):

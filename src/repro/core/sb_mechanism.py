@@ -4,9 +4,9 @@ Follows Table 1's SoftBound column:
 
 * dereference checks compare the pointer against its (base, bound)
   witness (Figure 2);
-* witnesses propagate as pairs of ``i64`` SSA values: allocations yield
-  them directly, phis/selects get companion phis/selects, geps and
-  bitcasts inherit the source pointer's witness;
+* a witness is a pair of ``i64`` SSA values, ``(base, bound)``:
+  allocations yield them directly, and the framework propagates them
+  through geps, bitcasts, phis and selects;
 * pointers loaded from memory take their bounds from the **trie**,
   keyed by the loaded-from address; pointer stores update the trie;
 * pointer arguments and return values travel over the **shadow stack**;
@@ -21,350 +21,211 @@ Follows Table 1's SoftBound column:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..ir.instructions import (
-    Alloca,
-    Call,
-    Cast,
-    GEP,
-    Instruction,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-)
-from ..ir.module import Function, GlobalVariable, Module
-from ..ir.types import I64, IntType, PointerType, size_of
-from ..ir.values import Argument, Constant, ConstantInt, ConstantNull, UndefValue, Value
+from ..ir.instructions import Alloca, Call, Cast, Load, Ret, Store
+from ..ir.module import Function, GlobalVariable
+from ..ir.types import I64, VOID, FunctionType, PointerType, size_of
+from ..ir.values import Argument, ConstantInt, ConstantNull, UndefValue, Value
 from ..softbound.runtime import WRAPPED_FUNCTIONS
-from .itarget import CheckSiteInfo, ITarget, TargetKind
+from .itarget import ITarget, TargetKind
 from .mechanism import (
     InstrumentationMechanism,
-    RUNTIME_DECLARATIONS,
-    WIDE_BOUND_INT,
+    MarkingBuilder,
+    Witness,
+    alloca_bytes,
     register_mechanism,
     set_flag,
 )
 
-Witness = Tuple[Value, Value]  # (base, bound), both i64
+WIDE_BOUND_INT = (1 << 64) - 1
 
 
 class SoftBoundMechanism(InstrumentationMechanism):
     name = "softbound"
+    # Checks are calls to external runtime functions with *no* memory
+    # attributes: like in the paper's setting, the compiler must assume
+    # they may write memory and may not return, so they act as barriers
+    # for load CSE and code motion -- the mechanism behind the
+    # extension-point gap of Figures 12/13 (Section 5.5).  Metadata
+    # *loads*, in contrast, model the inlined lookup sequences and stay
+    # readonly, so unused ones are dead-code-eliminated (the Section 5.4
+    # observation).
+    runtime = {
+        "__sb_check": (FunctionType(VOID, [I64, I64, I64, I64]),
+                       frozenset({"mi_check", "may_abort"})),
+        "__sb_trie_load_base": (FunctionType(I64, [I64]),
+                                frozenset({"readonly"})),
+        "__sb_trie_load_bound": (FunctionType(I64, [I64]),
+                                 frozenset({"readonly"})),
+        "__sb_trie_store": (FunctionType(VOID, [I64, I64, I64]), frozenset()),
+        "__sb_ss_enter": (FunctionType(VOID, [I64]), frozenset()),
+        "__sb_ss_exit": (FunctionType(VOID, []), frozenset()),
+        "__sb_ss_set": (FunctionType(VOID, [I64, I64, I64]), frozenset()),
+        "__sb_ss_get_base": (FunctionType(I64, [I64]),
+                             frozenset({"readonly"})),
+        "__sb_ss_get_bound": (FunctionType(I64, [I64]),
+                              frozenset({"readonly"})),
+        "__sb_ss_set_ret": (FunctionType(VOID, [I64, I64]), frozenset()),
+        "__sb_ss_get_ret_base": (FunctionType(I64, []),
+                                 frozenset({"readonly"})),
+        "__sb_ss_get_ret_bound": (FunctionType(I64, []),
+                                  frozenset({"readonly"})),
+    }
+    check_native = "__sb_check"
+    witness_parts = ("sb.base", "sb.bound")
 
-    def __init__(self, config):
-        super().__init__(config)
-        self._memo: Dict[int, Witness] = {}
-        self._fn: Optional[Function] = None
-
-    # ------------------------------------------------------------------
-    # module preparation
-    # ------------------------------------------------------------------
-    def prepare_module(self, module: Module) -> None:
-        super().prepare_module(module)
-        for name in RUNTIME_DECLARATIONS:
-            if name.startswith("__sb_"):
-                self.declare_runtime(module, name)
-        self._install_wrappers(module)
-
-    def _install_wrappers(self, module: Module) -> None:
-        """Redirect calls to wrapped libc functions to their SoftBound
+    def redirect(self, callee: Function) -> Optional[Function]:
+        """Calls to wrapped libc functions go to their SoftBound
         wrappers (paper Figure 6)."""
-        for fn in list(module.functions.values()):
-            if fn.is_declaration and not fn.native:
-                continue
-            for inst in list(fn.instructions()):
-                if not isinstance(inst, Call):
-                    continue
-                callee = inst.callee_function
-                if callee is None or not callee.native:
-                    continue
-                if callee.name in WRAPPED_FUNCTIONS:
-                    wrapper = module.get_or_declare_function(
-                        f"__sb_wrap_{callee.name}", callee.fnty,
-                        callee.attributes,
-                    )
-                    wrapper.native = True
-                    inst.set_operand(0, wrapper)
+        if callee.name not in WRAPPED_FUNCTIONS:
+            return None
+        wrapper = self.module.get_or_declare_function(
+            f"__sb_wrap_{callee.name}", callee.fnty, callee.attributes)
+        wrapper.native = True
+        return wrapper
 
-    # ------------------------------------------------------------------
-    # function instrumentation
-    # ------------------------------------------------------------------
-    def instrument_function(self, fn: Function, targets: List[ITarget]) -> None:
-        self._fn = fn
-        self._memo = {}
-        for target in targets:
-            if target.kind == TargetKind.CHECK_DEREF:
-                if self.config.insert_deref_checks:
-                    self._lower_check(target)
-            elif target.kind == TargetKind.INVARIANT_STORE:
-                self._lower_store_invariant(target)
-            elif target.kind == TargetKind.INVARIANT_CALL:
-                self._lower_call_invariant(target)
-            elif target.kind == TargetKind.INVARIANT_RET:
-                self._lower_ret_invariant(target)
-            # INVARIANT_CAST: SoftBound does not act on ptrtoint.
+    def _call_runtime(self, builder: MarkingBuilder, name: str,
+                      args=()) -> Call:
+        return builder.call(self.module.get_function(name), list(args))
 
-    # -- lowering ---------------------------------------------------------
-    def _lower_check(self, target: ITarget) -> None:
-        builder = self.marked_builder(self._fn)
-        base, bound = self._witness(target.pointer)
-        builder.position_before(target.instruction)
-        p64 = builder.ptrtoint(target.pointer, I64)
-        # Hoisted checks cover a symbolic extent (the loop's accessed
-        # byte count, computed in the preheader) instead of a constant.
-        width = target.width_value or ConstantInt(I64, target.width)
-        check = builder.call(
-            self.module.get_function("__sb_check"),
-            [p64, width, base, bound],
-        )
-        check.meta["mi_site"] = target.site
-        source, wide_hint = self._classify_pointer(target.pointer)
-        self.site_infos[target.site] = CheckSiteInfo(
-            site=target.site,
-            function=self._fn.name,
-            kind="deref",
-            mechanism=self.name,
-            line=target.instruction.meta.get("line"),
-            source=source,
-            wide_hint=wide_hint,
-        )
+    # -- invariants: trie and shadow stack -------------------------------
+    def lower_invariant(self, target: ITarget) -> None:
+        # INVARIANT_CAST: SoftBound does not act on ptrtoint.
+        if target.kind == TargetKind.INVARIANT_STORE:
+            self._lower_store_invariant(target.instruction)
+        elif target.kind == TargetKind.INVARIANT_CALL:
+            self._lower_call_invariant(target.instruction)
+        elif target.kind == TargetKind.INVARIANT_RET:
+            self._lower_ret_invariant(target.instruction)
 
-    def _classify_pointer(self, pointer: Value) -> Tuple[str, str]:
-        """Static provenance of a checked pointer: what produced it and
-        whether its witness is statically known to be (possibly) wide --
-        the measured counterpart of Table 2's attribution column."""
-        seen = set()
-        while id(pointer) not in seen:
-            seen.add(id(pointer))
-            if isinstance(pointer, GEP):
-                pointer = pointer.pointer
-                continue
-            if isinstance(pointer, Cast) and pointer.opcode == "bitcast" \
-                    and isinstance(pointer.value.type, PointerType):
-                pointer = pointer.value
-                continue
-            break
-        if isinstance(pointer, Cast) and pointer.opcode == "inttoptr":
-            if self.config.sb_inttoptr_wide_bounds:
-                return ("inttoptr", "inttoptr-roundtrip")
-            return ("inttoptr", "")
-        if isinstance(pointer, GlobalVariable):
-            if (pointer.declared_without_size
-                    and self.config.sb_size_zero_wide_upper):
-                return ("global", "sizeless-extern-array")
-            return ("global", "")
-        if isinstance(pointer, Alloca):
-            return ("alloca", "")
-        if isinstance(pointer, Load):
-            return ("trie-load", "")
-        if isinstance(pointer, Call):
-            return ("call-result", "")
-        if isinstance(pointer, Argument):
-            return ("argument", "")
-        if isinstance(pointer, (Phi, Select)):
-            return ("phi-or-select", "")
-        if isinstance(pointer, Function):
-            return ("function-pointer", "function-pointer")
-        if isinstance(pointer, (ConstantNull, UndefValue)):
-            return ("null", "")
-        return ("unknown", "unknown-producer")
-
-    def _lower_store_invariant(self, target: ITarget) -> None:
-        store = target.instruction
-        assert isinstance(store, Store)
-        base, bound = self._witness(store.value)
-        builder = self.marked_builder(self._fn)
+    def _lower_store_invariant(self, store: Store) -> None:
+        base, bound = self.witness(store.value)
+        builder = self.marked_builder(self.fn)
         builder.position_before(store)
         location = builder.ptrtoint(store.pointer, I64)
-        builder.call(
-            self.module.get_function("__sb_trie_store"), [location, base, bound]
-        )
+        self._call_runtime(builder, "__sb_trie_store", [location, base, bound])
 
-    def _lower_call_invariant(self, target: ITarget) -> None:
-        call = target.instruction
-        assert isinstance(call, Call)
+    def _lower_call_invariant(self, call: Call) -> None:
         ptr_args = [a for a in call.args if isinstance(a.type, PointerType)]
-        builder = self.marked_builder(self._fn)
+        builder = self.marked_builder(self.fn)
         if ptr_args:
-            witnesses = [self._witness(a) for a in ptr_args]
+            witnesses = [self.witness(a) for a in ptr_args]
             builder.position_before(call)
-            builder.call(
-                self.module.get_function("__sb_ss_enter"),
-                [ConstantInt(I64, len(ptr_args))],
-            )
+            self._call_runtime(builder, "__sb_ss_enter",
+                               [ConstantInt(I64, len(ptr_args))])
             for index, (base, bound) in enumerate(witnesses):
-                builder.call(
-                    self.module.get_function("__sb_ss_set"),
-                    [ConstantInt(I64, index), base, bound],
-                )
+                self._call_runtime(builder, "__sb_ss_set",
+                                   [ConstantInt(I64, index), base, bound])
         builder.position_after(call)
-        if isinstance(call.type, PointerType) and id(call) not in self._memo:
-            ret_base = builder.call(
-                self.module.get_function("__sb_ss_get_ret_base"), []
-            )
-            ret_bound = builder.call(
-                self.module.get_function("__sb_ss_get_ret_bound"), []
-            )
-            self._memo[id(call)] = (ret_base, ret_bound)
+        if isinstance(call.type, PointerType):
+            self.preset_witness(call, lambda: self._return_witness(builder))
         if ptr_args:
-            builder.call(self.module.get_function("__sb_ss_exit"), [])
+            self._call_runtime(builder, "__sb_ss_exit")
 
-    def _lower_ret_invariant(self, target: ITarget) -> None:
-        ret = target.instruction
-        assert isinstance(ret, Ret)
-        base, bound = self._witness(ret.value)
-        builder = self.marked_builder(self._fn)
+    def _lower_ret_invariant(self, ret: Ret) -> None:
+        base, bound = self.witness(ret.value)
+        builder = self.marked_builder(self.fn)
         builder.position_before(ret)
-        builder.call(
-            self.module.get_function("__sb_ss_set_ret"), [base, bound]
-        )
+        self._call_runtime(builder, "__sb_ss_set_ret", [base, bound])
 
-    # ------------------------------------------------------------------
-    # witness materialization
-    # ------------------------------------------------------------------
-    def _witness(self, pointer: Value) -> Witness:
-        key = id(pointer)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        witness = self._materialize(pointer)
-        self._memo[key] = witness
-        return witness
-
-    def _materialize(self, pointer: Value) -> Witness:
-        # Bounds-preserving derivations inherit the source's witness.
-        if isinstance(pointer, GEP):
-            return self._witness(pointer.pointer)
-        if isinstance(pointer, Cast) and pointer.opcode == "bitcast":
-            if isinstance(pointer.value.type, PointerType):
-                return self._witness(pointer.value)
+    # -- witness sources -----------------------------------------------------
+    def source_witness(self, pointer: Value) -> Witness:
         if isinstance(pointer, Cast) and pointer.opcode == "inttoptr":
             if self.config.sb_inttoptr_wide_bounds:
-                return self._wide()
-            return self._null()
+                return _wide()
+            return _null()
         if isinstance(pointer, Alloca):
-            return self._alloca_witness(pointer)
+            builder = self._builder_after(pointer)
+            base = builder.ptrtoint(pointer, I64)
+            return (base, builder.add(base, alloca_bytes(builder, pointer)))
         if isinstance(pointer, Load):
-            return self._load_witness(pointer)
+            # Bounds come from the trie, keyed by the address the
+            # pointer was loaded from (Section 3.2).
+            builder = self._builder_after(pointer)
+            location = builder.ptrtoint(pointer.pointer, I64)
+            return (
+                self._call_runtime(builder, "__sb_trie_load_base", [location]),
+                self._call_runtime(builder, "__sb_trie_load_bound", [location]),
+            )
         if isinstance(pointer, Call):
-            return self._call_witness(pointer)
-        if isinstance(pointer, Phi):
-            return self._phi_witness(pointer)
-        if isinstance(pointer, Select):
-            return self._select_witness(pointer)
+            # Normally preset by the call-invariant lowering; this path
+            # covers calls without pointer arguments.
+            return self._return_witness(self._builder_after(pointer))
         if isinstance(pointer, Argument):
             return self._argument_witness(pointer)
         if isinstance(pointer, GlobalVariable):
             return self._global_witness(pointer)
         if isinstance(pointer, (ConstantNull, UndefValue)):
-            return self._null()
-        if isinstance(pointer, Function):
-            return self._wide()  # function pointers are not data objects
-        # Unknown producer: be permissive rather than reject the program.
-        return self._wide()
+            return _null()
+        # Function pointers are not data objects, and an unknown
+        # producer is permitted rather than rejected.
+        return _wide()
 
-    def _wide(self) -> Witness:
-        return (ConstantInt(I64, 0), ConstantInt(I64, WIDE_BOUND_INT))
+    def _builder_after(self, inst) -> MarkingBuilder:
+        builder = self.marked_builder(self.fn)
+        builder.position_after(inst)
+        return builder
 
-    def _null(self) -> Witness:
-        return (ConstantInt(I64, 0), ConstantInt(I64, 0))
-
-    def _alloca_witness(self, alloca: Alloca) -> Witness:
-        builder = self.marked_builder(self._fn)
-        builder.position_after(alloca)
-        base = builder.ptrtoint(alloca, I64)
-        size: Value = ConstantInt(I64, size_of(alloca.allocated_type))
-        if alloca.count is not None:
-            count = alloca.count
-            if isinstance(count.type, IntType) and count.type.bits < 64:
-                count = builder.sext(count, I64)
-            size = builder.mul(size, count)
-        bound = builder.add(base, size)
-        return (base, bound)
-
-    def _load_witness(self, load: Load) -> Witness:
-        """Pointer loaded from memory: bounds come from the trie, keyed
-        by the address the pointer was loaded from (Section 3.2)."""
-        builder = self.marked_builder(self._fn)
-        builder.position_after(load)
-        location = builder.ptrtoint(load.pointer, I64)
-        base = builder.call(
-            self.module.get_function("__sb_trie_load_base"), [location]
-        )
-        bound = builder.call(
-            self.module.get_function("__sb_trie_load_bound"), [location]
-        )
-        return (base, bound)
-
-    def _call_witness(self, call: Call) -> Witness:
-        """Pointer returned from a call: bounds from the shadow-stack
-        return slot.  Normally pre-populated by the call-invariant
-        lowering; this path covers calls without pointer arguments."""
-        builder = self.marked_builder(self._fn)
-        builder.position_after(call)
-        base = builder.call(self.module.get_function("__sb_ss_get_ret_base"), [])
-        bound = builder.call(self.module.get_function("__sb_ss_get_ret_bound"), [])
-        return (base, bound)
-
-    def _phi_witness(self, phi: Phi) -> Witness:
-        base_phi = Phi(I64, self._fn.next_name("sb.base"))
-        bound_phi = Phi(I64, self._fn.next_name("sb.bound"))
-        self.mark(base_phi)
-        self.mark(bound_phi)
-        block = phi.parent
-        assert block is not None
-        block.insert(0, bound_phi)
-        block.insert(0, base_phi)
-        # Pre-memoize to terminate witness cycles through loop phis.
-        self._memo[id(phi)] = (base_phi, bound_phi)
-        for value, pred in phi.incoming:
-            base, bound = self._witness(value)
-            base_phi.add_incoming(base, pred)
-            bound_phi.add_incoming(bound, pred)
-        return (base_phi, bound_phi)
-
-    def _select_witness(self, select: Select) -> Witness:
-        true_w = self._witness(select.true_value)
-        false_w = self._witness(select.false_value)
-        builder = self.marked_builder(self._fn)
-        builder.position_after(select)
-        base = builder.select(select.condition, true_w[0], false_w[0])
-        bound = builder.select(select.condition, true_w[1], false_w[1])
-        return (base, bound)
+    def _return_witness(self, builder: MarkingBuilder) -> Witness:
+        """Bounds from the shadow-stack return slot."""
+        return (self._call_runtime(builder, "__sb_ss_get_ret_base"),
+                self._call_runtime(builder, "__sb_ss_get_ret_bound"))
 
     def _argument_witness(self, arg: Argument) -> Witness:
         """Pointer parameter: bounds from the caller's shadow-stack
         frame (slot index = position among the pointer parameters)."""
         slot = 0
-        for other in self._fn.args:
+        for other in self.fn.args:
             if other is arg:
                 break
             if isinstance(other.type, PointerType):
                 slot += 1
-        builder = self.marked_builder(self._fn)
-        builder.position_at_start(self._fn.entry)
-        base = builder.call(
-            self.module.get_function("__sb_ss_get_base"), [ConstantInt(I64, slot)]
+        builder = self.marked_builder(self.fn)
+        builder.position_at_start(self.fn.entry)
+        return (
+            self._call_runtime(builder, "__sb_ss_get_base",
+                               [ConstantInt(I64, slot)]),
+            self._call_runtime(builder, "__sb_ss_get_bound",
+                               [ConstantInt(I64, slot)]),
         )
-        bound = builder.call(
-            self.module.get_function("__sb_ss_get_bound"), [ConstantInt(I64, slot)]
-        )
-        return (base, bound)
 
     def _global_witness(self, gv: GlobalVariable) -> Witness:
-        builder = self.marked_builder(self._fn)
-        builder.position_at_start(self._fn.entry)
+        builder = self.marked_builder(self.fn)
+        builder.position_at_start(self.fn.entry)
         base = builder.ptrtoint(gv, I64)
         if gv.declared_without_size:
             if self.config.sb_size_zero_wide_upper:
                 return (base, ConstantInt(I64, WIDE_BOUND_INT))
             # NULL upper bound: every access through it reports.
             return (base, ConstantInt(I64, 0))
-        bound = builder.add(base, ConstantInt(I64, size_of(gv.value_type)))
-        return (base, bound)
+        return (base, builder.add(base, ConstantInt(I64, size_of(gv.value_type))))
+
+    # -- site provenance -----------------------------------------------------
+    def classify_source(self, root: Value) -> Tuple[str, str]:
+        if isinstance(root, Cast) and root.opcode == "inttoptr":
+            if self.config.sb_inttoptr_wide_bounds:
+                return ("inttoptr", "inttoptr-roundtrip")
+            return ("inttoptr", "")
+        if isinstance(root, GlobalVariable):
+            if root.declared_without_size and self.config.sb_size_zero_wide_upper:
+                return ("global", "sizeless-extern-array")
+            return ("global", "")
+        if isinstance(root, Alloca):
+            return ("alloca", "")
+        if isinstance(root, Load):
+            return ("trie-load", "")
+        if isinstance(root, Call):
+            return ("call-result", "")
+        return super().classify_source(root)
+
+
+def _wide() -> Witness:
+    return (ConstantInt(I64, 0), ConstantInt(I64, WIDE_BOUND_INT))
+
+
+def _null() -> Witness:
+    return (ConstantInt(I64, 0), ConstantInt(I64, 0))
 
 
 def _softbound_runtime(config, lf_region_capacity=None):

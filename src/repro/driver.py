@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .core.config import InstrumentationConfig
-from .core.instrument import InstrumenterHandle, make_instrumenter
+from .core.instrument import MemInstrumentPass
 from .core.itarget import CheckSiteInfo, TargetStatistics
 from .core.mechanism import install_runtime
 from .errors import MemoryFault, MemSafetyViolation, ProgramAbort, VMError
@@ -137,14 +137,14 @@ def compile_program(
         )
         if options.verify:
             verify_module(module)
-        instrumenter: Optional[InstrumenterHandle] = None
+        instrumenter: Optional[MemInstrumentPass] = None
         if config.approach != "noop":
-            instrumenter = make_instrumenter(
+            instrumenter = MemInstrumentPass(
                 config, verify=options.verify,
                 collect_verdicts=options.collect_verdicts)
         pipeline = build_pipeline(
             opt_level=options.opt_level,
-            instrument=instrumenter,
+            instrument=instrumenter.run if instrumenter is not None else None,
             extension_point=options.extension_point,
             verify_each=options.verify,
         )

@@ -925,7 +925,7 @@ class _SourceEmitter:
         for _ in phis:
             # Charged with the block vector, after the moves ran --
             # matching the tree-walker's evaluate-then-charge order.
-            self._charge("phi", 0)
+            self._charge("phi", costs.INSTRUCTION_COSTS["phi"])
         for inst in block.instructions[len(phis):]:
             if inst is term_inst:
                 self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
@@ -954,25 +954,25 @@ class _SourceEmitter:
                          mi=mi)
             self._compile_binop(inst)
         elif cls is GEP:
-            self._charge("gep", 1, mi=mi)
+            self._charge("gep", costs.INSTRUCTION_COSTS["gep"], mi=mi)
             self._compile_gep(inst)
         elif cls is ICmp:
-            self._charge("icmp", 1, mi=mi)
+            self._charge("icmp", costs.INSTRUCTION_COSTS["icmp"], mi=mi)
             self._compile_icmp(inst)
         elif cls is FCmp:
-            self._charge("fcmp", 2, mi=mi)
+            self._charge("fcmp", costs.INSTRUCTION_COSTS["fcmp"], mi=mi)
             self._compile_fcmp(inst)
         elif cls is Cast:
             self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
                          mi=mi)
             self._compile_cast(inst)
         elif cls is Select:
-            self._charge("select", 1, mi=mi)
+            self._charge("select", costs.INSTRUCTION_COSTS["select"], mi=mi)
             self._compile_select(inst)
         elif cls is Call:
             self._compile_call(inst)
         elif cls is Alloca:
-            self._charge("alloca", 2, mi=mi)
+            self._charge("alloca", costs.INSTRUCTION_COSTS["alloca"], mi=mi)
             self._compile_alloca(inst)
         elif cls is Phi:
             # A phi past the leading run: the tree-walker dispatches

@@ -79,8 +79,6 @@ from .stats import RuntimeStats
 
 FUNCTION_SEGMENT_BASE = 0x2000
 U64_MASK = (1 << 64) - 1
-_LOAD_COST = costs.INSTRUCTION_COSTS["load"]
-_STORE_COST = costs.INSTRUCTION_COSTS["store"]
 
 # Per-predicate comparison dispatch: one operator call per executed
 # icmp instead of building and indexing a ten-entry table.
@@ -307,6 +305,7 @@ class VirtualMachine:
 
     def _interpret(self, fn: Function, frame: Dict[Value, object]):
         stats = self.stats
+        cost = costs.INSTRUCTION_COSTS
         profile = stats.profile
         c0 = 0
         block = fn.entry
@@ -322,7 +321,7 @@ class VirtualMachine:
                 ]
                 for phi, value in zip(phis, values):
                     frame[phi] = value
-                    stats.charge("phi", 0)
+                    stats.charge("phi", cost["phi"])
                 index = len(phis)
 
             next_block: Optional[BasicBlock] = None
@@ -333,13 +332,13 @@ class VirtualMachine:
                 if profile:
                     c0 = stats.cycles
                 if cls is Load:
-                    stats.charge("load", _LOAD_COST)
+                    stats.charge("load", cost["load"])
                     stats.loads += 1
                     frame[inst] = self._load(
                         self._eval(inst.pointer, frame), inst.type  # type: ignore[attr-defined]
                     )
                 elif cls is Store:
-                    stats.charge("store", _STORE_COST)
+                    stats.charge("store", cost["store"])
                     stats.stores += 1
                     self._store(
                         self._eval(inst.pointer, frame),  # type: ignore[attr-defined]
@@ -347,7 +346,7 @@ class VirtualMachine:
                         inst.value.type,  # type: ignore[attr-defined]
                     )
                 elif cls is BinOp:
-                    stats.charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
+                    stats.charge(inst.opcode, cost[inst.opcode])
                     frame[inst] = self._binop(
                         inst.opcode,
                         inst.type,
@@ -355,19 +354,19 @@ class VirtualMachine:
                         self._eval(inst.rhs, frame),  # type: ignore[attr-defined]
                     )
                 elif cls is GEP:
-                    stats.charge("gep", 1)
+                    stats.charge("gep", cost["gep"])
                     frame[inst] = self._gep(inst, frame)
                 elif cls is ICmp:
-                    stats.charge("icmp", 1)
+                    stats.charge("icmp", cost["icmp"])
                     frame[inst] = self._icmp(inst, frame)
                 elif cls is FCmp:
-                    stats.charge("fcmp", 2)
+                    stats.charge("fcmp", cost["fcmp"])
                     frame[inst] = self._fcmp(inst, frame)
                 elif cls is Cast:
-                    stats.charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
+                    stats.charge(inst.opcode, cost[inst.opcode])
                     frame[inst] = self._cast(inst, frame)
                 elif cls is Select:
-                    stats.charge("select", 1)
+                    stats.charge("select", cost["select"])
                     cond = self._eval(inst.condition, frame)  # type: ignore[attr-defined]
                     frame[inst] = self._eval(
                         inst.true_value if cond else inst.false_value, frame  # type: ignore[attr-defined]
@@ -377,19 +376,19 @@ class VirtualMachine:
                     if inst.type.is_first_class():
                         frame[inst] = result
                 elif cls is Alloca:
-                    stats.charge("alloca", 2)
+                    stats.charge("alloca", cost["alloca"])
                     frame[inst] = self._alloca(inst, frame)
                 elif cls is Br:
-                    stats.charge("br", 1)
+                    stats.charge("br", cost["br"])
                     next_block = inst.target  # type: ignore[attr-defined]
                     break
                 elif cls is CondBr:
-                    stats.charge("condbr", 2)
+                    stats.charge("condbr", cost["condbr"])
                     cond = self._eval(inst.condition, frame)  # type: ignore[attr-defined]
                     next_block = inst.true_block if cond else inst.false_block  # type: ignore[attr-defined]
                     break
                 elif cls is Ret:
-                    stats.charge("ret", 2)
+                    stats.charge("ret", cost["ret"])
                     value = inst.value  # type: ignore[attr-defined]
                     return self._eval(value, frame) if value is not None else None
                 elif cls is Phi:

@@ -19,7 +19,10 @@ from repro.analysis import induction
 from repro.analysis.dataflow import ForwardDataflow
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import LoopInfo
+from repro.analysis.ranges import FunctionRangeAnalysis
+from repro.core import instrument
 from repro.core.instrument import MemInstrumentPass
+from repro.core.itarget import TargetKind
 from repro.driver import CompileOptions, compile_program
 from repro.experiments.common import config_for
 from repro.frontend import compile_source
@@ -130,6 +133,67 @@ def test_meminstrument_recognizes_each_loop_once(monkeypatch):
     assert max(b["DominatorTree"] for b in builds) == 1
     assert max(b["LoopInfo"] for b in builds) == 1
     assert max(max(r.values(), default=0) for _, r in per_function) == 1
+
+
+def test_meminstrument_analyses_only_what_it_checks(monkeypatch):
+    # The range analysis and the loop model decide only about
+    # dereference checks: a function without one gets no range
+    # analysis, and each (block, pointer) is decomposed against its
+    # loop's IV at most once, though the verdicts and the hoist filter
+    # both ask about it.
+    scope = []          # [function, has a dereference check] per level
+    unchecked = []      # functions analysed without a dereference check
+    decompositions = Counter()
+    asking = []         # the (block, pointer) ``access`` is deciding
+    instrument_function = MemInstrumentPass._instrument_function
+    gather = instrument.gather_function_targets
+    init = FunctionRangeAnalysis.__init__
+    access = induction.CountedLoops.access
+    affine = induction.affine_pointer
+
+    def scoped(pass_, mechanism, fn, *args, **kwargs):
+        scope.append([fn, False])
+        try:
+            return instrument_function(pass_, mechanism, fn, *args, **kwargs)
+        finally:
+            scope.pop()
+
+    def gathered(fn):
+        targets = gather(fn)
+        if scope:
+            scope[-1][1] = any(t.kind == TargetKind.CHECK_DEREF
+                               for t in targets)
+        return targets
+
+    def analysis(self, fn, *args, **kwargs):
+        if scope and fn is scope[-1][0] and not scope[-1][1]:
+            unchecked.append(fn.name)
+        init(self, fn, *args, **kwargs)
+
+    def asked(self, block, pointer):
+        asking.append((block, pointer))
+        try:
+            return access(self, block, pointer)
+        finally:
+            asking.pop()
+
+    def decompose(pointer, iv, *args, **kwargs):
+        if iv is not None and asking:
+            decompositions[asking[-1]] += 1
+        return affine(pointer, iv, *args, **kwargs)
+
+    monkeypatch.setattr(MemInstrumentPass, "_instrument_function", scoped)
+    monkeypatch.setattr(instrument, "gather_function_targets", gathered)
+    monkeypatch.setattr(FunctionRangeAnalysis, "__init__", analysis)
+    monkeypatch.setattr(induction.CountedLoops, "access", asked)
+    monkeypatch.setattr(induction, "affine_pointer", decompose)
+    for workload in all_workloads():
+        for label in ("softbound-ranges", "lowfat-ranges",
+                      "softbound-hoist", "lowfat-hoist"):
+            compile_program(workload.sources, config_for(label))
+    assert unchecked == []
+    assert decompositions
+    assert max(decompositions.values()) == 1
 
 
 def _if_chain(n: int) -> str:

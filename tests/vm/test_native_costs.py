@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import MemoryFault
 from repro.frontend import compile_source
+from repro.ir.parser import parse_module
 from repro.vm import VirtualMachine
 from repro.vm import costs
+from repro.vm.engines import ENGINES
 
 
 def run(src, max_instructions=2_000_000):
@@ -142,3 +144,59 @@ class TestCostModel:
     def test_free_casts_are_free(self):
         for op in ("ptrtoint", "inttoptr", "bitcast"):
             assert costs.INSTRUCTION_COSTS[op] == 0
+
+    def test_every_charge_reads_the_cost_table(self, monkeypatch):
+        # A 16-iteration loop that executes every opcode the engines
+        # charge, with no native call (a native's charge also includes
+        # the ``call`` entry).  Raising one entry must raise both
+        # engines' cycles by that opcode's count times the raise.
+        def stats(engine):
+            # A fresh Module per run: codegen caches its emission, and
+            # with it the charges, on each Function.
+            vm = VirtualMachine(parse_module(COST_PROGRAM), engine=engine)
+            assert vm.run() == 212
+            return vm.stats
+
+        base = {engine: stats(engine) for engine in ENGINES}
+        counts = base["interp"].opcode_counts
+        assert {"alloca", "br", "call", "condbr", "fcmp", "gep", "icmp",
+                "load", "phi", "ret", "select", "store"} <= set(counts)
+        for opcode, count in sorted(counts.items()):
+            original = costs.INSTRUCTION_COSTS[opcode]
+            monkeypatch.setitem(costs.INSTRUCTION_COSTS, opcode, original + 10)
+            for engine in ENGINES:
+                assert stats(engine).cycles == \
+                    base[engine].cycles + 10 * count, (opcode, engine)
+            monkeypatch.setitem(costs.INSTRUCTION_COSTS, opcode, original)
+
+
+COST_PROGRAM = """
+define i64 @twice(i64 %x) {
+entry:
+  %d = add i64 %x, %x
+  ret i64 %d
+}
+
+define i32 @main() {
+entry:
+  %a = alloca [16 x i64]
+  br %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %s = phi i64 [0, %entry], [%sum, %loop]
+  %g = gep [16 x i64]* %a, i64 0, i64 %i
+  store i64 %i, i64* %g
+  %v = load i64, i64* %g
+  %f = sitofp i64 %v to f64
+  %big = fcmp ogt f64 %f, 7.5
+  %t = call i64 @twice(i64 %v)
+  %pick = select i1 %big, i64 %t, i64 %v
+  %sum = add i64 %s, %pick
+  %next = add i64 %i, 1
+  %more = icmp slt i64 %next, 16
+  br i1 %more, %loop, %done
+done:
+  %r = trunc i64 %sum to i32
+  ret i32 %r
+}
+"""
