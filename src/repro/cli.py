@@ -69,7 +69,7 @@ def _split_mi_flags(argv: List[str]):
 #: ``generate(engine, workloads)``.
 EXPERIMENT_COMMANDS = {
     "table1": ("table1", "generate", "Table 1: instrumentation targets per task"),
-    "table2": ("table2", "generate", "Table 2: unsafe dereferences in %"),
+    "table2": ("table2", "generate", "Table 2: unsafe dereferences in %%"),
     "fig9": ("fig9", "generate", "Figure 9: SoftBound vs Low-Fat overhead"),
     "fig10": ("fig10", "generate", "Figure 10: SoftBound config comparison"),
     "fig11": ("fig11", "generate", "Figure 11: Low-Fat config comparison"),

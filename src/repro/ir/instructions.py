@@ -285,28 +285,6 @@ FCMP_PREDICATES = {
     "ueq", "une", "ult", "ule", "ugt", "uge", "uno",
 }
 
-#: Evaluation of every fcmp predicate with IEEE-754/LLVM NaN semantics,
-#: shared by both execution engines and the constant folder.  Written
-#: with plain comparisons only: ``x < y`` / ``x > y`` are already false
-#: when either side is NaN, and ``x != x`` is the NaN test, so no
-#: ``math.isnan`` call is needed on the hot path.
-FCMP_EVAL = {
-    "oeq": lambda a, b: 1 if a == b else 0,
-    "ogt": lambda a, b: 1 if a > b else 0,
-    "oge": lambda a, b: 1 if a >= b else 0,
-    "olt": lambda a, b: 1 if a < b else 0,
-    "ole": lambda a, b: 1 if a <= b else 0,
-    "one": lambda a, b: 1 if (a < b or a > b) else 0,
-    "ord": lambda a, b: 1 if (a == a and b == b) else 0,
-    "ueq": lambda a, b: 0 if (a < b or a > b) else 1,
-    "ugt": lambda a, b: 0 if a <= b else 1,
-    "uge": lambda a, b: 0 if a < b else 1,
-    "ult": lambda a, b: 0 if a >= b else 1,
-    "ule": lambda a, b: 0 if a > b else 1,
-    "une": lambda a, b: 1 if a != b else 0,
-    "uno": lambda a, b: 1 if (a != a or b != b) else 0,
-}
-
 
 class ICmp(Instruction):
     opcode = "icmp"

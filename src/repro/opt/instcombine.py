@@ -10,8 +10,6 @@ folds, and select-on-constant.
 
 from __future__ import annotations
 
-import math
-import struct as _struct
 from typing import Optional
 
 from ..ir.instructions import (
@@ -23,63 +21,21 @@ from ..ir.instructions import (
     Instruction,
     Select,
 )
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.semantics import fold
+from ..ir.types import I1, FloatType, IntType, PointerType
 from ..ir.values import ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
 from ..ir.module import Function
 from .pass_manager import FunctionPass
 
 
-def _to_signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        return value - (1 << bits)
-    return value
-
-
-def fold_int_binop(op: str, lhs: int, rhs: int, bits: int) -> Optional[int]:
-    mask = (1 << bits) - 1
-    if op == "add":
-        return (lhs + rhs) & mask
-    if op == "sub":
-        return (lhs - rhs) & mask
-    if op == "mul":
-        return (lhs * rhs) & mask
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "shl":
-        return (lhs << (rhs % bits)) & mask
-    if op == "lshr":
-        return lhs >> (rhs % bits)
-    if op == "ashr":
-        return (_to_signed(lhs, bits) >> (rhs % bits)) & mask
-    if op in ("sdiv", "srem"):
-        a, b = _to_signed(lhs, bits), _to_signed(rhs, bits)
-        if b == 0:
-            return None
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return (q if op == "sdiv" else a - q * b) & mask
-    if op in ("udiv", "urem"):
-        if rhs == 0:
-            return None
-        return (lhs // rhs if op == "udiv" else lhs % rhs) & mask
+def _constant(ty, value) -> Optional[Value]:
+    """The constant ``value`` of ``ty``; None when ``value`` is None
+    (the fold would raise) or not a value of ``ty``."""
+    if isinstance(ty, IntType) and isinstance(value, int):
+        return ConstantInt(ty, value)
+    if isinstance(ty, FloatType) and isinstance(value, float):
+        return ConstantFloat(ty, value)
     return None
-
-
-def fold_icmp(pred: str, lhs: int, rhs: int, bits: int) -> int:
-    if pred in ("slt", "sle", "sgt", "sge"):
-        lhs, rhs = _to_signed(lhs, bits), _to_signed(rhs, bits)
-    return int({
-        "eq": lhs == rhs, "ne": lhs != rhs,
-        "slt": lhs < rhs, "sle": lhs <= rhs,
-        "sgt": lhs > rhs, "sge": lhs >= rhs,
-        "ult": lhs < rhs, "ule": lhs <= rhs,
-        "ugt": lhs > rhs, "uge": lhs >= rhs,
-    }[pred])
 
 
 class InstCombine(FunctionPass):
@@ -132,10 +88,7 @@ class InstCombine(FunctionPass):
         ty = inst.type
         if isinstance(ty, IntType):
             if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-                folded = fold_int_binop(inst.opcode, lhs.value, rhs.value, ty.bits)
-                if folded is not None:
-                    return ConstantInt(ty, folded)
-                return None
+                return _constant(ty, fold(inst, lhs.value, rhs.value))
             # Canonicalize constants to the right for commutative ops.
             if isinstance(lhs, ConstantInt) and inst.opcode in (
                 "add", "mul", "and", "or", "xor"
@@ -161,26 +114,13 @@ class InstCombine(FunctionPass):
             return None
         if isinstance(ty, FloatType):
             if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
-                try:
-                    value = {
-                        "fadd": lhs.value + rhs.value,
-                        "fsub": lhs.value - rhs.value,
-                        "fmul": lhs.value * rhs.value,
-                        "fdiv": lhs.value / rhs.value if rhs.value else math.inf,
-                        "frem": math.fmod(lhs.value, rhs.value) if rhs.value else math.nan,
-                    }[inst.opcode]
-                except (OverflowError, ValueError):
-                    return None
-                return ConstantFloat(ty, value)
+                return _constant(ty, fold(inst, lhs.value, rhs.value))
         return None
 
     def _simplify_icmp(self, inst: ICmp) -> Optional[Value]:
         lhs, rhs = inst.lhs, inst.rhs
-        from ..ir.types import I1
-
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            bits = lhs.type.bits if isinstance(lhs.type, IntType) else 64
-            return ConstantInt(I1, fold_icmp(inst.predicate, lhs.value, rhs.value, bits))
+            return ConstantInt(I1, fold(inst, lhs.value, rhs.value))
         if lhs is rhs:
             return ConstantInt(I1, int(inst.predicate in ("eq", "sle", "sge", "ule", "uge")))
         if isinstance(lhs, ConstantNull) and isinstance(rhs, ConstantNull):
@@ -189,14 +129,8 @@ class InstCombine(FunctionPass):
 
     def _simplify_fcmp(self, inst: FCmp) -> Optional[Value]:
         lhs, rhs = inst.lhs, inst.rhs
-        from ..ir.instructions import FCMP_EVAL
-        from ..ir.types import I1
-
         if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
-            # FCMP_EVAL carries the full 14-predicate table with LLVM's
-            # ordered/unordered NaN semantics, so folding agrees with
-            # what either execution engine would compute at runtime.
-            return ConstantInt(I1, FCMP_EVAL[inst.predicate](lhs.value, rhs.value))
+            return ConstantInt(I1, fold(inst, lhs.value, rhs.value))
         return None
 
     def _simplify_cast(self, inst: Cast) -> Optional[Value]:
@@ -207,26 +141,14 @@ class InstCombine(FunctionPass):
                                        "fpext", "fptrunc"):
             return value
         if isinstance(value, ConstantInt):
-            if op == "trunc" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.value)
-            if op == "zext" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.value)
-            if op == "sext" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.signed_value)
-            if op == "sitofp" and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, float(value.signed_value))
-            if op == "uitofp" and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, float(value.value))
+            if op in ("trunc", "zext", "sext", "sitofp", "uitofp"):
+                return _constant(dst_ty, fold(inst, value.value))
             if op == "inttoptr" and value.value == 0 and isinstance(dst_ty, PointerType):
                 return ConstantNull(dst_ty)
         if isinstance(value, ConstantFloat):
-            if op in ("fpext", "fptrunc") and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, value.value)
-            if op == "fptosi" and isinstance(dst_ty, IntType):
-                # int(NaN)/int(inf) raise; leave non-finite conversions
-                # to the runtime rather than crashing the compiler.
-                if math.isfinite(value.value):
-                    return ConstantInt(dst_ty, int(value.value))
+            if op in ("fpext", "fptrunc", "fptosi"):
+                # A non-finite fptosi does not fold: it raises at run time.
+                return _constant(dst_ty, fold(inst, value.value))
         if isinstance(value, ConstantNull):
             if op == "bitcast" and isinstance(dst_ty, PointerType):
                 return ConstantNull(dst_ty)

@@ -12,9 +12,11 @@ compiled bytecode over real local variables:
   execute without any dispatch at all;
 * phi moves become per-edge tuple assignments
   (``v3, v7 = <e1>, <e2>``), which are parallel by construction;
-* icmp/fcmp/binops/casts/GEPs are inlined as expressions, with
-  branch-free sign correction (``(x ^ half) - half``), and single-use
-  pure values fused textually into their consumer;
+* binops, comparisons and casts are inlined as the expression
+  templates of :mod:`repro.ir.semantics` (or call the evaluator the
+  table compiles), GEPs as address arithmetic with branch-free sign
+  correction (``(x ^ half) - half``), and single-use pure values are
+  fused textually into their consumer;
 * a load or store is two lines over a per-site inline cache of the
   last allocation it hit -- four module-level variables (allocation,
   low and high bound, buffer): one line refills them from
@@ -56,8 +58,9 @@ gets an ordinary call and its runtime records the check, so each
 check is counted on exactly one path.  A frame
 has one ``except BaseException`` handler: the line an exception
 passed names the raising step (loads, stores, allocas, integer
-division, every call) in a static line table, so the raising block is
-charged its executed prefix instead of its whole vector -- a failing
+division, float-to-integer conversion, every call) in a static line
+table, so the raising block is charged its executed prefix instead of
+its whole vector -- a failing
 check's prefix includes the check itself, which the tree-walker
 records before comparing -- and ``__ins``
 loses the block's unexecuted suffix; calls of program code resync it
@@ -97,13 +100,11 @@ copy, so a fresh VM over the same program skips the emitter and
 from __future__ import annotations
 
 import functools
-import math
-import operator
 import os
 import re
 import string
 import struct
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import MemoryFault, VMError
 from ..ir.instructions import (
@@ -113,7 +114,6 @@ from ..ir.instructions import (
     Call,
     Cast,
     CondBr,
-    FCMP_EVAL,
     FCmp,
     GEP,
     ICmp,
@@ -126,6 +126,8 @@ from ..ir.instructions import (
     Unreachable,
 )
 from ..ir.module import BasicBlock, Function, GlobalVariable
+from ..ir.semantics import (HELPERS, TEMPLATES, TRAPPING, compiled, fold,
+                             operation)
 from ..ir.types import (
     ArrayType,
     FloatType,
@@ -165,194 +167,20 @@ _MAX_INLINE_DEPTH = 36
 _BUDGET_CHECK = ('if __ins > __maxi: raise __VMError('
                  '"instruction budget exceeded (infinite loop?)")')
 
-_ICMP_SYM = {
-    "eq": "==", "ne": "!=",
-    "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
-    "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-}
-_ICMP_SIGNED = frozenset(("slt", "sle", "sgt", "sge"))
-
-#: fcmp predicates whose NaN behaviour Python operators reproduce
-#: directly: ordered comparisons are False on NaN (as every Python
-#: comparison is), ``une`` is unordered-or-ne and ``!=`` is True on
-#: NaN.  The remaining eight go through the shared FCMP_EVAL table.
-_FCMP_SYM = {
-    "oeq": "==", "ogt": ">", "oge": ">=", "olt": "<", "ole": "<=",
-    "une": "!=",
-}
-
-_DIV_OPS = frozenset(("sdiv", "udiv", "srem", "urem"))
-#: Casts that cannot raise (``fptosi``/``fptoui`` blow up on NaN/inf).
-_PURE_CASTS = frozenset((
-    "trunc", "zext", "sext", "ptrtoint", "inttoptr", "bitcast",
-    "fptrunc", "fpext", "sitofp", "uitofp",
+#: Operations codegen calls through their compiled evaluator, bound
+#: once per site, instead of inlining their template: integer division,
+#: a bitcast that reinterprets bits, and each fcmp predicate that is
+#: not a flag ``(1 if C else 0)`` over one Python comparison.
+_CALLED = frozenset((
+    "sdiv", "udiv", "srem", "urem", "bitcast to float", "bitcast to int",
+    "fcmp one", "fcmp ord", "fcmp ueq", "fcmp ugt", "fcmp uge",
+    "fcmp ult", "fcmp ule", "fcmp uno",
 ))
-
-_ICMP_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-}
-
-
-# -- scalar semantics, for constant folding and bound helpers ----------
-
-def _float_binop_fn(op: str) -> Optional[Callable]:
-    if op == "fadd":
-        return operator.add
-    if op == "fsub":
-        return operator.sub
-    if op == "fmul":
-        return operator.mul
-    if op == "fdiv":
-        inf = float("inf")
-
-        def fdiv(x, y):
-            return x / y if y != 0.0 else inf
-
-        return fdiv
-    if op == "frem":
-        fmod = math.fmod
-        nan = float("nan")
-
-        def frem(x, y):
-            return fmod(x, y) if y != 0.0 else nan
-
-        return frem
-    return None
-
-
-def _int_binop_fn(op: str, bits: int, mask: int) -> Optional[Callable]:
-    if op == "add":
-        return lambda x, y: (x + y) & mask
-    if op == "sub":
-        return lambda x, y: (x - y) & mask
-    if op == "mul":
-        return lambda x, y: (x * y) & mask
-    if op == "and":
-        return operator.and_
-    if op == "or":
-        return operator.or_
-    if op == "xor":
-        return operator.xor
-    if op == "shl":
-        return lambda x, y: (x << (y % bits)) & mask
-    if op == "lshr":
-        return lambda x, y: x >> (y % bits)
-    if op == "ashr":
-        half, full = 1 << (bits - 1), 1 << bits
-
-        def ashr(x, y):
-            if x >= half:
-                x -= full
-            return (x >> (y % bits)) & mask
-
-        return ashr
-    if op in ("sdiv", "srem"):
-        half, full = 1 << (bits - 1), 1 << bits
-        srem = op == "srem"
-
-        def sdiv(x, y):
-            if x >= half:
-                x -= full
-            if y >= half:
-                y -= full
-            if y == 0:
-                raise MemoryFault(0, 0, "integer division by zero")
-            q = abs(x) // abs(y)
-            if (x < 0) != (y < 0):
-                q = -q
-            return (x - q * y if srem else q) & mask
-
-        return sdiv
-    if op in ("udiv", "urem"):
-        urem = op == "urem"
-
-        def udiv(x, y):
-            if y == 0:
-                raise MemoryFault(0, 0, "integer division by zero")
-            return (x % y if urem else x // y) & mask
-
-        return udiv
-    return None
-
-
-def _icmp_fn(inst: ICmp) -> Callable:
-    pred = inst.predicate
-    op = _ICMP_OPS[pred]
-    if pred not in _ICMP_SIGNED:
-        return lambda x, y: 1 if op(x, y) else 0
-    ty = inst.lhs.type
-    bits = ty.bits if isinstance(ty, IntType) else 64
-    half, full = 1 << (bits - 1), 1 << bits
-
-    def f(x, y):
-        if x >= half:
-            x -= full
-        if y >= half:
-            y -= full
-        return 1 if op(x, y) else 0
-
-    return f
-
-
-def _cast_fn(op: str, src_ty, dst_ty) -> Optional[Callable]:
-    """Scalar conversion for a cast; None means identity."""
-    if op == "trunc":
-        assert isinstance(dst_ty, IntType)
-        mask = dst_ty.mask
-        return lambda x: x & mask
-    if op == "zext":
-        return None
-    if op == "sext":
-        assert isinstance(src_ty, IntType) and isinstance(dst_ty, IntType)
-        half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
-        dmask = dst_ty.mask
-
-        def sext(x):
-            if x >= half:
-                x -= full
-            return x & dmask
-
-        return sext
-    if op == "ptrtoint":
-        mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
-        return lambda x: x & mask
-    if op == "inttoptr":
-        return lambda x: x & U64_MASK
-    if op == "bitcast":
-        if isinstance(src_ty, IntType) and isinstance(dst_ty, FloatType):
-            fmt = "<f" if dst_ty.bits == 32 else "<d"
-            nbytes = dst_ty.bits // 8
-            unpack = struct.unpack
-            return lambda x: unpack(fmt, x.to_bytes(nbytes, "little"))[0]
-        if isinstance(src_ty, FloatType) and isinstance(dst_ty, IntType):
-            fmt = "<f" if src_ty.bits == 32 else "<d"
-            pack = struct.pack
-            from_bytes = int.from_bytes
-            return lambda x: from_bytes(pack(fmt, x), "little")
-        return None
-    if op in ("fptrunc", "fpext"):
-        return float
-    if op in ("fptosi", "fptoui"):
-        assert isinstance(dst_ty, IntType)
-        mask = dst_ty.mask
-        return lambda x: int(x) & mask
-    if op == "sitofp":
-        assert isinstance(src_ty, IntType)
-        half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
-
-        def sitofp(x):
-            if x >= half:
-                x -= full
-            return float(x)
-
-        return sitofp
-    if op == "uitofp":
-        return float
-    raise VMError(f"cast {op}")  # pragma: no cover - unknown cast opcode
+#: A ptrtoint to i64, as ``ir.semantics.operation`` gives it.
+_PTRTOINT_64 = ("ptrtoint", f"({{a}} & {U64_MASK})")
+#: Operations whose template names an operand twice.
+_TWICE = frozenset(key for key, template in TEMPLATES.items()
+                   if template.count("{a}") > 1 or template.count("{b}") > 1)
 
 
 def _native_code(impl) -> object:
@@ -371,16 +199,18 @@ def _native_code(impl) -> object:
 
 
 def _env_signature(vm: "VirtualMachine") -> Tuple:
-    """Everything the emitter consults on the VM that can change the
-    *generated source*: loaded-global addresses (constant folding +
-    getter shape), which natives are registered and as what code
-    (call shape), and the profiling switch (cycle attribution code).
-    Two VMs with equal signatures get byte-identical source and share
-    the cached emission; each binds its own objects into it."""
+    """Everything the emitter consults that can change the *generated
+    source* or the charges emitted with it: loaded-global addresses
+    (constant folding + getter shape), which natives are registered and
+    as what code (call shape), the profiling switch (cycle attribution
+    code) and the cost tables (block vectors).  Two VMs with equal
+    signatures get byte-identical source and share the cached emission;
+    each binds its own objects into it."""
     return (
         tuple((id(g), a) for g, a in vm.global_addresses.items()),
         tuple((n, _native_code(f)) for n, f in vm.natives.items()),
         vm.stats.profile,
+        costs.signature(),
     )
 
 
@@ -649,9 +479,7 @@ class _SourceEmitter:
             "__lf8": struct.Struct("<d").unpack_from,
             "__sf4": struct.Struct("<f").pack_into,
             "__sf8": struct.Struct("<d").pack_into,
-            "__fmod": math.fmod,
-            "__INF": float("inf"),
-            "__NAN": float("nan"),
+            **HELPERS,
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
@@ -990,102 +818,18 @@ class _SourceEmitter:
 
     # -- arithmetic / comparisons / casts ------------------------------
     def _compile_binop(self, inst: BinOp) -> None:
-        op = inst.opcode
         a = self._operand(inst.lhs)
         b = self._operand(inst.rhs)
-        ty = inst.type
-        if isinstance(ty, FloatType):
-            if op in ("fadd", "fsub", "fmul", "fdiv", "frem"):
-                self._compile_fbinop(inst, op, a, b)
-            else:
-                name = self._bind(VMError(f"int binop {op}"))
-                self._step([f"raise {name}"], raising=True)
+        try:
+            op = operation(inst)
+        except VMError as exc:  # an integer op on floats, or the reverse
+            self._step([f"raise {self._bind(exc)}"], raising=True)
             return
-        assert isinstance(ty, IntType)
-        bits, mask = ty.bits, ty.mask
-        if op in _DIV_OPS:
-            # Division traps on zero -- always a standalone raising
-            # statement, never fused or const-folded.
-            f = _int_binop_fn(op, bits, mask)
-            name = self._bind(f)
-            self._step(
-                [f"v{self.slots[inst]} = "
-                 f"{name}({self._expr(a)}, {self._expr(b)})"],
-                raising=True)
-            return
-        if a[0] == "c" and b[0] == "c":
-            f = _int_binop_fn(op, bits, mask)
-            if f is None:
-                name = self._bind(VMError(f"int binop {op}"))
-                self._step([f"raise {name}"], raising=True)
-                return
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
-            return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        if op == "add":
-            e = f"(({ae} + {be}) & {mask})"
-        elif op == "sub":
-            e = f"(({ae} - {be}) & {mask})"
-        elif op == "mul":
-            e = f"(({ae} * {be}) & {mask})"
-        elif op == "and":
-            e = f"({ae} & {be})"
-        elif op == "or":
-            e = f"({ae} | {be})"
-        elif op == "xor":
-            e = f"({ae} ^ {be})"
-        elif op == "shl":
-            e = f"(({ae} << ({be} % {bits})) & {mask})"
-        elif op == "lshr":
-            e = f"({ae} >> ({be} % {bits}))"
-        elif op == "ashr":
-            half = 1 << (bits - 1)
-            e = (f"(((({ae} ^ {half}) - {half}) >> ({be} % {bits}))"
-                 f" & {mask})")
-        else:
-            name = self._bind(VMError(f"int binop {op}"))
-            self._step([f"raise {name}"], raising=True)
-            return
-        self._sink_value(inst, ("p", e, d), (a, b))
-
-    def _compile_fbinop(self, inst: BinOp, op: str, a: Tuple, b: Tuple) -> None:
-        if a[0] == "c" and b[0] == "c":
-            f = _float_binop_fn(op)
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
-            return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        if op in ("fadd", "fsub", "fmul"):
-            sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            self._sink_value(inst, ("p", f"({ae} {sym} {be})", d), (a, b))
-            return
-        # fdiv -> inf on /0, frem -> nan on /0; the divisor appears
-        # twice in the guarded expression, so only atoms are embedded
-        # directly -- compound divisors evaluate once into temporaries
-        # (operand order preserved: lhs before rhs).
-        if op == "fdiv":
-            def make(x, y):
-                return f"(({x} / {y}) if {y} != 0.0 else __INF)"
-        else:
-            def make(x, y):
-                return f"(__fmod({x}, {y}) if {y} != 0.0 else __NAN)"
-        if b[0] in ("s", "c"):
-            self._sink_value(inst, ("p", make(ae, be), d), (a, b))
-            return
-        self._step([
-            f"__x = {ae}",
-            f"__y = {be}",
-            f"v{self.slots[inst]} = {make('__x', '__y')}",
-        ])
+        self._scalar(inst, op, (a, b))
 
     def _compile_icmp(self, inst: ICmp) -> None:
         a = self._operand(inst.lhs)
         b = self._operand(inst.rhs)
-        if a[0] == "c" and b[0] == "c":
-            f = _icmp_fn(inst)
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
-            return
         pred = inst.predicate
         # Flag-recompare peephole: ``icmp ne/eq (flag), 0`` of an
         # already-0/1 inlined comparison passes the flag through (or
@@ -1101,98 +845,56 @@ class _SourceEmitter:
                     inst, ("p", f"(0 if {inner} else 1)", self._depth(a)),
                     (a, b))
                 return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        sym = _ICMP_SYM[pred]
-        if pred in _ICMP_SIGNED:
-            # Branch-free signed compare: signed(x) < signed(y) iff
-            # (x ^ half) <u (y ^ half) -- one XOR per operand instead
-            # of two compare-and-subtract branches.
-            ty = inst.lhs.type
-            bits = ty.bits if isinstance(ty, IntType) else 64
-            half = 1 << (bits - 1)
-            e = f"(1 if ({ae} ^ {half}) {sym} ({be} ^ {half}) else 0)"
-        else:
-            e = f"(1 if {ae} {sym} {be} else 0)"
-        self._sink_value(inst, ("p", e, d), (a, b))
+        self._scalar(inst, operation(inst), (a, b))
 
     def _compile_fcmp(self, inst: FCmp) -> None:
         a = self._operand(inst.lhs)
         b = self._operand(inst.rhs)
-        pred = inst.predicate
-        if a[0] == "c" and b[0] == "c":
-            self._sink_value(
-                inst, ("c", FCMP_EVAL[pred](a[1], b[1])), (a, b))
-            return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        sym = _FCMP_SYM.get(pred)
-        if sym is not None:
-            e = f"(1 if {ae} {sym} {be} else 0)"
-        else:
-            name = self._bind(FCMP_EVAL[pred])
-            e = f"{name}({ae}, {be})"
-        self._sink_value(inst, ("p", e, d), (a, b))
+        self._scalar(inst, operation(inst), (a, b))
 
     def _compile_cast(self, inst: Cast) -> None:
-        op = inst.opcode
-        src_ty = inst.value.type
-        dst_ty = inst.type
         v = self._operand(inst.value)
-        ve = self._expr(v)
-        d = self._depth(v) + 1
-        if op in ("fptosi", "fptoui"):
-            # int(NaN/inf) raises -- a standalone raising step.
-            assert isinstance(dst_ty, IntType)
-            self._step(
-                [f"v{self.slots[inst]} = (int({ve}) & {dst_ty.mask})"],
-                raising=True)
-            return
-        if v[0] == "c" and op in _PURE_CASTS:
-            f = _cast_fn(op, src_ty, dst_ty)
-            if f is None:
-                self._sink_value(inst, v, (v,))
-            else:
-                self._sink_value(inst, ("c", f(v[1])), (v,))
-            return
-        if op == "trunc":
-            desc = ("p", f"({ve} & {dst_ty.mask})", d)
-        elif op == "zext":
+        op = operation(inst)
+        if op[1] == "{a}" or op == _PTRTOINT_64:
+            # The value is the operand's: pointer values are already
+            # u64, so a check's pointer operand stays an atom.
             self._sink_value(inst, v, (v,))
             return
-        elif op == "sext":
-            half = 1 << (src_ty.bits - 1)
-            desc = ("p", f"((({ve} ^ {half}) - {half}) & {dst_ty.mask})", d)
-        elif op == "ptrtoint":
-            mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
-            if mask == U64_MASK:
-                # Pointer values are already u64: a check's pointer
-                # operand stays an atom.
-                self._sink_value(inst, v, (v,))
+        self._scalar(inst, op, (v,))
+
+    def _scalar(self, inst: Instruction, op: Tuple, descs: Tuple) -> None:
+        """``op`` (``ir.semantics.operation``) over its one or two
+        operands.  Constant operands fold, unless the operation can
+        raise: then it stays at run time, as a raising step of its own.
+        Otherwise the template goes inline -- or a call of its bound
+        evaluator -- fused into the consumer.  A template that names a
+        compound operand twice (an fdiv tests its divisor and names its
+        dividend in both arms) is not fused: its compound operands are
+        evaluated first, once each and in order, into temporaries."""
+        key, template = op
+        if (descs[0][0] == "c" and descs[-1][0] == "c"
+                and key not in TRAPPING):
+            value = fold(inst, *(d[1] for d in descs))
+            if value is not None:
+                self._sink_value(inst, ("c", value), descs)
                 return
-            desc = ("p", f"({ve} & {mask})", d)
-        elif op == "inttoptr":
-            desc = ("p", f"({ve} & {U64_MASK})", d)
-        elif op == "bitcast":
-            f = _cast_fn(op, src_ty, dst_ty)
-            if f is None:
-                self._sink_value(inst, v, (v,))
-                return
-            name = self._bind(f)
-            desc = ("p", f"{name}({ve})", d)
-        elif op in ("fptrunc", "fpext", "uitofp"):
-            desc = ("p", f"float({ve})", d)
-        elif op == "sitofp":
-            half = 1 << (src_ty.bits - 1)
-            desc = ("p", f"float(({ve} ^ {half}) - {half})", d)
-        else:  # pragma: no cover - unknown cast opcode
-            name = self._bind(VMError(f"cast {op}"))
-            self._step([f"raise {name}"], raising=True)
-            return
-        if v[0] == "f":
-            self._assign(inst, ("f", desc[1], d))
+        exprs = [*map(self._expr, descs)]
+        lines = []
+        if key in _CALLED:
+            expr = f"{self._bind(compiled(template))}({', '.join(exprs)})"
         else:
-            self._sink_value(inst, desc, (v,))
+            if key in _TWICE:
+                temps = [(t, d[0] not in ("s", "c"), e)
+                         for t, d, e in zip(("__x", "__y"), descs, exprs)]
+                lines = [f"{t} = {e}" for t, compound, e in temps if compound]
+                exprs = [t if compound else e for t, compound, e in temps]
+            expr = template.format(a=exprs[0], b=exprs[-1])
+        if lines or key in TRAPPING:
+            self._step(lines + [f"v{self.slots[inst]} = {expr}"],
+                       raising=key in TRAPPING)
+        else:
+            depth = max(self._depth(descs[0]), self._depth(descs[-1])) + 1
+            self._sink_value(inst, ("p", expr, depth), descs)
 
     def _compile_select(self, inst: Select) -> None:
         c = self._operand(inst.condition)

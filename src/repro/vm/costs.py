@@ -22,7 +22,7 @@ The relative costs encode the facts the paper's analysis rests on:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 # -- core instruction costs (cycles) ----------------------------------
 INSTRUCTION_COSTS: Dict[str, int] = {
@@ -144,6 +144,21 @@ def call_cost(name: str) -> int:
     if name in NATIVE_COSTS:
         return NATIVE_COSTS[name] + INSTRUCTION_COSTS["call"]
     return INSTRUCTION_COSTS["call"]
+
+
+#: One tuple per distinct state of the tables, so that the many cache
+#: keys holding a signature share it.
+_SIGNATURES: Dict[Tuple, Tuple] = {}
+
+
+def signature() -> Tuple:
+    """The current contents of every table an instruction's or a call's
+    charge reads, for the keys of caches that hold charges (codegen's
+    emission)."""
+    current = (tuple(INSTRUCTION_COSTS.items()),
+               tuple(INTRINSIC_COSTS.items()), tuple(NATIVE_COSTS.items()),
+               SB_WRAPPER_OVERHEAD)
+    return _SIGNATURES.setdefault(current, current)
 
 
 def is_intrinsic(name: str) -> bool:

@@ -17,9 +17,8 @@ the global placer so globals land in low-fat regions.
 
 from __future__ import annotations
 
-import operator
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import MemoryFault, ProgramAbort, VMError
 from ..ir.instructions import (
@@ -29,7 +28,6 @@ from ..ir.instructions import (
     Call,
     Cast,
     CondBr,
-    FCMP_EVAL,
     FCmp,
     GEP,
     ICmp,
@@ -42,6 +40,7 @@ from ..ir.instructions import (
     Unreachable,
 )
 from ..ir.module import BasicBlock, Function, GlobalVariable, Module
+from ..ir.semantics import evaluator
 from ..ir.types import (
     ArrayType,
     FloatType,
@@ -80,28 +79,10 @@ from .stats import RuntimeStats
 FUNCTION_SEGMENT_BASE = 0x2000
 U64_MASK = (1 << 64) - 1
 
-# Per-predicate comparison dispatch: one operator call per executed
-# icmp instead of building and indexing a ten-entry table.
-_ICMP_UNSIGNED = {
-    "eq": operator.eq, "ne": operator.ne,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-}
-_ICMP_SIGNED = {
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-}
-
 
 class _ExitRequest(Exception):
     def __init__(self, code: int):
         self.code = code
-
-
-def _to_signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        return value - (1 << bits)
-    return value
 
 
 class VirtualMachine:
@@ -145,6 +126,8 @@ class VirtualMachine:
         self._frame_cleanups: List[List[Callable[[], None]]] = []
         self._exit_code: Optional[int] = None
         self._globals_loaded = False
+        #: Compiled evaluators of the scalar instructions interp ran.
+        self._scalar_ops: Dict[Instruction, Callable] = {}
         # Lazy per-function source-generation cache (codegen engine).
         self._codegen: Dict[Function, object] = {}
         # Set by the driver (``--dump-codegen``): directory receiving
@@ -306,6 +289,7 @@ class VirtualMachine:
     def _interpret(self, fn: Function, frame: Dict[Value, object]):
         stats = self.stats
         cost = costs.INSTRUCTION_COSTS
+        scalar = self._scalar_ops
         profile = stats.profile
         c0 = 0
         block = fn.entry
@@ -345,26 +329,20 @@ class VirtualMachine:
                         self._eval(inst.value, frame),  # type: ignore[attr-defined]
                         inst.value.type,  # type: ignore[attr-defined]
                     )
-                elif cls is BinOp:
+                elif cls is BinOp or cls is ICmp or cls is FCmp:
                     stats.charge(inst.opcode, cost[inst.opcode])
-                    frame[inst] = self._binop(
-                        inst.opcode,
-                        inst.type,
+                    frame[inst] = (scalar.get(inst) or self._scalar(inst))(
                         self._eval(inst.lhs, frame),  # type: ignore[attr-defined]
                         self._eval(inst.rhs, frame),  # type: ignore[attr-defined]
                     )
                 elif cls is GEP:
                     stats.charge("gep", cost["gep"])
                     frame[inst] = self._gep(inst, frame)
-                elif cls is ICmp:
-                    stats.charge("icmp", cost["icmp"])
-                    frame[inst] = self._icmp(inst, frame)
-                elif cls is FCmp:
-                    stats.charge("fcmp", cost["fcmp"])
-                    frame[inst] = self._fcmp(inst, frame)
                 elif cls is Cast:
                     stats.charge(inst.opcode, cost[inst.opcode])
-                    frame[inst] = self._cast(inst, frame)
+                    frame[inst] = (scalar.get(inst) or self._scalar(inst))(
+                        self._eval(inst.value, frame)  # type: ignore[attr-defined]
+                    )
                 elif cls is Select:
                     stats.charge("select", cost["select"])
                     cond = self._eval(inst.condition, frame)  # type: ignore[attr-defined]
@@ -451,126 +429,22 @@ class VirtualMachine:
         else:
             self.memory.write_int(address, int(value), size)
 
-    def _binop(self, op: str, ty: Type, lhs, rhs):
-        if isinstance(ty, FloatType):
-            if op == "fadd":
-                return lhs + rhs
-            if op == "fsub":
-                return lhs - rhs
-            if op == "fmul":
-                return lhs * rhs
-            if op == "fdiv":
-                return lhs / rhs if rhs != 0.0 else float("inf")
-            if op == "frem":
-                import math
-
-                return math.fmod(lhs, rhs) if rhs != 0.0 else float("nan")
-            raise VMError(f"float binop {op}")
-        assert isinstance(ty, IntType)
-        bits, mask = ty.bits, ty.mask
-        if op == "add":
-            return (lhs + rhs) & mask
-        if op == "sub":
-            return (lhs - rhs) & mask
-        if op == "mul":
-            return (lhs * rhs) & mask
-        if op == "and":
-            return lhs & rhs
-        if op == "or":
-            return lhs | rhs
-        if op == "xor":
-            return lhs ^ rhs
-        if op == "shl":
-            return (lhs << (rhs % bits)) & mask
-        if op == "lshr":
-            return lhs >> (rhs % bits)
-        if op == "ashr":
-            return (_to_signed(lhs, bits) >> (rhs % bits)) & mask
-        if op in ("sdiv", "srem"):
-            a, b = _to_signed(lhs, bits), _to_signed(rhs, bits)
-            if b == 0:
-                raise MemoryFault(0, 0, "integer division by zero")
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return (q if op == "sdiv" else a - q * b) & mask
-        if op in ("udiv", "urem"):
-            if rhs == 0:
-                raise MemoryFault(0, 0, "integer division by zero")
-            return (lhs // rhs if op == "udiv" else lhs % rhs) & mask
-        raise VMError(f"int binop {op}")
-
-    def _icmp(self, inst: ICmp, frame) -> int:
-        lhs = self._eval(inst.lhs, frame)
-        rhs = self._eval(inst.rhs, frame)
-        pred = inst.predicate
-        op = _ICMP_SIGNED.get(pred)
-        if op is not None:
-            ty = inst.lhs.type
-            bits = ty.bits if isinstance(ty, IntType) else 64
-            lhs, rhs = _to_signed(lhs, bits), _to_signed(rhs, bits)
-        else:
-            op = _ICMP_UNSIGNED[pred]
-        return 1 if op(lhs, rhs) else 0
-
-    def _fcmp(self, inst: FCmp, frame) -> int:
-        lhs = self._eval(inst.lhs, frame)
-        rhs = self._eval(inst.rhs, frame)
-        return FCMP_EVAL[inst.predicate](lhs, rhs)
-
-    def _cast(self, inst: Cast, frame):
-        value = self._eval(inst.value, frame)
-        op = inst.opcode
-        src_ty = inst.value.type
-        dst_ty = inst.type
-        if op == "trunc":
-            assert isinstance(dst_ty, IntType)
-            return value & dst_ty.mask
-        if op == "zext":
-            return value
-        if op == "sext":
-            assert isinstance(src_ty, IntType) and isinstance(dst_ty, IntType)
-            return _to_signed(value, src_ty.bits) & dst_ty.mask
-        if op in ("ptrtoint", "inttoptr"):
-            if op == "ptrtoint" and isinstance(dst_ty, IntType):
-                return value & dst_ty.mask
-            return value & U64_MASK
-        if op == "bitcast":
-            if isinstance(src_ty, PointerType) and isinstance(dst_ty, PointerType):
-                return value
-            if isinstance(src_ty, IntType) and isinstance(dst_ty, FloatType):
-                raw = value.to_bytes(dst_ty.bits // 8, "little")
-                return struct.unpack("<f" if dst_ty.bits == 32 else "<d", raw)[0]
-            if isinstance(src_ty, FloatType) and isinstance(dst_ty, IntType):
-                raw = struct.pack("<f" if src_ty.bits == 32 else "<d", value)
-                return int.from_bytes(raw, "little")
-            return value
-        if op == "fptrunc" or op == "fpext":
-            return float(value)
-        if op in ("fptosi", "fptoui"):
-            assert isinstance(dst_ty, IntType)
-            return int(value) & dst_ty.mask
-        if op in ("sitofp", "uitofp"):
-            assert isinstance(src_ty, IntType)
-            if op == "sitofp":
-                return float(_to_signed(value, src_ty.bits))
-            return float(value)
-        raise VMError(f"cast {op}")
+    def _scalar(self, inst: Instruction) -> Callable:
+        """The evaluator of a binop, comparison or cast, compiled from
+        its template in :mod:`repro.ir.semantics` at first execution."""
+        fn = self._scalar_ops[inst] = evaluator(inst)
+        return fn
 
     def _gep(self, inst: GEP, frame) -> int:
         address = self._eval(inst.pointer, frame)
         ty = inst.pointer.type
         assert isinstance(ty, PointerType)
         indices = inst.indices
-        first = self._eval(indices[0], frame)
-        first_bits = indices[0].type.bits if isinstance(indices[0].type, IntType) else 64
-        address += _to_signed(first, first_bits) * size_of(ty.pointee)
+        address += self._index(indices[0], frame) * size_of(ty.pointee)
         current: Type = ty.pointee
         for idx_value in indices[1:]:
             if isinstance(current, ArrayType):
-                idx = self._eval(idx_value, frame)
-                bits = idx_value.type.bits if isinstance(idx_value.type, IntType) else 64
-                address += _to_signed(idx, bits) * size_of(current.element)
+                address += self._index(idx_value, frame) * size_of(current.element)
                 current = current.element
             elif isinstance(current, StructType):
                 assert isinstance(idx_value, ConstantInt)
@@ -579,6 +453,11 @@ class VirtualMachine:
             else:
                 raise VMError(f"gep into non-aggregate {current}")
         return address & U64_MASK
+
+    def _index(self, value: Value, frame) -> int:
+        """A GEP index, read as signed."""
+        half = 1 << ((value.type.bits if isinstance(value.type, IntType) else 64) - 1)
+        return (self._eval(value, frame) ^ half) - half
 
     def _alloca(self, inst: Alloca, frame) -> int:
         size = size_of(inst.allocated_type)

@@ -9,8 +9,10 @@ import dataclasses
 
 import pytest
 
-from repro import CompileOptions, compile_and_run, compile_program, run_program
+from repro import CompileOptions, compile_and_run, compile_program
 from repro.core import InstrumentationConfig
+from repro.driver import make_vm
+from repro.errors import MemoryFault, MemSafetyViolation, ReproError
 from repro.vm.engines import ENGINES
 
 SB = InstrumentationConfig.softbound()
@@ -181,22 +183,46 @@ RAISE_PROGRAMS.update({
             print_i64(walk(a, 20, 3));
             return 0;
         }""", "violation:deref", "violation:deref"),
+    # A conversion of an infinity to an integer stops the run with one
+    # VMError in the middle of a checked block.
+    "non-finite-fptosi": (r"""
+        double zero() { double c[1]; c[0] = 0.0; return c[0]; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 4);
+            a[1] = 3;
+            double big = 1e308 + zero();
+            a[2] = (long)(big * 10.0) + a[1];
+            print_i64(a[2]);
+            return 0;
+        }""", "error:VMError", "error:VMError"),
 })
 
 
 def raise_point(program, engine, profile):
-    """Everything observable when a run stops: the violation's fields,
-    the outcome, the output and the full RuntimeStats."""
-    result = run_program(program, max_instructions=2_000_000, engine=engine,
-                         profile=profile)
-    v = result.violation
+    """Everything observable when a run stops: the exit code, or the
+    error that stopped it (a violation's fields included), the output
+    and the full RuntimeStats."""
+    vm = make_vm(program, max_instructions=2_000_000, engine=engine,
+                 profile=profile)
+    exit_code = stop = None
+    try:
+        exit_code = vm.run()
+    except ReproError as exc:
+        stop = exc
+    if isinstance(stop, MemSafetyViolation):
+        kind = f"violation:{stop.kind}"
+    elif isinstance(stop, MemoryFault):
+        kind = "fault"
+    else:
+        kind = "ok" if stop is None else f"error:{type(stop).__name__}"
     return {
-        "class": classify(result),
-        "violation": None if v is None
-        else (v.kind, v.pointer, v.base, v.bound, v.site),
-        "outcome": result.describe(),
-        "output": list(result.output),
-        "stats": dataclasses.asdict(result.stats),
+        "class": kind,
+        "violation": (stop.kind, stop.pointer, stop.base, stop.bound,
+                      stop.site) if isinstance(stop, MemSafetyViolation)
+        else None,
+        "outcome": (exit_code, None if stop is None else str(stop)),
+        "output": list(vm.output),
+        "stats": dataclasses.asdict(vm.stats),
     }
 
 

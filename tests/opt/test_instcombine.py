@@ -1,10 +1,8 @@
 """Tests for InstCombine: constant folding and peepholes.
 
-Includes a differential property test: folding a binop must agree with
-the interpreter's evaluation of the same operation.
+That every fold computes what both engines compute at run time is
+checked per operation in ``tests/vm/test_scalar_semantics.py``.
 """
-
-from hypothesis import given, strategies as st
 
 from repro.frontend import compile_source
 from repro.ir import (
@@ -20,8 +18,6 @@ from repro.ir import (
     verify_module,
 )
 from repro.opt import DCE, InstCombine
-from repro.opt.instcombine import fold_icmp, fold_int_binop
-from repro.vm.interpreter import VirtualMachine
 
 
 def _fresh(params=(I64, I64)):
@@ -120,44 +116,3 @@ class TestFolds:
         InstCombine().run(mod)
         ret = fn.entry.instructions[-1]
         assert isinstance(ret.value, ConstantInt) and ret.value.value == 1
-
-
-_i64 = st.integers(0, (1 << 64) - 1)
-_ops = st.sampled_from(
-    ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr",
-     "sdiv", "udiv", "srem", "urem"]
-)
-
-
-class TestFoldMatchesInterpreter:
-    @given(_ops, _i64, _i64)
-    def test_binop_fold_agrees_with_vm(self, op, lhs, rhs):
-        folded = fold_int_binop(op, lhs, rhs, 64)
-        mod = Module("t")
-        fn = mod.add_function("f", FunctionType(I64, []))
-        b = IRBuilder(fn.add_block("entry"))
-        v = b.binop(op, b.const_i64(lhs), b.const_i64(rhs))
-        b.ret(v)
-        vm = VirtualMachine(mod, install_default_libc=False)
-        if folded is None:
-            assert rhs == 0 and op in ("sdiv", "udiv", "srem", "urem")
-            return
-        vm.load_globals()
-        result = vm.call_function(fn, [])
-        assert result == folded
-
-    @given(
-        st.sampled_from(["eq", "ne", "slt", "sle", "sgt", "sge",
-                         "ult", "ule", "ugt", "uge"]),
-        _i64, _i64,
-    )
-    def test_icmp_fold_agrees_with_vm(self, pred, lhs, rhs):
-        folded = fold_icmp(pred, lhs, rhs, 64)
-        mod = Module("t")
-        fn = mod.add_function("f", FunctionType(I64, []))
-        b = IRBuilder(fn.add_block("entry"))
-        c = b.icmp(pred, b.const_i64(lhs), b.const_i64(rhs))
-        b.ret(b.zext(c, I64))
-        vm = VirtualMachine(mod, install_default_libc=False)
-        vm.load_globals()
-        assert vm.call_function(fn, []) == folded

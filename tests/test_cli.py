@@ -1,11 +1,12 @@
 """Tests for the command-line driver."""
 
+import argparse
 import mmap
 import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.frontend.parser import MAX_NESTING
 from repro.vm.engines import ENGINES
 
@@ -40,6 +41,30 @@ int main() {
 }
 """)
     return str(path)
+
+
+SUBCOMMANDS = sorted(next(
+    action for action in _build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_names_every_subcommand(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([flag])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert "table2" in SUBCOMMANDS and "run" in SUBCOMMANDS
+        for command in SUBCOMMANDS:
+            assert command in out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert command in capsys.readouterr().out
 
 
 class TestRun:

@@ -23,7 +23,8 @@ from repro.ir import (
     IRBuilder,
     Module,
 )
-from repro.ir.instructions import FCMP_EVAL, FCMP_PREDICATES
+from repro.ir.instructions import FCMP_PREDICATES
+from repro.ir.semantics import FCMP_EVAL
 from repro.vm import VirtualMachine
 from repro.vm.engines import ENGINES
 
@@ -101,8 +102,8 @@ class TestBothEngines:
 
 
 class TestMiniCNaNSemantics:
-    # inf - inf is the portable NaN here: this VM defines x / 0.0 as
-    # inf (including 0/0), so division cannot produce one.
+    # inf - inf is a NaN that no fold sees: ``mk`` reads its operand
+    # back from memory.
     NAN_PROLOGUE = r"""
     double mk(double a, double b) { double c[1]; c[0] = a; return c[0] - b; }
     """

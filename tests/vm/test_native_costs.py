@@ -150,10 +150,10 @@ class TestCostModel:
         # charge, with no native call (a native's charge also includes
         # the ``call`` entry).  Raising one entry must raise both
         # engines' cycles by that opcode's count times the raise.
+        module = parse_module(COST_PROGRAM)
+
         def stats(engine):
-            # A fresh Module per run: codegen caches its emission, and
-            # with it the charges, on each Function.
-            vm = VirtualMachine(parse_module(COST_PROGRAM), engine=engine)
+            vm = VirtualMachine(module, engine=engine)
             assert vm.run() == 212
             return vm.stats
 
