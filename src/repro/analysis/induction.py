@@ -85,7 +85,6 @@ from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from ..ir.instructions import (
     BinOp,
-    Call,
     Cast,
     CondBr,
     GEP,
@@ -117,23 +116,6 @@ _CONTINUE_PREDICATES = ("slt", "sle", "ne")
 #: wrap, so the Python-side exact integers and the VM's fixed-width
 #: results agree.  No realistic loop comes anywhere near the cap.
 _MAG_LIMIT = 1 << 59
-
-
-def _may_abort_call(inst: Instruction) -> bool:
-    """A call that may terminate the program (or not return): if one
-    runs between two iterations, later iterations' checks may never
-    execute, so hoisting them to the preheader would be unsound."""
-    if not isinstance(inst, Call):
-        return False
-    callee = inst.callee_function
-    if callee is None:
-        return True  # indirect call: anything can happen
-    return (
-        "may_abort" in callee.attributes
-        or "noreturn" in callee.attributes
-        or not ("readnone" in callee.attributes
-                or "readonly" in callee.attributes)
-    )
 
 
 @dataclass
@@ -363,7 +345,7 @@ def analyze_counted_loop(
         return None
     latch, cond, taken = shape
     for block in loop.block_order:
-        if any(_may_abort_call(inst) for inst in block.instructions):
+        if any(inst.may_abort() for inst in block.instructions):
             return None
     if not all(_loop_terminates(sub, analysis) for sub in loop.subloops):
         return None

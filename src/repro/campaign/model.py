@@ -9,10 +9,12 @@ product of the two plus execution options.
 
 Instances resolve their mechanism through the registry in
 :mod:`repro.core.mechanism`, so a newly registered mechanism is
-immediately campaign-able by name -- no campaign-layer edits.  Canonical
-instances produce exactly the experiment harness's ``CONFIG_LABELS``
-labels and configurations, so campaign cells share cache entries and
-stay comparable with every table/figure experiment.
+immediately campaign-able by name -- no campaign-layer edits.  An
+instance's label is the display name of its configuration
+(:func:`~repro.experiments.common.label_for`), so canonical instances
+carry the experiment harness's ``CONFIG_LABELS`` names; cells share
+cache entries with every table/figure experiment that measures the
+same configuration, whatever it is called.
 
 Expansion (:meth:`CampaignSpec.expand`) is deterministic and
 order-independent: duplicate cells collapse, and the result is sorted
@@ -23,12 +25,13 @@ hash coordination-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import InstrumentationConfig, MODES
 from ..core.mechanism import get_mechanism, mechanism_names
 from ..errors import ConfigError
+from ..experiments.common import config_for, label_for
 from ..experiments.runner import JobRequest
 from ..vm.engines import DEFAULT_ENGINE, ENGINES
 from ..workloads import Workload
@@ -39,8 +42,12 @@ from ..workloads import Workload
 #: an independent axis value.
 KNOWN_FILTERS = ("dominance", "ranges", "hoist")
 
-#: Named filter-axis shorthands used by spec files (and by the
-#: experiment harness's label scheme).
+#: The configuration fields an instance's own axes set (mechanism,
+#: mode, filters); ``config_overrides`` may set any other field.
+_AXIS_FIELDS = ("approach", "mode") + tuple(f"opt_{f}" for f in KNOWN_FILTERS)
+
+#: Named filter-axis shorthands used by spec files; each but
+#: ``dominance`` is also the variant word of its configuration's label.
 FILTER_SETS: Dict[str, Tuple[str, ...]] = {
     "unopt": (),
     "dominance": ("dominance",),
@@ -75,7 +82,8 @@ class Instance:
     instrumentation mode (``full`` or ``geninvariants``), ``engine``
     the VM execution tier, and ``extension_point`` where the
     instrumentation runs in the pipeline.  ``config_overrides`` are
-    extra :class:`InstrumentationConfig` fields (the ablation knobs).
+    extra :class:`InstrumentationConfig` fields (the ablation knobs),
+    checked when the instance is built.
     """
 
     mechanism: str
@@ -98,6 +106,18 @@ class Instance:
         _check_engine(self.engine)
         if not self.is_baseline:
             get_mechanism(self.mechanism)  # raises ConfigError if unknown
+        defaults = {f.name: f.default for f in fields(InstrumentationConfig)}
+        for key, value in self.config_overrides.items():
+            if key in _AXIS_FIELDS:
+                raise ConfigError(
+                    f"instance config key {key!r} is set by the "
+                    "instance's mechanism, mode or filters")
+            if key not in defaults:
+                raise ConfigError(f"unknown instance config key {key!r}")
+            if type(value) is not type(defaults[key]):
+                raise ConfigError(
+                    f"instance config key {key!r} must be "
+                    f"{type(defaults[key]).__name__}, got {value!r}")
         object.__setattr__(self, "filters", filters)
         object.__setattr__(self, "config_overrides",
                            dict(self.config_overrides))
@@ -109,33 +129,8 @@ class Instance:
 
     @property
     def label(self) -> str:
-        """The experiment harness's canonical configuration label.
-
-        Matches ``experiments.common.CONFIG_LABELS`` exactly for the
-        canonical cells, so campaign results share cache entries and
-        axes with the table/figure experiments; non-canonical
-        combinations get an unambiguous derived label."""
-        if self.is_baseline:
-            return "baseline"
-        parts = [self.mechanism]
-        if self.mode == "geninvariants":
-            parts.append("meta")
-            if self.filters:
-                parts.extend(self.filters)
-        elif self.filters == ():
-            parts.append("unopt")
-        elif self.filters == ("dominance",):
-            pass
-        elif self.filters == ("dominance", "ranges"):
-            parts.append("ranges")
-        elif self.filters == ("dominance", "ranges", "hoist"):
-            parts.append("hoist")
-        else:
-            parts.extend(self.filters)
-        if self.config_overrides:
-            parts.extend(f"{k}={v}" for k, v in
-                         sorted(self.config_overrides.items()))
-        return "-".join(parts)
+        """The display name of this instance's configuration."""
+        return label_for(self.config())
 
     @property
     def name(self) -> str:
@@ -150,16 +145,14 @@ class Instance:
         """The resolved configuration (None for the baseline)."""
         if self.is_baseline:
             return None
-        base = InstrumentationConfig(
+        return InstrumentationConfig(
             approach=self.mechanism,
             mode=self.mode,
             opt_dominance="dominance" in self.filters,
             opt_ranges="ranges" in self.filters,
             opt_hoist="hoist" in self.filters,
+            **self.config_overrides,
         )
-        if self.config_overrides:
-            base = replace(base, **self.config_overrides)
-        return base
 
     def request(self, target: "Target",
                 max_instructions: Optional[int] = None,
@@ -167,9 +160,8 @@ class Instance:
         """The :class:`JobRequest` for (this instance, ``target``)."""
         return JobRequest(
             workload=target.workload(),
-            label=self.label,
+            config=self.config(),
             extension_point=self.extension_point,
-            config_override=self.config(),
             max_instructions=max_instructions,
             validate_output=validate_output and not self.is_baseline,
             engine=self.engine,
@@ -179,25 +171,22 @@ class Instance:
     @classmethod
     def from_label(cls, label: str, engine: str = DEFAULT_ENGINE,
                    extension_point: str = "VectorizerStart") -> "Instance":
-        """Parse a ``CONFIG_LABELS``-style label into an instance."""
-        if label == "baseline":
+        """The instance of the configuration ``label`` names."""
+        config = config_for(label)
+        if config is None:
             return cls("baseline", engine=engine,
                        extension_point=extension_point)
-        mechanism, _, variant = label.partition("-")
-        if variant == "":
-            filters, mode = FILTER_SETS["dominance"], "full"
-        elif variant == "unopt":
-            filters, mode = FILTER_SETS["unopt"], "full"
-        elif variant == "ranges":
-            filters, mode = FILTER_SETS["ranges"], "full"
-        elif variant == "hoist":
-            filters, mode = FILTER_SETS["hoist"], "full"
-        elif variant == "meta":
-            filters, mode = FILTER_SETS["unopt"], "geninvariants"
-        else:
-            raise ConfigError(f"unknown configuration label {label!r}")
-        return cls(mechanism, filters=filters, mode=mode, engine=engine,
-                   extension_point=extension_point)
+        return cls(
+            config.approach,
+            filters=tuple(f for f in KNOWN_FILTERS
+                          if getattr(config, f"opt_{f}")),
+            mode=config.mode, engine=engine,
+            extension_point=extension_point,
+            config_overrides={
+                f.name: getattr(config, f.name)
+                for f in fields(config)
+                if f.name not in _AXIS_FIELDS
+                and getattr(config, f.name) != f.default})
 
     @classmethod
     def parse(cls, doc: Mapping[str, object]) -> "Instance":

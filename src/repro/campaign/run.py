@@ -9,8 +9,9 @@ independent); execution then:
   worker machines running ``--shard-index i --shard-count n`` partition
   the campaign exactly, with no coordination and no double work;
 * **batches** the shard through :meth:`ExperimentEngine.run_many`, so
-  worker processes stay busy across cell boundaries and baselines are
-  scheduled before the instrumented cells that validate against them;
+  worker processes stay busy across cell boundaries: each batch runs
+  its missing cells, and the baselines they validate against, in one
+  wave;
 * **resumes** from the content-addressed disk cache: cache keys carry
   the VM engine, so every cell (of any engine) persists under its own
   key, and a re-run of an interrupted campaign recomputes only the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigError
 from ..experiments.common import BenchResult, geomean

@@ -25,8 +25,8 @@ Endpoints (all JSON):
     ``{"ok": …, "cached": …, "result": <BenchResult JSON>}``.
 
 Errors are structured: 400 with ``{"error": ...}`` for bad requests
-(unknown mechanism/engine/workload, a bad budget, malformed JSON), 404
-for unknown paths.
+(unknown mechanism/engine/workload, a bad ``config`` override, a bad
+budget, malformed JSON), 404 for unknown paths.
 The server is intentionally plain ``http.server`` -- no new
 dependencies -- and serializes job execution with a lock (the engine
 itself fans out over worker processes)."""

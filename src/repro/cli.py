@@ -456,7 +456,6 @@ def _run_fuzz(args) -> int:
 
 
 def _run_bench(args, config: InstrumentationConfig, parser) -> int:
-    from .experiments.common import CONFIG_LABELS, config_for
     from .experiments.runner import JobRequest, engine_from_args
     from .workloads import all_names, get
 
@@ -466,29 +465,21 @@ def _run_bench(args, config: InstrumentationConfig, parser) -> int:
             f"choose from {', '.join(all_names())}"
         )
     workload = get(args.workload)
-    # The cache is opt-in for one-off benches (explicit --cache-dir);
-    # canonical configurations share entries with the experiment matrix
-    # by resolving to their CONFIG_LABELS label.
+    # The cache is opt-in for one-off benches (explicit --cache-dir).
     engine = engine_from_args(args, require_cache_dir=True)
     if config.approach == "noop":
-        label, override = "baseline", None
-    else:
-        label = next((name for name in CONFIG_LABELS
-                      if config_for(name) == config),
-                     f"{config.approach}-custom")
-        override = config
+        config = None
     result = engine.run_request(JobRequest(
-        workload, label,
+        workload, config,
         extension_point=args.extension_point,
-        config_override=override,
         engine=args.engine,
     ))
     print(f"{args.workload}: {result.describe}  cycles={result.cycles}")
     if result.checks_executed:
         print(f"checks: {result.checks_executed} "
               f"({result.unsafe_percent:.2f}% wide)")
-    if args.compare_baseline and label != "baseline":
-        base = engine.run_request(JobRequest(workload, "baseline",
+    if args.compare_baseline and config is not None:
+        base = engine.run_request(JobRequest(workload, None,
                                              engine=args.engine))
         print(f"baseline cycles={base.cycles}  "
               f"overhead={result.cycles / base.cycles:.2f}x")

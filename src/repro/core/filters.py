@@ -28,7 +28,6 @@ from ..analysis.induction import (
     affine_pointer,
     extent_bytes,
     hull_in_bounds,
-    _may_abort_call,
 )
 from ..analysis.loops import Loop
 from ..analysis.ranges import FunctionRangeAnalysis
@@ -327,7 +326,7 @@ def hoist_filter(
                      for t in block_checks}
         block_checks.sort(key=lambda t: positions[id(t)])
         barriers = [i for i, inst in enumerate(block.instructions)
-                    if _may_abort_call(inst)]
+                    if inst.may_abort()]
         run: List[Tuple[ITarget, AffinePointer]] = []
         run_root_id: Optional[int] = None
 

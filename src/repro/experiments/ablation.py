@@ -20,22 +20,24 @@ measurable:
   delta, with the guarantee that program output is unchanged.
 
 The ablation cells go through the same execution engine as the main
-experiments (custom configurations ride in ``config_override``), so
-they parallelize and cache like everything else.  Output validation is
-off: several cells *expect* spurious violations.
+experiments (each request carries its exact configuration), so they
+parallelize and cache like everything else, and a cell whose
+configuration a figure also measures shares that figure's run.  Output
+validation is off: several cells *expect* spurious violations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.config import InstrumentationConfig
 from ..workloads import get
-from .common import BenchResult, JobRequest, Runner, format_table
+from .common import BenchResult, JobRequest, Runner, config_for, format_table
 
-#: (label, constructor) for every ablation configuration; the label is
-#: only for display and cache diagnostics -- the cache key hashes the
-#: actual configuration contents.
+#: The SoftBound basis every SoftBound ablation varies.  The cache key
+#: hashes only a configuration's contents, so an ablation cell equal to
+#: a figure's cell (the wide defaults are ``softbound-unopt``) shares
+#: its run.
 _SB_WIDE = InstrumentationConfig.softbound
 _SIZE_ZERO_BENCHMARKS = ("164gzip", "445gobmk", "433milc")
 _INTTOPTR_BENCHMARKS = ("456hmmer", "458sjeng")
@@ -44,19 +46,14 @@ _CAPACITIES = (None, 1 << 16, 1 << 12, 1 << 10)
 _RANGE_BENCHMARKS = ("164gzip", "177mesa", "300twolf", "186crafty")
 
 
-def _request(workload_name: str, label: str,
+def _request(workload_name: str,
              config: Optional[InstrumentationConfig],
              lf_region_capacity: Optional[int] = None) -> JobRequest:
     return JobRequest(
-        get(workload_name), label,
-        config_override=config,
+        get(workload_name), config,
         lf_region_capacity=lf_region_capacity,
         validate_output=False,
     )
-
-
-def _capacity_label(capacity: Optional[int]) -> str:
-    return "lf-cap-full" if capacity is None else f"lf-cap-{capacity}"
 
 
 def requests(workloads=None) -> List[JobRequest]:
@@ -64,27 +61,26 @@ def requests(workloads=None) -> List[JobRequest]:
     study design, so the ``workloads`` subset argument is ignored."""
     reqs: List[JobRequest] = []
     for benchmark in _SIZE_ZERO_BENCHMARKS:
-        reqs.append(_request(benchmark, "sb-size-zero-wide", _SB_WIDE()))
-        reqs.append(_request(benchmark, "sb-size-zero-null",
+        reqs.append(_request(benchmark, _SB_WIDE()))
+        reqs.append(_request(benchmark,
                              _SB_WIDE(sb_size_zero_wide_upper=False)))
     for benchmark in _INTTOPTR_BENCHMARKS:
-        reqs.append(_request(benchmark, "sb-inttoptr-wide", _SB_WIDE()))
-        reqs.append(_request(benchmark, "sb-inttoptr-null",
+        reqs.append(_request(benchmark, _SB_WIDE()))
+        reqs.append(_request(benchmark,
                              _SB_WIDE(sb_inttoptr_wide_bounds=False)))
     for benchmark in _WRAPPER_BENCHMARKS:
-        reqs.append(_request(benchmark, "baseline", None))
-        reqs.append(_request(benchmark, "sb-wrappers-off",
-                             _SB_WIDE(opt_dominance=True)))
-        reqs.append(_request(benchmark, "sb-wrappers-on",
+        reqs.append(_request(benchmark, None))
+        reqs.append(_request(benchmark, _SB_WIDE(opt_dominance=True)))
+        reqs.append(_request(benchmark,
                              _SB_WIDE(opt_dominance=True,
                                       sb_wrapper_checks=True)))
     for capacity in _CAPACITIES:
-        reqs.append(_request("197parser", _capacity_label(capacity),
-                             InstrumentationConfig.lowfat(),
+        reqs.append(_request("197parser", InstrumentationConfig.lowfat(),
                              lf_region_capacity=capacity))
     for benchmark in _RANGE_BENCHMARKS:
-        reqs.append(JobRequest(get(benchmark), "softbound"))
-        reqs.append(JobRequest(get(benchmark), "softbound-ranges"))
+        reqs.append(JobRequest(get(benchmark), config_for("softbound")))
+        reqs.append(JobRequest(get(benchmark),
+                               config_for("softbound-ranges")))
     return reqs
 
 
@@ -99,11 +95,9 @@ def _verdict(result: BenchResult) -> str:
 def ablate_sb_size_zero(runner: Runner) -> str:
     rows: List[List[str]] = []
     for benchmark in _SIZE_ZERO_BENCHMARKS:
-        wide = runner.run_request(
-            _request(benchmark, "sb-size-zero-wide", _SB_WIDE()))
+        wide = runner.run_request(_request(benchmark, _SB_WIDE()))
         null = runner.run_request(
-            _request(benchmark, "sb-size-zero-null",
-                     _SB_WIDE(sb_size_zero_wide_upper=False)))
+            _request(benchmark, _SB_WIDE(sb_size_zero_wide_upper=False)))
         rows.append([
             benchmark,
             f"{_verdict(wide)} ({wide.unsafe_percent:.1f}% wide)",
@@ -119,11 +113,9 @@ def ablate_sb_size_zero(runner: Runner) -> str:
 def ablate_sb_inttoptr(runner: Runner) -> str:
     rows: List[List[str]] = []
     for benchmark in _INTTOPTR_BENCHMARKS:
-        wide = runner.run_request(
-            _request(benchmark, "sb-inttoptr-wide", _SB_WIDE()))
+        wide = runner.run_request(_request(benchmark, _SB_WIDE()))
         null = runner.run_request(
-            _request(benchmark, "sb-inttoptr-null",
-                     _SB_WIDE(sb_inttoptr_wide_bounds=False)))
+            _request(benchmark, _SB_WIDE(sb_inttoptr_wide_bounds=False)))
         rows.append([benchmark, _verdict(wide), _verdict(null)])
     return (
         "SoftBound integer-to-pointer casts: wide bounds vs NULL bounds\n"
@@ -135,12 +127,11 @@ def ablate_sb_inttoptr(runner: Runner) -> str:
 def ablate_sb_wrapper_checks(runner: Runner) -> str:
     rows: List[List[str]] = []
     for benchmark in _WRAPPER_BENCHMARKS:
-        base = runner.run_request(_request(benchmark, "baseline", None))
+        base = runner.run_request(_request(benchmark, None))
         off = runner.run_request(
-            _request(benchmark, "sb-wrappers-off",
-                     _SB_WIDE(opt_dominance=True)))
+            _request(benchmark, _SB_WIDE(opt_dominance=True)))
         on = runner.run_request(
-            _request(benchmark, "sb-wrappers-on",
+            _request(benchmark,
                      _SB_WIDE(opt_dominance=True, sb_wrapper_checks=True)))
         rows.append([
             benchmark,
@@ -158,8 +149,7 @@ def ablate_lf_region_capacity(runner: Runner) -> str:
     rows: List[List[str]] = []
     for capacity in _CAPACITIES:
         result = runner.run_request(
-            _request("197parser", _capacity_label(capacity),
-                     InstrumentationConfig.lowfat(),
+            _request("197parser", InstrumentationConfig.lowfat(),
                      lf_region_capacity=capacity))
         label = "full (4 GiB)" if capacity is None else f"{capacity} B"
         rows.append([
@@ -182,9 +172,8 @@ def ablate_lf_region_capacity(runner: Runner) -> str:
 def ablate_range_filter(runner: Runner) -> str:
     rows: List[List[str]] = []
     for benchmark in _RANGE_BENCHMARKS:
-        dom = runner.run_request(JobRequest(get(benchmark), "softbound"))
-        rng = runner.run_request(
-            JobRequest(get(benchmark), "softbound-ranges"))
+        dom = runner.run(get(benchmark), "softbound")
+        rng = runner.run(get(benchmark), "softbound-ranges")
         same = (rng.output == dom.output and rng.status == dom.status)
         rows.append([
             benchmark,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..vm import costs
 from ..workloads import Workload, all_workloads
-from .common import JobRequest, Runner, format_table
+from .common import JobRequest, Runner, config_for, format_table
 
 SB_CATEGORIES: List[Tuple[str, Tuple[str, ...]]] = [
     ("checks", ("__sb_check",)),
@@ -63,7 +63,7 @@ def _wrapper_cycles(opcode_counts) -> int:
 
 def requests(workloads: Optional[Sequence[Workload]] = None) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
-    return [JobRequest(workload, label)
+    return [JobRequest(workload, config_for(label))
             for workload in workloads
             for label in ("baseline", "softbound", "lowfat")]
 

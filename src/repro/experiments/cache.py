@@ -1,24 +1,27 @@
 """Content-addressed on-disk cache for benchmark results.
 
-Every experiment job is described by a *self-contained payload*: the
-workload sources, the full :class:`InstrumentationConfig`, the compile
-options, the VM budget, and the runtime knobs.  The cache key is the
-SHA-256 of the canonical JSON of that payload plus the repro package
-version, so
+Every experiment job is described by a *self-contained payload*: what
+decides its result and nothing else -- the workload sources and
+obfuscated units, the full :class:`InstrumentationConfig` (None for the
+baseline), the compile options, the instruction budget, the Low-Fat
+region capacity and the VM engine.  The cache key is the SHA-256 of
+the canonical JSON of that payload plus the repro package version, so
 
-* identical (workload, configuration) requests -- whether they come
-  from another experiment module, another process, or another
-  ``benchmarks/bench_*.py`` invocation -- resolve to the same entry;
+* requests that measure the same thing -- under whatever label,
+  workload name or experiment, in this process or another --
+  resolve to the same entry;
 * *any* change to the keyed inputs (a workload source edit, a config
   flag, a different extension point or instruction budget, a package
   upgrade) changes the key and therefore invalidates the entry
   automatically.  Stale entries are never consulted; they are simply
   unreachable garbage.
 
-Entries are one JSON file per key under ``<dir>/<key[:2]>/<key>.json``,
-written atomically (temp file + ``os.replace``) so concurrent writers
-of the *same* key are harmless.  Unreadable or malformed entries are
-treated as misses.
+An entry holds the run's record (:meth:`BenchResult.record`), never a
+verdict that depends on who asked: the engine judges a run against its
+baseline when it answers a request.  Entries are one JSON file per key
+under ``<dir>/<key[:2]>/<key>.json``, written atomically (temp file +
+``os.replace``) so concurrent writers of the *same* key are harmless.
+Unreadable or malformed entries are treated as misses.
 """
 
 from __future__ import annotations
@@ -41,13 +44,9 @@ from .. import __version__
 #: every edge carries it), which changes verdicts and emitted checks
 #: on some workloads; keys hold the package version but no code
 #: digest, so a warm cache would otherwise serve the old results.
-CACHE_FORMAT_VERSION = 5
-
-#: Payload fields that do not influence the measured result: the
-#: reference output is itself a deterministic function of the keyed
-#: inputs (it is the baseline run's output), and the timeout only
-#: bounds the job's wall clock.
-_NON_KEY_FIELDS = ("reference_output", "timeout")
+#: Version 6: keys no longer hash the label or the workload name, and
+#: an entry stores the run's record without ``workload``/``label``/``ok``.
+CACHE_FORMAT_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -63,15 +62,14 @@ def default_cache_dir() -> Path:
 
 
 def job_key(payload: dict) -> str:
-    """Content hash of a job payload (minus the non-key fields).
+    """Content hash of a job payload.
 
     The VM execution engine is part of the key: each engine caches
     and resumes its own cells, so a result is only ever served to a
     request for the engine that computed it -- which keeps the
     engine-differential comparison honest even over a warm cache."""
-    keyed = {k: v for k, v in payload.items() if k not in _NON_KEY_FIELDS}
-    keyed["repro_version"] = __version__
-    keyed["cache_format"] = CACHE_FORMAT_VERSION
+    keyed = dict(payload, repro_version=__version__,
+                 cache_format=CACHE_FORMAT_VERSION)
     blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -103,16 +101,13 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, key: str, result: dict, describe: Optional[dict] = None) -> None:
-        """Store ``result`` (a ``BenchResult.to_json()`` dict) under
-        ``key``.  ``describe`` is an optional human-readable summary of
-        the keyed inputs, kept alongside for debugging."""
+    def put(self, key: str, result: dict) -> None:
+        """Store ``result`` (a run record) under ``key``."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "format": CACHE_FORMAT_VERSION,
             "key": key,
-            "inputs": describe or {},
             "result": result,
         }
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")

@@ -18,12 +18,13 @@ like the historical per-process runner.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional
 
 from ..core.config import InstrumentationConfig
 from ..core.itarget import TargetStatistics
 from ..driver import CompiledProgram, RunResult
+from ..errors import ConfigError
 
 MAX_INSTRUCTIONS = 50_000_000
 
@@ -43,28 +44,64 @@ CONFIG_LABELS = (
     "lowfat-hoist",
 )
 
+#: The variant word of a label -> the mode and filter flags it sets.
+_VARIANTS = {
+    "": dict(opt_dominance=True),
+    "unopt": {},
+    "meta": dict(mode="geninvariants"),
+    "ranges": dict(opt_dominance=True, opt_ranges=True),
+    "hoist": dict(opt_dominance=True, opt_ranges=True, opt_hoist=True),
+}
+_VARIANT_FIELDS = ("mode", "opt_dominance", "opt_ranges", "opt_hoist")
+
 
 def config_for(label: str) -> Optional[InstrumentationConfig]:
+    """The configuration a label names (None for ``baseline``).
+
+    A label is ``<approach>[-<variant>]`` (see ``_VARIANTS``; no
+    variant means dominance elimination), then one ``-<field>=True``
+    or ``-<field>=False`` for each boolean field that differs from the
+    variant's configuration.  :func:`label_for` is the inverse; these
+    two functions are the only code that reads or writes a label."""
     if label == "baseline":
         return None
-    approach, _, variant = label.partition("-")
-    base = (
-        InstrumentationConfig.softbound()
-        if approach == "softbound"
-        else InstrumentationConfig.lowfat()
-    )
-    if variant == "":
-        return base.with_(opt_dominance=True)
-    if variant == "unopt":
-        return base.with_(opt_dominance=False)
-    if variant == "meta":
-        return base.with_(mode="geninvariants", opt_dominance=False)
-    if variant == "ranges":
-        return base.with_(opt_dominance=True, opt_ranges=True)
-    if variant == "hoist":
-        return base.with_(opt_dominance=True, opt_ranges=True,
-                          opt_hoist=True)
-    raise ValueError(f"unknown configuration label {label!r}")
+    approach, *words = label.split("-")
+    variant = words.pop(0) if words and "=" not in words[0] else ""
+    if variant not in _VARIANTS:
+        raise ConfigError(f"unknown configuration label {label!r}")
+    config = InstrumentationConfig(approach=approach, **_VARIANTS[variant])
+    overrides = {}
+    for word in words:
+        name, _, value = word.partition("=")
+        if (not isinstance(getattr(config, name, None), bool)
+                or value not in ("True", "False")):
+            raise ConfigError(
+                f"unknown configuration label {label!r}: {word!r} is "
+                "not <boolean field>=True or =False")
+        overrides[name] = value == "True"
+    return replace(config, **overrides)
+
+
+def label_for(config: Optional[InstrumentationConfig]) -> str:
+    """The display name of ``config``, which :func:`config_for` reads
+    back.  A ``CONFIG_LABELS`` configuration gets its name there; a
+    filter set without a variant word is spelled as ``unopt`` (or
+    ``meta``) plus its filter flags, so no two configurations share a
+    label."""
+    if config is None:
+        return "baseline"
+    bases = {word: InstrumentationConfig(approach=config.approach, **flags)
+             for word, flags in _VARIANTS.items()}
+    variant = next(
+        (word for word, base in bases.items()
+         if all(getattr(base, name) == getattr(config, name)
+                for name in _VARIANT_FIELDS)),
+        "meta" if config.mode == "geninvariants" else "unopt")
+    overrides = [f"{name}={getattr(config, name)}"
+                 for name in sorted(f.name for f in fields(config))
+                 if getattr(config, name) != getattr(bases[variant], name)]
+    return "-".join([config.approach] + ([variant] if variant else [])
+                    + overrides)
 
 
 @dataclass
@@ -75,6 +112,11 @@ class BenchResult:
     which is what makes results survive both worker-process transport
     and the on-disk cache (and what makes benchmark trajectories
     machine-readable).
+
+    The engine stores a *record* of each run: every field but
+    ``workload``, ``label`` and ``ok``, which name the request and
+    judge the run against its baseline.  :meth:`answer` adds them, so
+    one stored run answers every request that measures the same thing.
 
     ``status`` distinguishes how the run ended: ``"exit"`` (normal
     termination), ``"violation"`` (an instrumentation check fired,
@@ -107,9 +149,8 @@ class BenchResult:
     opcode_counts: Dict[str, int] = field(default_factory=dict)
 
     @staticmethod
-    def from_run(workload, label: str, ep: str,
-                 program: CompiledProgram, run: RunResult,
-                 output_ok: bool = True) -> "BenchResult":
+    def record(ep: str, program: CompiledProgram, run: RunResult) -> dict:
+        """The stored form of one run: plain data, no request fields."""
         stats = run.stats
         if run.violation is not None:
             status, violation_kind = "violation", run.violation.kind
@@ -119,12 +160,10 @@ class BenchResult:
             status, violation_kind = "abort", ""
         else:
             status, violation_kind = "exit", ""
-        return BenchResult(
-            workload=getattr(workload, "name", workload),
-            label=label, extension_point=ep,
+        return dict(
+            extension_point=ep,
             cycles=stats.cycles, instructions=stats.instructions,
-            output=list(run.output), ok=run.ok and output_ok,
-            describe=run.describe(),
+            output=list(run.output), describe=run.describe(),
             checks_executed=stats.checks_executed,
             checks_wide=stats.checks_wide,
             unsafe_percent=stats.unsafe_percent,
@@ -132,28 +171,39 @@ class BenchResult:
             trie_loads=stats.trie_loads, trie_stores=stats.trie_stores,
             shadow_stack_ops=stats.shadow_stack_ops,
             lowfat_fallbacks=stats.lowfat_fallback_allocs,
-            static=program.instrumentation,
-            status=status, violation_kind=violation_kind,
+            static=asdict(program.instrumentation),
+            status=status, violation_kind=violation_kind, failure="",
             lowfat_allocs=stats.lowfat_allocs,
             opcode_counts=dict(stats.opcode_counts),
         )
 
     @staticmethod
-    def failed(workload, label: str, ep: str, failure: str) -> "BenchResult":
-        """A structured failure: the job crashed or exceeded its time
-        limit.  The run as a whole survives; this result records why
-        the cell is missing."""
-        return BenchResult(
-            workload=getattr(workload, "name", workload),
-            label=label, extension_point=ep,
-            cycles=0, instructions=0, output=[], ok=False,
-            describe=f"failed: {failure}",
-            checks_executed=0, checks_wide=0, unsafe_percent=0.0,
-            invariant_checks=0, trie_loads=0, trie_stores=0,
-            shadow_stack_ops=0, lowfat_fallbacks=0,
-            static=TargetStatistics(),
-            status="failed", failure=failure,
+    def failed_record(ep: str, failure: str) -> dict:
+        """The record of a job that crashed or exceeded its time limit:
+        every counter is 0 and ``failure`` says why the cell is
+        missing.  The run as a whole survives it."""
+        return dict(
+            extension_point=ep, cycles=0, instructions=0, output=[],
+            describe=f"failed: {failure}", checks_executed=0,
+            checks_wide=0, unsafe_percent=0.0, invariant_checks=0,
+            trie_loads=0, trie_stores=0, shadow_stack_ops=0,
+            lowfat_fallbacks=0, static=asdict(TargetStatistics()),
+            status="failed", violation_kind="", failure=failure,
+            lowfat_allocs=0, opcode_counts={},
         )
+
+    @staticmethod
+    def answer(record: dict, workload, label: str,
+               ok: bool) -> "BenchResult":
+        """The result of one request for the run ``record`` holds."""
+        return BenchResult.from_json(dict(
+            record, workload=getattr(workload, "name", workload),
+            label=label, ok=ok))
+
+    @staticmethod
+    def failed(workload, label: str, ep: str, failure: str) -> "BenchResult":
+        return BenchResult.answer(BenchResult.failed_record(ep, failure),
+                                  workload, label, ok=False)
 
     def to_json(self) -> dict:
         """Plain-data representation; ``from_json`` inverts it exactly."""
@@ -162,21 +212,10 @@ class BenchResult:
     @staticmethod
     def from_json(data: dict) -> "BenchResult":
         data = dict(data)
-        static = data["static"]
-        if not isinstance(static, TargetStatistics):
-            data["static"] = TargetStatistics(
-                gathered_checks=static["gathered_checks"],
-                gathered_invariants=static["gathered_invariants"],
-                filtered_checks=static["filtered_checks"],
-                # .get: cache entries written before the range/hoist
-                # filters existed lack the fields.
-                range_filtered_checks=static.get("range_filtered_checks", 0),
-                hoisted_checks=static.get("hoisted_checks", 0),
-                coalesced_checks=static.get("coalesced_checks", 0),
-                synthesized_checks=static.get("synthesized_checks", 0),
-                verdicts=dict(static.get("verdicts", {})),
-                by_kind=dict(static["by_kind"]),
-            )
+        static = dict(data["static"])
+        static["verdicts"] = dict(static["verdicts"])
+        static["by_kind"] = dict(static["by_kind"])
+        data["static"] = TargetStatistics(**static)
         data["output"] = list(data["output"])
         data["opcode_counts"] = dict(data["opcode_counts"])
         return BenchResult(**data)
@@ -220,4 +259,5 @@ def __getattr__(name):
 __all__ = [
     "BenchResult", "CONFIG_LABELS", "ExperimentEngine", "JobRequest",
     "MAX_INSTRUCTIONS", "Runner", "config_for", "format_table", "geomean",
+    "label_for",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..workloads import Workload, all_workloads
-from .common import JobRequest, Runner, format_table, geomean
+from .common import JobRequest, Runner, config_for, format_table, geomean
 
 APPROACH = "softbound"
 
@@ -30,7 +30,7 @@ def requests_for(approach: str,
                  ) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
     labels = (approach, f"{approach}-unopt", f"{approach}-meta")
-    return [JobRequest(workload, label)
+    return [JobRequest(workload, config_for(label))
             for workload in workloads for label in labels]
 
 

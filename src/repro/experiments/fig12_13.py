@@ -19,14 +19,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..opt.pipeline import EXTENSION_POINTS
 from ..workloads import Workload, all_workloads
-from .common import JobRequest, Runner, format_table, geomean
+from .common import JobRequest, Runner, config_for, format_table, geomean
 
 
 def requests_for(approach: str,
                  workloads: Optional[Sequence[Workload]] = None
                  ) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
-    return [JobRequest(workload, approach, extension_point=ep)
+    return [JobRequest(workload, config_for(approach), extension_point=ep)
             for workload in workloads for ep in EXTENSION_POINTS]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..workloads import Workload, all_workloads
-from .common import JobRequest, Runner, format_table, geomean
+from .common import JobRequest, Runner, config_for, format_table, geomean
 
 LABELS = ("softbound", "softbound-unopt", "softbound-ranges",
           "softbound-hoist",
@@ -36,7 +36,7 @@ LABELS = ("softbound", "softbound-unopt", "softbound-ranges",
 
 def requests(workloads: Optional[Sequence[Workload]] = None) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
-    return [JobRequest(workload, label)
+    return [JobRequest(workload, config_for(label))
             for workload in workloads for label in LABELS]
 
 

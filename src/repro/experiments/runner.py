@@ -4,36 +4,46 @@ The paper's evaluation re-compiles and re-runs every workload under up
 to 7 configurations at multiple pipeline extension points.  All of
 those (workload, config, extension-point) jobs are independent and the
 VM is CPU-bound pure Python, so the engine fans them out over
-``multiprocessing`` worker *processes* and persists every result in
-the content-addressed on-disk cache of :mod:`.cache`:
+``multiprocessing`` worker *processes* and persists every run in the
+content-addressed on-disk cache of :mod:`.cache`:
 
-* :meth:`ExperimentEngine.run_many` is the scheduler.  It dedupes the
-  requested jobs, resolves what it can from the in-process memo and
-  the disk cache, runs the remaining *baseline* jobs first (their
-  outputs are the references the instrumented runs are validated
-  against), then fans the remaining instrumented jobs out in one wave.
-* Results travel between processes as ``BenchResult.to_json()``
-  documents -- the same representation the disk cache stores -- and the
-  serial path round-trips through the same JSON, so serial, parallel,
-  and cached runs are bit-identical.
+* A job is what it measures.  Its key (:func:`.cache.job_key`) hashes
+  only the inputs that decide the run -- sources, configuration,
+  compile options, budget, Low-Fat region capacity, VM engine -- so a
+  configuration reached under two labels, or a workload submitted
+  under two names, runs once.
+* :meth:`ExperimentEngine.run_many` is the scheduler.  It resolves
+  every requested job, and the same-engine baseline of every request
+  that validates its output, from the in-process store and the disk
+  cache, then runs the rest in one wave.
+* Workers return the raw run (:meth:`BenchResult.record`); the parent
+  answers each request from the stored runs.  A baseline is never
+  validated; a validating request is ``ok`` only if its run ended
+  cleanly and printed what its baseline printed, whenever the
+  baseline ended cleanly.  The verdict is worked out per request, so
+  no stored run depends on which request computed it first, and
+  repeated identical requests return the same object.
+* Runs travel between processes as plain JSON-able records -- the same
+  representation the disk cache stores -- so serial, parallel, and
+  cached runs are bit-identical.
 * A worker that raises, or exceeds the per-job timeout (enforced with
-  ``SIGALRM`` inside the worker), yields a structured *failed*
-  ``BenchResult`` (``status == "failed"``) instead of taking down the
-  run.  Failed results are never written to the cache.
+  ``SIGALRM`` inside the worker), yields a structured *failed* run
+  (``status == "failed"``) instead of taking down the run.  Failed
+  runs are never written to the cache.
 * With ``verify_cache=True`` the engine recomputes one disk-cache hit
-  per run (the canary) and requires the cached counters to match the
-  fresh recomputation exactly; any mismatch raises
+  per run (the canary) and requires the whole stored record to equal
+  the fresh one; any mismatch raises
   :class:`~repro.errors.CacheVerificationError` -- the VM is
   deterministic, so a mismatch always means corruption.
 
 ``ExperimentEngine`` is exported from :mod:`.common` as ``Runner`` and
 keeps the historical serial runner's API (``run`` / ``baseline`` /
-``overhead`` and in-process memoization: repeated requests return the
-same object).
+``overhead``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import signal
@@ -47,19 +57,17 @@ from ..errors import CacheVerificationError
 from ..vm.engines import DEFAULT_ENGINE, ENGINE_DESCRIPTIONS, ENGINES
 from ..workloads import Workload
 from .cache import ResultCache, default_cache_dir, job_key
-from .common import MAX_INSTRUCTIONS, BenchResult, config_for
+from .common import MAX_INSTRUCTIONS, BenchResult, config_for, label_for
 
 
 @dataclass
 class JobRequest:
     """One cell of the experiment matrix.
 
-    ``label`` names the configuration (see ``CONFIG_LABELS``); for
-    configurations outside the named set (the ablations), pass the
-    exact :class:`InstrumentationConfig` as ``config_override`` and a
-    descriptive label of your choice.  ``validate_output`` controls
-    whether the engine schedules the workload's baseline first and
-    compares outputs against it (the transparency check); ablation
+    ``config`` is the configuration to measure, None for the
+    uninstrumented baseline; :func:`.common.config_for` turns a label
+    into one.  ``validate_output`` compares the run's output with the
+    workload's same-engine baseline (the transparency check); ablation
     runs that *expect* spurious violations turn it off.
 
     ``engine`` overrides the engine-wide VM execution tier
@@ -70,18 +78,12 @@ class JobRequest:
     """
 
     workload: Workload
-    label: str
+    config: Optional[InstrumentationConfig]
     extension_point: str = "VectorizerStart"
-    config_override: Optional[InstrumentationConfig] = None
     lf_region_capacity: Optional[int] = None
     max_instructions: Optional[int] = None
     validate_output: bool = True
     engine: Optional[str] = None
-
-    def config(self) -> Optional[InstrumentationConfig]:
-        if self.config_override is not None:
-            return self.config_override
-        return config_for(self.label)
 
 
 class _JobTimeout(Exception):
@@ -92,8 +94,9 @@ def _alarm_handler(signum, frame):
     raise _JobTimeout()
 
 
-def _execute_payload(payload: dict) -> BenchResult:
-    """Compile and run one job from its self-contained payload.
+def _execute_payload(payload: dict) -> dict:
+    """Compile and run one job from its self-contained payload and
+    return the run's record.
 
     Runs in a worker process (or inline for serial engines); must not
     touch any engine state.
@@ -114,20 +117,12 @@ def _execute_payload(payload: dict) -> BenchResult:
                       max_instructions=payload["max_instructions"],
                       lf_region_capacity=payload["lf_region_capacity"],
                       engine=payload["engine"])
-    reference = payload["reference_output"]
-    if payload["label"] == "baseline" and run.ok:
-        output_ok = True
-    else:
-        output_ok = reference is None or run.output == reference
-    return BenchResult.from_run(payload["workload"], payload["label"],
-                                payload["extension_point"], program, run,
-                                output_ok=output_ok)
+    return BenchResult.record(payload["extension_point"], program, run)
 
 
-def _run_job(payload: dict) -> Tuple[str, object]:
-    """Worker entry point: never raises; returns ``("ok", json_dict)``
-    or ``("failed", reason)`` so one bad job cannot break the pool."""
-    timeout = payload.get("timeout")
+def _run_job(payload: dict, timeout: Optional[float]) -> Tuple[str, object]:
+    """Worker entry point: never raises; returns ``("ok", record)`` or
+    ``("failed", reason)`` so one bad job cannot break the pool."""
     use_alarm = (bool(timeout)
                  and threading.current_thread() is threading.main_thread())
     previous = None
@@ -135,7 +130,7 @@ def _run_job(payload: dict) -> Tuple[str, object]:
         previous = signal.signal(signal.SIGALRM, _alarm_handler)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return ("ok", _execute_payload(payload).to_json())
+        return ("ok", _execute_payload(payload))
     except _JobTimeout:
         return ("failed", f"timed out after {timeout:g}s")
     except Exception as exc:
@@ -146,24 +141,12 @@ def _run_job(payload: dict) -> Tuple[str, object]:
             signal.signal(signal.SIGALRM, previous)
 
 
-#: Fields the --verify-cache canary compares.  ``ok``/``describe``/
-#: ``failure`` are excluded because the fresh recomputation runs
-#: without the stored run's baseline reference; every measured counter
-#: must match exactly.
-_CANARY_FIELDS = (
-    "workload", "label", "extension_point", "cycles", "instructions",
-    "output", "checks_executed", "checks_wide", "unsafe_percent",
-    "invariant_checks", "trie_loads", "trie_stores", "shadow_stack_ops",
-    "lowfat_fallbacks", "lowfat_allocs", "status", "violation_kind",
-    "opcode_counts", "static",
-)
-
-
 class ExperimentEngine:
-    """Work-queue scheduler + memo + disk cache for benchmark results.
+    """Work-queue scheduler + run store + disk cache for benchmark
+    results.
 
     ``jobs=1`` (the default) executes inline; ``jobs=N`` fans each
-    phase of independent jobs out over N forked worker processes.
+    wave of independent jobs out over N forked worker processes.
     ``cache`` is a :class:`ResultCache` (or None for memory-only).
     """
 
@@ -183,9 +166,9 @@ class ExperimentEngine:
         self.verify_cache = verify_cache
         self.vm_engine = vm_engine
         self.executed_jobs = 0
-        self._memo: Dict[str, BenchResult] = {}
-        self._payloads: Dict[str, dict] = {}
-        self._disk_hits: List[str] = []
+        self.cache_hits = 0
+        self._runs: Dict[str, dict] = {}
+        self._answers: Dict[Tuple[str, str, Optional[str]], BenchResult] = {}
         self._canary_checked = False
 
     # ------------------------------------------------------------------
@@ -193,14 +176,15 @@ class ExperimentEngine:
 
     def run(self, workload: Workload, label: str,
             extension_point: str = "VectorizerStart") -> BenchResult:
-        return self.run_many([JobRequest(workload, label, extension_point)])[0]
+        return self.run_request(
+            JobRequest(workload, config_for(label), extension_point))
 
     def run_request(self, request: JobRequest) -> BenchResult:
         return self.run_many([request])[0]
 
     def prefetch(self, requests: Iterable[JobRequest]) -> None:
         """Resolve a whole job matrix (in parallel for ``jobs>1``);
-        subsequent ``run`` calls are memo hits."""
+        subsequent ``run`` calls are answered from stored runs."""
         self.run_many(list(requests))
 
     def baseline(self, workload: Workload) -> BenchResult:
@@ -212,87 +196,27 @@ class ExperimentEngine:
         inst = self.run(workload, label, extension_point)
         return inst.cycles / base.cycles if base.cycles else math.inf
 
-    @property
-    def cache_hits(self) -> int:
-        return len(self._disk_hits)
-
     # ------------------------------------------------------------------
     # scheduler
 
     def run_many(self, requests: Sequence[JobRequest]) -> List[BenchResult]:
-        order: List[str] = []
-        pending_baselines: Dict[str, dict] = {}
-        pending_rest: Dict[str, dict] = {}
-        needs_reference: Dict[str, str] = {}
-
-        def admit(request: JobRequest) -> str:
-            payload = self._payload(request)
-            # One engine-qualified key names the job in the memo and
-            # on disk, so mixed-engine batches never alias each other.
-            key = job_key(payload)
-            if key in self._memo or key in pending_baselines \
-                    or key in pending_rest:
-                return key
-            self._payloads[key] = payload
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                self._memo[key] = BenchResult.from_json(cached)
-                self._disk_hits.append(key)
-                return key
-            if request.label == "baseline":
-                pending_baselines[key] = payload
-            else:
-                pending_rest[key] = payload
-                if request.validate_output:
-                    # the reference inherits the instruction budget so
-                    # it coincides (memo and cache key) with an
-                    # explicitly requested baseline cell of the same
-                    # batch -- a campaign never runs its baseline twice
-                    needs_reference[key] = admit(
-                        JobRequest(request.workload, "baseline",
-                                   max_instructions=request.max_instructions,
-                                   engine=request.engine))
-            return key
-
+        pending: Dict[str, dict] = {}
+        jobs = []
         for request in requests:
-            order.append(admit(request))
-
-        # Phase 1: baselines (their outputs are the validation
-        # references for phase 2).
-        self._execute(pending_baselines)
-        for key, baseline_key in needs_reference.items():
-            if key in pending_rest:
-                base = self._memo.get(baseline_key)
-                if base is not None and base.ok:
-                    pending_rest[key]["reference_output"] = list(base.output)
-        # Phase 2: all instrumented / ablation jobs in one wave.
-        self._execute(pending_rest)
-
-        self._maybe_verify_canary()
-        return [self._memo[key] for key in order]
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _payload(self, request: JobRequest) -> dict:
-        workload = request.workload
-        config = request.config()
-        return {
-            "workload": workload.name,
-            "label": request.label,
-            "extension_point": request.extension_point,
-            "sources": dict(workload.sources),
-            "obfuscated_units": sorted(workload.obfuscated_units),
-            "config": None if config is None else asdict(config),
-            "opt_level": 3,
-            "link_time_optimization": True,
-            "max_instructions": request.max_instructions
-                                or self.max_instructions,
-            "lf_region_capacity": request.lf_region_capacity,
-            "reference_output": None,
-            "timeout": self.job_timeout,
-            "engine": request.engine or self.vm_engine,
-        }
+            key = self._admit(request, pending)
+            reference = None
+            if request.validate_output and request.config is not None:
+                # the reference inherits the instruction budget so it
+                # coincides with an explicitly requested baseline cell
+                # of the same workload -- a campaign never runs its
+                # baseline twice
+                reference = self._admit(JobRequest(
+                    request.workload, None,
+                    max_instructions=request.max_instructions,
+                    engine=request.engine), pending)
+            jobs.append((request, key, reference))
+        self._execute(pending)
+        return [self._answer(*job) for job in jobs]
 
     def fingerprint(self, request: JobRequest) -> str:
         """The content key of ``request``: its memo and disk-cache key.
@@ -303,35 +227,86 @@ class ExperimentEngine:
         coordination."""
         return job_key(self._payload(request))
 
+    # ------------------------------------------------------------------
+    # internals
+
+    def _payload(self, request: JobRequest) -> dict:
+        workload = request.workload
+        config = request.config
+        return {
+            "sources": dict(workload.sources),
+            "obfuscated_units": sorted(workload.obfuscated_units),
+            "config": None if config is None else asdict(config),
+            "opt_level": 3,
+            "extension_point": request.extension_point,
+            "link_time_optimization": True,
+            "max_instructions": request.max_instructions
+                                or self.max_instructions,
+            "lf_region_capacity": request.lf_region_capacity,
+            "engine": request.engine or self.vm_engine,
+        }
+
+    def _admit(self, request: JobRequest, pending: Dict[str, dict]) -> str:
+        """The key of ``request``'s job: stored, read from the disk
+        cache, or added to ``pending``."""
+        payload = self._payload(request)
+        key = job_key(payload)
+        if key in self._runs or key in pending:
+            return key
+        cached = self.cache.get(key) if self.cache is not None else None
+        if cached is None:
+            pending[key] = payload
+            return key
+        self.cache_hits += 1
+        if self.verify_cache and not self._canary_checked:
+            self._verify_canary(key, payload, cached)
+        self._runs[key] = cached
+        return key
+
+    def _answer(self, request: JobRequest, key: str,
+                reference: Optional[str]) -> BenchResult:
+        name = request.workload.name
+        answer = self._answers.get((key, name, reference))
+        if answer is None:
+            run = self._runs[key]
+            ok = run["status"] == "exit"
+            if ok and reference is not None:
+                base = self._runs[reference]
+                ok = (base["status"] != "exit"
+                      or run["output"] == base["output"])
+            answer = BenchResult.answer(run, name,
+                                        label_for(request.config), ok)
+            self._answers[(key, name, reference)] = answer
+        return answer
+
     def _execute(self, pending: Dict[str, dict]) -> None:
         if not pending:
             return
-        items = list(pending.items())
-        payloads = [payload for _, payload in items]
-        if self.jobs == 1 or len(items) == 1:
-            outcomes = [_run_job(payload) for payload in payloads]
+        payloads = list(pending.values())
+        if self.jobs == 1 or len(payloads) == 1:
+            outcomes = [_run_job(payload, self.job_timeout)
+                        for payload in payloads]
         else:
             outcomes = self._map_parallel(payloads)
-        for (key, payload), outcome in zip(items, outcomes):
-            result = self._materialize(payload, outcome)
-            self._memo[key] = result
+        for (key, payload), (status, value) in zip(pending.items(),
+                                                   outcomes):
             self.executed_jobs += 1
-            if self.cache is not None and result.status != "failed":
-                self.cache.put(key, result.to_json(), describe={
-                    "workload": payload["workload"],
-                    "label": payload["label"],
-                    "extension_point": payload["extension_point"],
-                    "engine": payload["engine"],
-                })
-        pending.clear()
+            if status == "ok":
+                self._runs[key] = value
+                if self.cache is not None:
+                    self.cache.put(key, value)
+            else:
+                self._runs[key] = BenchResult.failed_record(
+                    payload["extension_point"], str(value))
 
     def _map_parallel(self, payloads: List[dict]) -> List[Tuple[str, object]]:
         methods = multiprocessing.get_all_start_methods()
         context = (multiprocessing.get_context("fork")
                    if "fork" in methods else multiprocessing.get_context())
         processes = min(self.jobs, len(payloads))
+        worker = functools.partial(_run_job, timeout=self.job_timeout)
         with context.Pool(processes=processes) as pool:
-            async_result = pool.map_async(_run_job, payloads, chunksize=1)
+            async_result = pool.map_async(worker, payloads, chunksize=1)
             if self.job_timeout:
                 # Safety net for workers that die outright (the in-worker
                 # alarm already converts ordinary timeouts to failures).
@@ -344,36 +319,17 @@ class ExperimentEngine:
                                        "job-timeout budget")] * len(payloads)
             return async_result.get()
 
-    @staticmethod
-    def _materialize(payload: dict, outcome: Tuple[str, object]) -> BenchResult:
-        status, value = outcome
-        if status == "ok":
-            return BenchResult.from_json(value)
-        return BenchResult.failed(payload["workload"], payload["label"],
-                                  payload["extension_point"], str(value))
-
-    def _maybe_verify_canary(self) -> None:
-        if not self.verify_cache or self._canary_checked \
-                or not self._disk_hits:
-            return
+    def _verify_canary(self, key: str, payload: dict, cached: dict) -> None:
         self._canary_checked = True
-        key = self._disk_hits[0]
-        payload = dict(self._payloads[key])
-        payload["timeout"] = None
-        payload["reference_output"] = None
-        cached = self._memo[key]
         fresh = _execute_payload(payload)
-        mismatches = [
-            name for name in _CANARY_FIELDS
-            if getattr(fresh, name) != getattr(cached, name)
-        ]
+        mismatches = sorted(name for name in fresh.keys() | cached.keys()
+                            if fresh.get(name) != cached.get(name))
         if mismatches:
             raise CacheVerificationError(
-                f"cached result for {cached.workload}/{cached.label}"
-                f"@{cached.extension_point} disagrees with a fresh "
-                f"recomputation in field(s): {', '.join(mismatches)} "
-                f"(cache key {key}); the VM is deterministic, so the "
-                "cache entry is corrupt -- delete the cache directory"
+                f"cached run {key} disagrees with a fresh recomputation "
+                f"in field(s): {', '.join(mismatches)}; the VM is "
+                "deterministic, so the cache entry is corrupt -- delete "
+                "the cache directory"
             )
 
 

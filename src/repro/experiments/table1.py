@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from ..core.itarget import TargetKind
 from ..workloads import Workload, all_workloads
-from .common import JobRequest, Runner, format_table
+from .common import JobRequest, Runner, config_for, format_table
 
 KIND_COLUMNS = [
     (TargetKind.CHECK_DEREF, "deref checks"),
@@ -26,7 +26,8 @@ KIND_COLUMNS = [
 
 def requests(workloads: Optional[Sequence[Workload]] = None) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
-    return [JobRequest(workload, "softbound") for workload in workloads]
+    return [JobRequest(workload, config_for("softbound"))
+            for workload in workloads]
 
 
 def generate(runner: Runner = None,

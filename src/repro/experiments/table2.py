@@ -32,7 +32,7 @@ def _cell(percent: float, wide_count: int) -> str:
 
 def requests(workloads: Optional[Sequence[Workload]] = None) -> List[JobRequest]:
     workloads = all_workloads() if workloads is None else list(workloads)
-    return [JobRequest(workload, label)
+    return [JobRequest(workload, config_for(label))
             for workload in workloads for label in ("softbound", "lowfat")]
 
 

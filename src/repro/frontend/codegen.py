@@ -625,7 +625,8 @@ class CodeGenerator:
         if expr.op == "-":
             operand = self._promote_arith(operand, expr.line)
             if operand.ctype.is_float():
-                zero = ConstantFloat(operand.value.type, 0.0)
+                # -0.0 - x, not 0.0 - x: the negation of +0.0 is -0.0
+                zero = ConstantFloat(operand.value.type, -0.0)
                 return TypedValue(self.builder.binop("fsub", zero, operand.value), operand.ctype)
             zero = ConstantInt(operand.value.type, 0)
             return TypedValue(self.builder.sub(zero, operand.value), operand.ctype)

@@ -32,13 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..campaign.model import Instance, standard_instances
+from ..campaign.model import Instance, Target, standard_instances
 from ..errors import ConfigError
 from ..experiments.cache import ResultCache
 from ..experiments.common import BenchResult
 from ..experiments.runner import ExperimentEngine, JobRequest
 from ..vm.engines import DEFAULT_ENGINE, ENGINES
-from ..workloads import Workload
 from .generator import CoverageReport, GeneratedProgram
 
 
@@ -46,48 +45,15 @@ from .generator import CoverageReport, GeneratedProgram
 class Matrix:
     """A named slice of the full configuration space.
 
-    A matrix is a *complete* labels x engines product of campaign
-    :class:`~repro.campaign.model.Instance` axes -- the oracle's grid
-    comparisons (engine-divergence, filter chains) index cells by
-    ``(label, engine)`` and need every cell present.  Build one from
-    instances with :meth:`from_instances`, or directly from label and
-    engine tuples; :meth:`instances` recovers the instance list either
-    way, and is what the oracle actually schedules."""
+    A matrix is a complete labels x engines product -- the oracle's
+    grid comparisons (engine-divergence, filter chains) index cells by
+    ``(label, engine)`` and need every cell present.  :meth:`instances`
+    turns it into the campaign :class:`~repro.campaign.model.Instance`
+    list the oracle actually schedules."""
 
     name: str
     labels: Tuple[str, ...]
     engines: Tuple[str, ...]
-
-    @classmethod
-    def from_instances(cls, name: str,
-                       instances: Sequence[Instance]) -> "Matrix":
-        """Derive a matrix from campaign instances.
-
-        The instances must form a complete, duplicate-free
-        labels x engines product (same check axes for every engine);
-        anything else would leave holes in the differential grid."""
-        labels = tuple(dict.fromkeys(i.label for i in instances))
-        engines = tuple(dict.fromkeys(i.engine for i in instances))
-        cells = [(i.label, i.engine) for i in instances]
-        if len(set(cells)) != len(cells):
-            raise ConfigError(
-                f"matrix {name!r}: duplicate (label, engine) cells")
-        missing = [f"{label}@{engine}"
-                   for engine in engines for label in labels
-                   if (label, engine) not in set(cells)]
-        if missing:
-            raise ConfigError(
-                f"matrix {name!r} is not a complete labels x engines "
-                f"product; missing: {', '.join(missing)}")
-        off_axis = [i.name for i in instances
-                    if i.extension_point != "VectorizerStart"
-                    or i.config_overrides]
-        if off_axis:
-            raise ConfigError(
-                f"matrix {name!r}: instances with extension-point or "
-                f"config overrides are ambiguous as (label, engine) "
-                f"cells: {', '.join(off_axis)}")
-        return cls(name, labels=labels, engines=engines)
 
     def instances(self) -> List[Instance]:
         """The campaign instances of this matrix, in cell order."""
@@ -102,17 +68,17 @@ class Matrix:
         return len(self.labels) * len(self.engines)
 
 
-FULL_MATRIX = Matrix.from_instances("full", standard_instances(
-    ("baseline",
-     "softbound-unopt", "softbound", "softbound-ranges", "softbound-hoist",
-     "lowfat-unopt", "lowfat", "lowfat-ranges", "lowfat-hoist"),
+FULL_MATRIX = Matrix(
+    "full",
+    labels=("baseline",
+            "softbound-unopt", "softbound", "softbound-ranges",
+            "softbound-hoist",
+            "lowfat-unopt", "lowfat", "lowfat-ranges", "lowfat-hoist"),
     engines=ENGINES,
-))
+)
 
-QUICK_MATRIX = Matrix.from_instances("quick", standard_instances(
-    ("baseline", "softbound", "lowfat"),
-    engines=(DEFAULT_ENGINE,),
-))
+QUICK_MATRIX = Matrix("quick", labels=("baseline", "softbound", "lowfat"),
+                      engines=(DEFAULT_ENGINE,))
 
 MATRICES: Dict[str, Matrix] = {m.name: m for m in (FULL_MATRIX, QUICK_MATRIX)}
 
@@ -233,8 +199,8 @@ class DifferentialOracle:
     """Runs programs through a matrix and cross-checks every cell.
 
     ``jobs`` fans the matrix out over worker processes (the underlying
-    :class:`ExperimentEngine` schedules baselines first, then the rest
-    in one wave).  A disk ``cache`` keys every cell by its engine, so
+    :class:`ExperimentEngine` runs a batch's cells in one wave).  A
+    disk ``cache`` keys every cell by its engine, so
     each engine's cells are cached and served apart and the engine
     comparison stays meaningful over a warm cache.
     """
@@ -270,22 +236,16 @@ class DifferentialOracle:
     def executed_jobs(self) -> int:
         return self.engine.executed_jobs
 
-    def _requests(self, workload: Workload) -> List[JobRequest]:
-        # One request per campaign instance, in the grid's cell order;
-        # the instance resolves its own configuration through the
-        # mechanism registry.
-        return [JobRequest(workload, instance.label,
-                           extension_point=instance.extension_point,
-                           config_override=instance.config(),
-                           engine=instance.engine)
-                for instance in self._instances]
+    def _requests(self, name: str,
+                  sources: Dict[str, str]) -> List[JobRequest]:
+        # One request per campaign instance, in the grid's cell order.
+        target = Target(name, sources=sources)
+        return [instance.request(target) for instance in self._instances]
 
     def check_sources(self, sources: Dict[str, str],
                       name: str = "fuzz-candidate") -> List[Mismatch]:
         """Run one program (as raw sources) through the whole matrix."""
-        workload = Workload(name=name, sources=dict(sources),
-                            description="generated fuzz program")
-        results = self.engine.run_many(self._requests(workload))
+        results = self.engine.run_many(self._requests(name, sources))
         grid = {cell: result
                 for cell, result in zip(self.matrix.cells, results)}
         mismatches = self._compare(name, grid)
@@ -321,10 +281,8 @@ class DifferentialOracle:
             group = programs[start:start + batch]
             requests: List[JobRequest] = []
             for program in group:
-                workload = Workload(name=program.name,
-                                    sources=dict(program.sources),
-                                    description="generated fuzz program")
-                requests.extend(self._requests(workload))
+                requests.extend(self._requests(program.name,
+                                               program.sources))
             results = self.engine.run_many(requests)
             cells = self.matrix.cells
             for offset, program in enumerate(group):

@@ -72,6 +72,13 @@ class Instruction(User):
             return not self.is_pure_call()
         return False
 
+    def may_abort(self) -> bool:
+        """True for a call that may end the program or not return: an
+        indirect call, or a callee that may abort, is ``noreturn``, or
+        is neither ``readnone`` nor ``readonly``.  Code after such a
+        call may never run."""
+        return isinstance(self, Call) and not self.is_pure_call()
+
     def may_read_memory(self) -> bool:
         if isinstance(self, Load):
             return True
@@ -465,10 +472,10 @@ class Call(Instruction):
         Possibly-aborting calls (memory-safety checks) are never pure,
         even when they read no memory: removing one would silence the
         abort."""
-        if self.callee_has_attribute("may_abort") or self.callee_has_attribute(
-            "noreturn"
-        ):
+        fn = self.callee_function
+        if fn is None:
             return False
-        return self.callee_has_attribute("readnone") or self.callee_has_attribute(
-            "readonly"
-        )
+        attributes = fn.attributes
+        return (("readnone" in attributes or "readonly" in attributes)
+                and "may_abort" not in attributes
+                and "noreturn" not in attributes)

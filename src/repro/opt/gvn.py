@@ -20,6 +20,7 @@ A dominator-tree walk with scoped hash tables:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import predecessor_map
@@ -54,7 +55,9 @@ def _value_key(value: Value):
     if isinstance(value, ConstantInt):
         return ("ci", str(value.type), value.value)
     if isinstance(value, ConstantFloat):
-        return ("cf", str(value.type), value.value)
+        # the sign tells -0.0 from 0.0, which compare equal
+        return ("cf", str(value.type), value.value,
+                math.copysign(1.0, value.value))
     if isinstance(value, ConstantNull):
         return ("null", str(value.type))
     if isinstance(value, UndefValue):

@@ -27,7 +27,6 @@ from ..analysis.loops import Loop, LoopInfo
 from ..ir.builder import IRBuilder
 from ..ir.instructions import (
     BinOp,
-    Br,
     Call,
     Cast,
     FCmp,
@@ -37,26 +36,10 @@ from ..ir.instructions import (
     Load,
     Phi,
     Select,
-    Store,
 )
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
 from .pass_manager import FunctionPass
-
-
-def _may_abort(inst: Instruction) -> bool:
-    if isinstance(inst, Call):
-        callee = inst.callee_function
-        if callee is None:
-            return True  # indirect call: anything can happen
-        return (
-            "may_abort" in callee.attributes
-            or "noreturn" in callee.attributes
-            or not (
-                "readnone" in callee.attributes or "readonly" in callee.attributes
-            )
-        )
-    return False
 
 
 class LICM(FunctionPass):
@@ -84,7 +67,7 @@ class LICM(FunctionPass):
             for inst in block.instructions:
                 if inst.may_write_memory():
                     loop_may_write = True
-                if _may_abort(inst):
+                if inst.may_abort():
                     loop_has_abort = True
 
         exits = loop.exit_blocks()

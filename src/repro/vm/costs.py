@@ -58,7 +58,6 @@ INTRINSIC_COSTS: Dict[str, int] = {
     "__sb_check": 7,           # cmp, add, cmp, or, branch
     "__lf_check": 9,           # shift, table load, sub, sub, cmp, branch
     "__lf_invariant_check": 9,  # same sequence as __lf_check
-    "__mi_fail": 0,            # noreturn; aborts anyway
 
     # SoftBound metadata (trie = two dependent loads + index arithmetic)
     "__sb_trie_load_base": 16,
@@ -76,7 +75,6 @@ INTRINSIC_COSTS: Dict[str, int] = {
 
     # Low-Fat pointer arithmetic (mask/shift on the pointer value)
     "__lf_compute_base": 3,
-    "__lf_compute_bound": 4,
 
     # allocation
     "malloc": 80,
@@ -86,7 +84,6 @@ INTRINSIC_COSTS: Dict[str, int] = {
     "__lf_malloc": 95,          # size-class lookup + per-region freelist
     "__lf_free": 45,
     "__lf_alloca": 6,           # per-region stack bump
-    "__lf_alloca_exit": 2,
 }
 
 # Native C library functions: fixed base cost; some natives add a
@@ -119,10 +116,6 @@ BYTE_COSTS: Dict[str, float] = {
     "strcpy": 0.25,
     "strcmp": 0.25,
 }
-
-
-def instruction_cost(opcode: str) -> int:
-    return INSTRUCTION_COSTS.get(opcode, 1)
 
 
 #: Extra cycles a SoftBound libc wrapper spends on bookkeeping
@@ -159,7 +152,3 @@ def signature() -> Tuple:
                tuple(INTRINSIC_COSTS.items()), tuple(NATIVE_COSTS.items()),
                SB_WRAPPER_OVERHEAD)
     return _SIGNATURES.setdefault(current, current)
-
-
-def is_intrinsic(name: str) -> bool:
-    return name in INTRINSIC_COSTS

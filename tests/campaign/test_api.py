@@ -1,17 +1,21 @@
 """The redesigned public API: instances, targets, expansion, and the
 mechanism registry it rests on."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.campaign import (
     FILTER_SETS,
+    KNOWN_FILTERS,
     CampaignSpec,
     Instance,
     Target,
     axes_instances,
+    parse_spec,
     standard_instances,
 )
-from repro.core.config import APPROACHES, InstrumentationConfig
+from repro.core.config import APPROACHES, MODES, InstrumentationConfig
 from repro.core.mechanism import (
     MechanismRegistration,
     create_mechanism,
@@ -21,7 +25,7 @@ from repro.core.mechanism import (
     register_mechanism,
 )
 from repro.errors import ConfigError
-from repro.experiments.common import CONFIG_LABELS, config_for
+from repro.experiments.common import CONFIG_LABELS, config_for, label_for
 
 
 class TestInstance:
@@ -88,6 +92,82 @@ class TestInstance:
         config = instance.config()
         assert config.sb_missing_metadata_wide is True
         assert "sb_missing_metadata_wide=True" in instance.label
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"bogus_field": True}, "bogus_field"),
+        ({"sb_wrapper_checks": "yes please"}, "sb_wrapper_checks"),
+        ({"sb_wrapper_checks": 1}, "sb_wrapper_checks"),
+        ({"opt_dominance": "yes please"}, "opt_dominance"),
+        ({"opt_ranges": True}, "opt_ranges"),
+        ({"mode": "full"}, "mode"),
+        ({"approach": "lowfat"}, "approach"),
+    ])
+    def test_bad_override_rejected_when_built(self, overrides, key):
+        # unknown fields, non-bool values and fields the instance's own
+        # axes set are one-line errors naming the key
+        with pytest.raises(ConfigError, match=repr(key)) as info:
+            Instance.parse({"mechanism": "softbound",
+                            "config": overrides})
+        assert "\n" not in str(info.value)
+
+
+class TestLabels:
+    """One grammar: ``config_for`` and ``label_for`` are inverses."""
+
+    def test_config_labels_round_trip(self):
+        for label in CONFIG_LABELS:
+            assert label_for(config_for(label)) == label
+
+    def test_every_filter_set_and_mode_is_distinct(self):
+        instances = [Instance(mechanism, filters=filters, mode=mode)
+                     for mechanism in ("softbound", "lowfat")
+                     for mode in MODES
+                     for n in range(len(KNOWN_FILTERS) + 1)
+                     for filters in combinations(KNOWN_FILTERS, n)]
+        assert len(instances) == 32
+        assert len({i.label for i in instances}) == 32
+        assert len({i.name for i in instances}) == 32
+        for instance in instances:
+            assert config_for(instance.label) == instance.config()
+            assert Instance.from_label(instance.label).config() == \
+                instance.config()
+
+    def test_non_canonical_filter_set_has_its_own_label(self):
+        alone = Instance("softbound", filters=("ranges",))
+        assert alone.label == "softbound-unopt-opt_ranges=True"
+        assert alone.label != Instance.from_label("softbound-ranges").label
+
+    def test_overrides_round_trip(self):
+        config = InstrumentationConfig.softbound(
+            opt_dominance=True, sb_wrapper_checks=True,
+            sb_size_zero_wide_upper=False)
+        label = label_for(config)
+        assert label == ("softbound-sb_size_zero_wide_upper=False"
+                         "-sb_wrapper_checks=True")
+        assert config_for(label) == config
+
+    @pytest.mark.parametrize("label", [
+        "softbound-turbo", "softbound-sb_wrapper_checks=yes",
+        "softbound-mode=full", "softbound-bogus=True",
+    ])
+    def test_bad_labels_rejected(self, label):
+        with pytest.raises(ConfigError, match="unknown configuration"):
+            config_for(label)
+
+    def test_spec_keeps_both_ranges_instances(self):
+        # ranges alone and dominance+ranges are two configurations,
+        # so two cells
+        spec = parse_spec({
+            "instance": [{"mechanism": "softbound",
+                          "filters": ["ranges"]},
+                         {"label": "softbound-ranges"}],
+            "targets": {"workloads": ["164gzip"]},
+        })
+        cells = spec.expand()
+        assert len(cells) == 2
+        assert {c.instance.config() for c in cells} == {
+            config_for("softbound-ranges"),
+            InstrumentationConfig(approach="softbound", opt_ranges=True)}
 
 
 class TestExpansion:

@@ -89,6 +89,26 @@ class TestCampaignCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"bogus_field": True}, "bogus_field"),
+        ({"opt_dominance": "yes please"}, "opt_dominance"),
+    ])
+    def test_bad_config_override_is_exit_2(self, tmp_path, capsys,
+                                           overrides, key):
+        # rejected when the spec is read, so --dry-run fails too
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "instance": [{"mechanism": "softbound", "config": overrides}],
+            "targets": {"workloads": ["164gzip"]},
+        }))
+        assert main(["campaign", str(path), "--dry-run",
+                     "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"{key!r}" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_bad_shard_is_exit_2(self, spec_path, capsys):
         assert main(["campaign", spec_path, "--shard-index", "9",
                      "--shard-count", "2", "--no-cache"]) == 2

@@ -143,6 +143,20 @@ class TestErrors:
             assert doc == {"error": f"unknown VM engine {engine!r} "
                                     "(expected one of codegen, interp)"}
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"bogus_field": True}, "bogus_field"),
+        ({"opt_dominance": "yes please"}, "opt_dominance"),
+    ])
+    def test_bad_config_override_400(self, server, overrides, key):
+        # a one-line 400 naming the key, not a dropped connection
+        code, doc = _error(server[0], "/run",
+                           {"sources": {"main.c": SOURCE},
+                            "instance": {"mechanism": "softbound",
+                                         "config": overrides}})
+        assert code == 400
+        assert repr(key) in doc["error"]
+        assert server[1].engine.executed_jobs == 0
+
     def test_both_workload_and_sources_400(self, server):
         code, doc = _error(server[0], "/run",
                            {"workload": "164gzip",

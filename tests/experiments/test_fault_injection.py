@@ -14,7 +14,9 @@ import time
 
 import pytest
 
+from repro.core.config import InstrumentationConfig
 from repro.experiments.cache import ResultCache
+from repro.experiments.common import config_for, label_for
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.experiments import runner as runner_mod
 from repro.workloads import get
@@ -22,12 +24,18 @@ from repro.workloads import get
 WORKLOADS = ("197parser", "456hmmer")
 
 
+def _label(payload):
+    """The label of the configuration a job payload measures."""
+    config = payload["config"]
+    return label_for(config and InstrumentationConfig(**config))
+
+
 def _crash_label(monkeypatch, label, exc=None):
     """Make ``_execute_payload`` raise for one config label only."""
     real = runner_mod._execute_payload
 
     def selective(payload):
-        if payload["label"] == label:
+        if _label(payload) == label:
             raise exc or RuntimeError(f"injected crash for {label}")
         return real(payload)
 
@@ -39,7 +47,7 @@ class TestCrashInjection:
     def test_one_crashed_job_rest_succeed(self, monkeypatch, jobs):
         _crash_label(monkeypatch, "lowfat")
         engine = ExperimentEngine(jobs=jobs)
-        requests = [JobRequest(get(name), label)
+        requests = [JobRequest(get(name), config_for(label))
                     for name in WORKLOADS
                     for label in ("softbound", "lowfat")]
         results = engine.run_many(requests)
@@ -62,8 +70,8 @@ class TestCrashInjection:
         _crash_label(monkeypatch, "baseline")
         engine = ExperimentEngine(jobs=2)
         results = engine.run_many([
-            JobRequest(get("197parser"), "baseline"),
-            JobRequest(get("197parser"), "softbound"),
+            JobRequest(get("197parser"), None),
+            JobRequest(get("197parser"), config_for("softbound")),
         ])
         by_label = {r.label: r for r in results}
         assert by_label["baseline"].status == "failed"
@@ -101,7 +109,7 @@ class TestTimeoutInjection:
         real = runner_mod._execute_payload
 
         def selective(payload):
-            if payload["label"] == label:
+            if _label(payload) == label:
                 time.sleep(seconds)
             return real(payload)
 
@@ -113,8 +121,8 @@ class TestTimeoutInjection:
         engine = ExperimentEngine(jobs=jobs, job_timeout=1.0)
         start = time.monotonic()
         results = engine.run_many([
-            JobRequest(get("197parser"), "softbound"),
-            JobRequest(get("197parser"), "lowfat"),
+            JobRequest(get("197parser"), config_for("softbound")),
+            JobRequest(get("197parser"), config_for("lowfat")),
         ])
         elapsed = time.monotonic() - start
         assert elapsed < 20, "timeout did not fire"
@@ -127,6 +135,7 @@ class TestTimeoutInjection:
     def test_generous_timeout_does_not_fire(self):
         engine = ExperimentEngine(jobs=2, job_timeout=120.0)
         results = engine.run_many([
-            JobRequest(get(name), "softbound") for name in WORKLOADS
+            JobRequest(get(name), config_for("softbound"))
+            for name in WORKLOADS
         ])
         assert all(r.ok for r in results)

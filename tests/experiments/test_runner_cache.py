@@ -17,10 +17,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import InstrumentationConfig
 from repro.core.itarget import TargetStatistics
 from repro.errors import CacheVerificationError
 from repro.experiments.cache import ResultCache, job_key
-from repro.experiments.common import BenchResult
+from repro.experiments.common import BenchResult, config_for, label_for
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.experiments import runner as runner_mod
 from repro.workloads import Workload, get
@@ -111,11 +112,15 @@ def _engine(tmp_path, **kwargs):
     return ExperimentEngine(**kwargs)
 
 
+def _label(payload):
+    """The label of the configuration a job payload measures."""
+    config = payload["config"]
+    return label_for(config and InstrumentationConfig(**config))
+
+
 def _forbid_execution(monkeypatch):
     def explode(payload):
-        raise AssertionError(
-            f"unexpected recomputation of {payload['workload']}"
-            f"/{payload['label']}")
+        raise AssertionError(f"unexpected recomputation of {_label(payload)}")
     monkeypatch.setattr(runner_mod, "_execute_payload", explode)
 
 
@@ -135,7 +140,7 @@ class TestDiskCache:
         second = _engine(tmp_path)
         cached = second.run(get("197parser"), "softbound")
         assert cached.to_json() == original.to_json()
-        assert second.cache_hits == 1
+        assert second.cache_hits == 2  # the cell and its baseline
         assert second.executed_jobs == 0
 
     def test_config_change_invalidates(self, tmp_path):
@@ -179,13 +184,27 @@ class TestDiskCache:
         assert second.cache_hits == 0
         assert second.executed_jobs == 1
 
-    def test_key_ignores_reference_and_timeout(self):
-        payload = {"workload": "w", "sources": {"tu0": "int main(){}"},
-                   "reference_output": ["1"], "timeout": 5.0}
-        same = dict(payload, reference_output=None, timeout=None)
+    def test_key_ignores_label_name_and_timeout(self):
+        # A job is what it measures: neither the label its
+        # configuration goes by, nor the workload's name, nor the time
+        # limit enters the key.
+        gzip = get("164gzip")
+        renamed = Workload(name="renamed", sources=dict(gzip.sources),
+                           description="",
+                           obfuscated_units=gzip.obfuscated_units)
+        request = JobRequest(gzip, config_for("softbound-unopt"))
+        key = ExperimentEngine().fingerprint(request)
+        assert ExperimentEngine(job_timeout=5.0).fingerprint(
+            JobRequest(renamed, InstrumentationConfig.softbound(),
+                       validate_output=False)) == key
+        assert ExperimentEngine().fingerprint(
+            JobRequest(gzip, config_for("softbound"))) != key
+        payload = ExperimentEngine(job_timeout=5.0)._payload(request)
+        assert not {"label", "workload", "reference_output",
+                    "timeout"} & set(payload)
         other = dict(payload, sources={"tu0": "int main(){return 1;}"})
-        assert job_key(payload) == job_key(same)
-        assert job_key(payload) != job_key(other)
+        assert job_key(payload) == key
+        assert job_key(other) != key
 
     def test_key_includes_vm_engine(self):
         # Each engine caches its own cells: the engine is a keyed
@@ -201,10 +220,12 @@ class TestDiskCache:
         # static verdicts.  Version 4: every key carries the VM
         # engine, so engine-agnostic version-3 entries must miss.
         # Version 5: the range analysis joins soundly, so results
-        # cached before it (same package version) must miss.
+        # cached before it (same package version) must miss.  Version
+        # 6: keys hash no label or workload name, and entries hold run
+        # records without the request fields.
         from repro.experiments.cache import CACHE_FORMAT_VERSION
 
-        assert CACHE_FORMAT_VERSION == 5
+        assert CACHE_FORMAT_VERSION == 6
 
     def test_interp_cells_not_served_to_codegen(self, tmp_path):
         first = _engine(tmp_path, vm_engine="interp")
@@ -229,14 +250,14 @@ class TestDiskCache:
             replay = _engine(tmp_path, vm_engine=tier)
             cached = replay.run(get("197parser"), "softbound")
             assert cached.to_json() == originals[tier]
-            assert replay.cache_hits == 1
+            assert replay.cache_hits == 2  # the cell and its baseline
             assert replay.executed_jobs == 0
 
     def test_stale_format_entry_is_a_miss(self, tmp_path):
         # An entry from an older format (here: a version-3,
         # engine-agnostic one) under today's key is never served.
         engine = _engine(tmp_path)
-        request = JobRequest(get("197parser"), "baseline")
+        request = JobRequest(get("197parser"), None)
         engine.run_request(request)
         for path in engine.cache.paths():
             document = json.loads(path.read_text())
@@ -274,7 +295,7 @@ class TestDiskCache:
 class TestParallelDeterminism:
     def test_two_worker_matrix_matches_serial(self):
         requests = [
-            JobRequest(get(name), label)
+            JobRequest(get(name), config_for(label))
             for name in FAST_WORKLOADS
             for label in ("baseline", "softbound", "lowfat")
         ]
@@ -285,7 +306,7 @@ class TestParallelDeterminism:
 
     def test_parallel_results_memoized(self):
         engine = ExperimentEngine(jobs=2)
-        requests = [JobRequest(get(name), "softbound")
+        requests = [JobRequest(get(name), config_for("softbound"))
                     for name in FAST_WORKLOADS]
         first = engine.run_many(list(requests))
         # repeated requests come from the memo: identical objects
@@ -293,7 +314,7 @@ class TestParallelDeterminism:
         assert engine.executed_jobs == 4  # 2 baselines + 2 instrumented
 
     def test_warm_cache_serves_parallel_run(self, tmp_path, monkeypatch):
-        requests = [JobRequest(get(name), "softbound")
+        requests = [JobRequest(get(name), config_for("softbound"))
                     for name in FAST_WORKLOADS]
         cold = _engine(tmp_path, jobs=2)
         expected = [r.to_json() for r in cold.run_many(list(requests))]
@@ -309,13 +330,12 @@ class TestParallelDeterminism:
 
 class TestVerifyCache:
     def _corrupt_one(self, cache, label, field, value):
-        for path in cache.paths():
-            document = json.loads(path.read_text())
-            if document["result"]["label"] == label:
-                document["result"][field] = value
-                path.write_text(json.dumps(document))
-                return True
-        return False
+        request = JobRequest(get("197parser"), config_for(label))
+        path = cache.path_for(ExperimentEngine().fingerprint(request))
+        document = json.loads(path.read_text())
+        document["result"][field] = value
+        path.write_text(json.dumps(document))
+        return True
 
     def test_intact_cache_passes(self, tmp_path):
         _engine(tmp_path).run(get("197parser"), "softbound")
@@ -365,13 +385,14 @@ class TestEngineOverride:
         original = runner_mod._execute_payload
 
         def spy(payload):
-            seen.append((payload["label"], payload["engine"]))
+            seen.append((_label(payload), payload["engine"]))
             return original(payload)
 
         runner_mod._execute_payload, saved = spy, runner_mod._execute_payload
         try:
             engine.run_many([
-                JobRequest(workload, "softbound", engine="interp"),
+                JobRequest(workload, config_for("softbound"),
+                           engine="interp"),
             ])
         finally:
             runner_mod._execute_payload = saved
@@ -388,7 +409,7 @@ class TestEngineOverride:
         workload = get("197parser")
         tiers = ("codegen", "interp")
         results = engine.run_many([
-            JobRequest(workload, "softbound", engine=tier)
+            JobRequest(workload, config_for("softbound"), engine=tier)
             for tier in tiers
         ])
         # 2 instrumented jobs + 2 baseline references
@@ -408,7 +429,7 @@ class TestEngineOverride:
         assert stored >= 1
 
         second = _engine(tmp_path, vm_engine="codegen")
-        second.run_request(JobRequest(workload, "baseline",
+        second.run_request(JobRequest(workload, None,
                                       engine="interp"))
         assert second.cache_hits == 0
         assert second.executed_jobs == 1
@@ -424,7 +445,7 @@ class TestEngineOverride:
 
         _forbid_execution(monkeypatch)
         second = _engine(tmp_path, vm_engine="codegen")
-        second.run_request(JobRequest(workload, "baseline",
+        second.run_request(JobRequest(workload, None,
                                       engine="codegen"))
         assert second.cache_hits == 1
 
@@ -439,13 +460,13 @@ class TestEngineKeyedCache:
         what makes a mixed-engine campaign shard resumable."""
         workload = get("197parser")
         first = _engine(tmp_path)
-        first.run_request(JobRequest(workload, "baseline",
+        first.run_request(JobRequest(workload, None,
                                      engine="interp"))
         assert len(first.cache) == 1
 
         _forbid_execution(monkeypatch)
         second = _engine(tmp_path)
-        result = second.run_request(JobRequest(workload, "baseline",
+        result = second.run_request(JobRequest(workload, None,
                                                engine="interp"))
         assert second.cache_hits == 1
         assert result.cycles > 0
@@ -456,11 +477,11 @@ class TestEngineKeyedCache:
         served another engine's cached stats)."""
         workload = get("197parser")
         first = _engine(tmp_path)
-        first.run_request(JobRequest(workload, "baseline",
+        first.run_request(JobRequest(workload, None,
                                      engine="codegen"))
 
         second = _engine(tmp_path)
-        second.run_request(JobRequest(workload, "baseline",
+        second.run_request(JobRequest(workload, None,
                                       engine="interp"))
         assert second.cache_hits == 0
         assert second.executed_jobs == 1
@@ -471,7 +492,7 @@ class TestEngineKeyedCache:
         engine = ExperimentEngine()
         workload = get("197parser")
         payloads = [
-            engine._payload(JobRequest(workload, "baseline", engine=tier))
+            engine._payload(JobRequest(workload, None, engine=tier))
             for tier in ("codegen", "interp")
         ]
         assert len({job_key(p) for p in payloads}) == len(payloads)
@@ -484,16 +505,16 @@ class TestEngineKeyedCache:
         next to the interp shard's."""
         workload = get("197parser")
         first = _engine(tmp_path)
-        first.run_request(JobRequest(workload, "baseline",
+        first.run_request(JobRequest(workload, None,
                                      engine="interp"))
-        first.run_request(JobRequest(workload, "baseline",
+        first.run_request(JobRequest(workload, None,
                                      engine="codegen"))
         assert first.cache_hits == 0
         assert len(first.cache) == 2
 
         _forbid_execution(monkeypatch)
         second = _engine(tmp_path)
-        result = second.run_request(JobRequest(workload, "baseline",
+        result = second.run_request(JobRequest(workload, None,
                                                engine="codegen"))
         assert second.cache_hits == 1
         assert result.cycles > 0
@@ -503,13 +524,112 @@ class TestEngineKeyedCache:
         cell's disk key; it must not depend on the local engine's
         ``vm_engine`` default."""
         workload = get("197parser")
-        request = JobRequest(workload, "softbound", engine="interp")
+        request = JobRequest(workload, config_for("softbound"),
+                             engine="interp")
         codegen_default = ExperimentEngine(vm_engine="codegen")
         interp_default = ExperimentEngine(vm_engine="interp")
         assert codegen_default.fingerprint(request) == \
             interp_default.fingerprint(request)
         assert codegen_default.fingerprint(request) == \
             job_key(codegen_default._payload(request))
-        other = JobRequest(workload, "softbound", engine="codegen")
+        other = JobRequest(workload, config_for("softbound"),
+                           engine="codegen")
         assert codegen_default.fingerprint(request) != \
             codegen_default.fingerprint(other)
+
+
+# ----------------------------------------------------------------------
+# validation: a request's ok does not depend on who computed the run
+
+#: Ends without a violation under Low-Fat, but prints a pointer, which
+#: differs from the baseline's.
+POINTER_PRINT = Workload(
+    name="pointer-print",
+    sources={"main.c": "int main() { long *p = (long*)malloc(16); "
+                       "print_i64((long)p); return 0; }"},
+    description="prints a heap address")
+
+
+def _lowfat(validate):
+    return JobRequest(POINTER_PRINT, config_for("lowfat"),
+                      validate_output=validate)
+
+
+class TestValidationOrder:
+    def test_alone(self):
+        result = ExperimentEngine().run_request(_lowfat(True))
+        assert result.status == "exit"
+        assert not result.ok
+
+    def test_after_an_unvalidated_request(self):
+        engine = ExperimentEngine()
+        assert engine.run_request(_lowfat(False)).ok
+        assert not engine.run_request(_lowfat(True)).ok
+
+    @pytest.mark.parametrize("validate_first", [False, True])
+    def test_in_one_batch(self, validate_first):
+        flags = [validate_first, not validate_first]
+        results = ExperimentEngine().run_many(
+            [_lowfat(flag) for flag in flags])
+        assert [result.ok for result in results] == \
+            [not flag for flag in flags]
+        assert results[0].to_json() != results[1].to_json()
+
+    def test_from_a_cache_filled_unvalidated(self, tmp_path, monkeypatch):
+        assert _engine(tmp_path).run_request(_lowfat(False)).ok
+        seen = []
+        original = runner_mod._execute_payload
+
+        def spy(payload):
+            seen.append(_label(payload))
+            return original(payload)
+
+        monkeypatch.setattr(runner_mod, "_execute_payload", spy)
+        later = _engine(tmp_path)
+        assert not later.run_request(_lowfat(True)).ok
+        assert seen == ["baseline"]  # the lowfat run came from disk
+        assert later.cache_hits == 1
+
+    def test_repeated_requests_return_the_same_object(self):
+        engine = ExperimentEngine()
+        first = engine.run_many([_lowfat(True), _lowfat(False)])
+        again = engine.run_many([_lowfat(False), _lowfat(True)])
+        assert again[0] is first[1] and again[1] is first[0]
+        assert engine.executed_jobs == 2
+
+
+# ----------------------------------------------------------------------
+# one job per configuration, whatever it is called
+
+class TestOneJobPerConfiguration:
+    def test_ablation_cell_shares_the_figure_run(self):
+        from repro.experiments import ablation
+
+        gzip = get("164gzip")
+        wide = next(r for r in ablation.requests()
+                    if r.workload.name == "164gzip"
+                    and r.config == InstrumentationConfig.softbound())
+        engine = ExperimentEngine()
+        figure, ablated = engine.run_many([
+            JobRequest(gzip, config_for("softbound-unopt"),
+                       validate_output=False),
+            wide,
+        ])
+        assert engine.executed_jobs == 1
+        assert figure is ablated
+        assert figure.label == "softbound-unopt"
+
+    def test_report_resolves_to_310_jobs(self):
+        from repro.experiments import report
+
+        engine = ExperimentEngine()
+        requests = report.all_requests()
+        keys = {engine.fingerprint(r) for r in requests}
+        assert len(keys) == 310
+        # every validating cell's baseline is itself a report cell
+        references = {
+            engine.fingerprint(JobRequest(
+                r.workload, None, max_instructions=r.max_instructions,
+                engine=r.engine))
+            for r in requests if r.validate_output and r.config}
+        assert references <= keys

@@ -8,6 +8,7 @@ representation results travel through (worker transport and the disk
 cache).
 """
 
+from repro.experiments.common import config_for
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.fuzz.generator import generate_program
 from repro.vm.engines import DEFAULT_ENGINE
@@ -28,7 +29,7 @@ def _run(jobs: int, vm_engine: str = DEFAULT_ENGINE):
                               vm_engine=vm_engine)
     workload = _workload()
     results = engine.run_many(
-        [JobRequest(workload, label) for label in _LABELS])
+        [JobRequest(workload, config_for(label)) for label in _LABELS])
     return [r.to_json() for r in results]
 
 

@@ -461,8 +461,8 @@ class TestFloatEdgesInMiniC:
     @pytest.mark.parametrize("opt_level", LEVELS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_division_by_a_signed_zero(self, engine, opt_level):
-        # ``-z`` is ``0.0 - z``, +0.0 for z == 0.0, so the negative
-        # zero comes from a multiplication.
+        # a negative zero from a multiplication; see also the negation
+        # test below
         result = run_minic(self.ZERO + r"""
         int main() {
           double z = zero();
@@ -473,6 +473,23 @@ class TestFloatEdgesInMiniC:
           return 0;
         }""", engine, opt_level)
         assert result.output == ["-inf", "nan", "-inf", "0.000000"]
+
+    @pytest.mark.parametrize("opt_level", LEVELS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negation_keeps_the_sign_of_zero(self, engine, opt_level):
+        # ``-x`` is ``-0.0 - x``, which is -0.0 for x == +0.0 as in C;
+        # GVN keeps it apart from ``0.0 - x``, which is +0.0.
+        result = run_minic(self.ZERO + r"""
+        int main() {
+          double z = zero();
+          print_f64(1.0 / -z);
+          print_f64(1.0 / -0.0);
+          print_f64(1.0 / (0.0 - z));
+          print_f64(1.0 / -z);
+          print_f64(1.0 / -(-z));
+          return 0;
+        }""", engine, opt_level)
+        assert result.output == ["-inf", "-inf", "inf", "-inf", "inf"]
 
     @pytest.mark.parametrize("opt_level", LEVELS)
     @pytest.mark.parametrize("engine", ENGINES)
