@@ -46,7 +46,9 @@ from .. import __version__
 #: digest, so a warm cache would otherwise serve the old results.
 #: Version 6: keys no longer hash the label or the workload name, and
 #: an entry stores the run's record without ``workload``/``label``/``ok``.
-CACHE_FORMAT_VERSION = 6
+#: Version 7: an uninstrumented build's key holds no extension point,
+#: and the record no ``extension_point`` (the request supplies it).
+CACHE_FORMAT_VERSION = 7
 
 
 def default_cache_dir() -> Path:

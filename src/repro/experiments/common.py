@@ -149,7 +149,7 @@ class BenchResult:
     opcode_counts: Dict[str, int] = field(default_factory=dict)
 
     @staticmethod
-    def record(ep: str, program: CompiledProgram, run: RunResult) -> dict:
+    def record(program: CompiledProgram, run: RunResult) -> dict:
         """The stored form of one run: plain data, no request fields."""
         stats = run.stats
         if run.violation is not None:
@@ -161,7 +161,6 @@ class BenchResult:
         else:
             status, violation_kind = "exit", ""
         return dict(
-            extension_point=ep,
             cycles=stats.cycles, instructions=stats.instructions,
             output=list(run.output), describe=run.describe(),
             checks_executed=stats.checks_executed,
@@ -178,12 +177,12 @@ class BenchResult:
         )
 
     @staticmethod
-    def failed_record(ep: str, failure: str) -> dict:
+    def failed_record(failure: str) -> dict:
         """The record of a job that crashed or exceeded its time limit:
         every counter is 0 and ``failure`` says why the cell is
         missing.  The run as a whole survives it."""
         return dict(
-            extension_point=ep, cycles=0, instructions=0, output=[],
+            cycles=0, instructions=0, output=[],
             describe=f"failed: {failure}", checks_executed=0,
             checks_wide=0, unsafe_percent=0.0, invariant_checks=0,
             trie_loads=0, trie_stores=0, shadow_stack_ops=0,
@@ -193,17 +192,19 @@ class BenchResult:
         )
 
     @staticmethod
-    def answer(record: dict, workload, label: str,
+    def answer(record: dict, workload, label: str, ep: str,
                ok: bool) -> "BenchResult":
-        """The result of one request for the run ``record`` holds."""
+        """The result of one request for the run ``record`` holds: the
+        request's workload, label and extension point, which the
+        record does not store (runs of one build share a record)."""
         return BenchResult.from_json(dict(
             record, workload=getattr(workload, "name", workload),
-            label=label, ok=ok))
+            label=label, extension_point=ep, ok=ok))
 
     @staticmethod
     def failed(workload, label: str, ep: str, failure: str) -> "BenchResult":
-        return BenchResult.answer(BenchResult.failed_record(ep, failure),
-                                  workload, label, ok=False)
+        return BenchResult.answer(BenchResult.failed_record(failure),
+                                  workload, label, ep, ok=False)
 
     def to_json(self) -> dict:
         """Plain-data representation; ``from_json`` inverts it exactly."""

@@ -10,8 +10,9 @@ content-addressed on-disk cache of :mod:`.cache`:
 * A job is what it measures.  Its key (:func:`.cache.job_key`) hashes
   only the inputs that decide the run -- sources, configuration,
   compile options, budget, Low-Fat region capacity, VM engine -- so a
-  configuration reached under two labels, or a workload submitted
-  under two names, runs once.
+  configuration reached under two labels, a workload submitted under
+  two names, or an uninstrumented build requested at two extension
+  points (where it plugs in no pass), runs once.
 * :meth:`ExperimentEngine.run_many` is the scheduler.  It resolves
   every requested job, and the same-engine baseline of every request
   that validates its output, from the in-process store and the disk
@@ -105,10 +106,11 @@ def _execute_payload(payload: dict) -> dict:
               if payload["config"] is not None else None)
     options = CompileOptions(
         opt_level=payload["opt_level"],
-        extension_point=payload["extension_point"],
         obfuscate_pointer_copies=tuple(payload["obfuscated_units"]),
         link_time_optimization=payload["link_time_optimization"],
     )
+    if payload["extension_point"] is not None:
+        options.extension_point = payload["extension_point"]
     if config is None:
         program = compile_program(payload["sources"], options=options)
     else:
@@ -117,7 +119,7 @@ def _execute_payload(payload: dict) -> dict:
                       max_instructions=payload["max_instructions"],
                       lf_region_capacity=payload["lf_region_capacity"],
                       engine=payload["engine"])
-    return BenchResult.record(payload["extension_point"], program, run)
+    return BenchResult.record(program, run)
 
 
 def _run_job(payload: dict, timeout: Optional[float]) -> Tuple[str, object]:
@@ -168,7 +170,8 @@ class ExperimentEngine:
         self.executed_jobs = 0
         self.cache_hits = 0
         self._runs: Dict[str, dict] = {}
-        self._answers: Dict[Tuple[str, str, Optional[str]], BenchResult] = {}
+        self._answers: Dict[Tuple[str, str, str, Optional[str]],
+                            BenchResult] = {}
         self._canary_checked = False
 
     # ------------------------------------------------------------------
@@ -238,7 +241,11 @@ class ExperimentEngine:
             "obfuscated_units": sorted(workload.obfuscated_units),
             "config": None if config is None else asdict(config),
             "opt_level": 3,
-            "extension_point": request.extension_point,
+            # An uninstrumented build plugs no pass in anywhere, so its
+            # extension point decides nothing.
+            "extension_point": None if config is None
+                               or config.approach == "noop"
+                               else request.extension_point,
             "link_time_optimization": True,
             "max_instructions": request.max_instructions
                                 or self.max_instructions,
@@ -266,7 +273,8 @@ class ExperimentEngine:
     def _answer(self, request: JobRequest, key: str,
                 reference: Optional[str]) -> BenchResult:
         name = request.workload.name
-        answer = self._answers.get((key, name, reference))
+        ep = request.extension_point
+        answer = self._answers.get((key, name, ep, reference))
         if answer is None:
             run = self._runs[key]
             ok = run["status"] == "exit"
@@ -275,8 +283,8 @@ class ExperimentEngine:
                 ok = (base["status"] != "exit"
                       or run["output"] == base["output"])
             answer = BenchResult.answer(run, name,
-                                        label_for(request.config), ok)
-            self._answers[(key, name, reference)] = answer
+                                        label_for(request.config), ep, ok)
+            self._answers[(key, name, ep, reference)] = answer
         return answer
 
     def _execute(self, pending: Dict[str, dict]) -> None:
@@ -296,8 +304,7 @@ class ExperimentEngine:
                 if self.cache is not None:
                     self.cache.put(key, value)
             else:
-                self._runs[key] = BenchResult.failed_record(
-                    payload["extension_point"], str(value))
+                self._runs[key] = BenchResult.failed_record(str(value))
 
     def _map_parallel(self, payloads: List[dict]) -> List[Tuple[str, object]]:
         methods = multiprocessing.get_all_start_methods()

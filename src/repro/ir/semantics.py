@@ -8,8 +8,14 @@ cast, ``{bits}`` and ``{half}`` describe the source type and ``{mask}``
 the destination; a pointer is 64 bits wide.  A comparison is a flag,
 ``1`` or ``0``.  What needs statements is a plain function of
 :data:`HELPERS`, which the template calls: the integer divisions and
-float-to-integer conversions, which trap, ``frem``, and the bitcasts
-that reinterpret a value's bits.
+float-to-integer conversions, which trap, ``frem``, the rounding to
+``f32``, and the bitcasts that reinterpret a value's bits.
+
+A division whose divisor is a nonzero constant in the IR cannot trap,
+so it has a form of its own (key ``"<op> by constant"``, or ``"sdiv by
+negative constant"``), with the divisor's magnitude ``{d}`` filled in:
+an ``fdiv`` without its divisor test, and integer forms that call
+nothing.
 
 Three consumers read the table:
 
@@ -26,7 +32,9 @@ Floats follow IEEE 754 and C: ``x / ±0.0`` is an infinity signed by
 both operands, or NaN for ``0 / 0``; ``frem`` is C's ``fmod``, NaN for
 an infinite dividend or a zero divisor; ``fptosi``/``fptoui`` of NaN
 or an infinity stops the program with a :class:`VMError` that names the
-operation.
+operation.  Every operation whose result is an ``f32`` (key ``"<op> to
+f32"``, and ``fptrunc``) rounds it to single precision, as C does, so
+a ``float`` held in a register has the value it would have in memory.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..errors import MemoryFault, VMError
 from .instructions import FLOAT_BINOPS, INT_BINOPS, BinOp, Cast, Instruction
 from .types import FloatType, IntType
+from .values import ConstantFloat, ConstantInt
 
 
 def _sdiv(a: int, b: int, half: int, mask: int) -> int:
@@ -87,6 +96,29 @@ def _frem(a: float, b: float) -> float:
         return math.nan
 
 
+_F32 = struct.Struct("<f")
+
+
+def _f32(a) -> float:
+    """``a``, a float or an integer, rounded once to the nearest
+    ``f32`` (ties to even), or to an infinity past the ``f32`` range,
+    as IEEE 754 rounds.  An integer too wide for a double to hold
+    exactly is first cut to 26 significant bits, the last one sticky,
+    so that its conversion to a double is exact and the one rounding is
+    the ``f32`` one."""
+    if type(a) is int:
+        shift = abs(a).bit_length() - 26
+        if shift > 0:
+            m = abs(a)
+            m = (m >> shift | (m & ((1 << shift) - 1) != 0)) << shift
+            a = m if a > 0 else -m
+        a = float(a)
+    try:
+        return _F32.unpack(_F32.pack(a))[0]
+    except OverflowError:
+        return math.copysign(math.inf, a)
+
+
 def _fptoi(op: str, a: float, mask: int) -> int:
     try:
         return int(a) & mask
@@ -108,12 +140,16 @@ def _bits_of_float(a: float, bits: int) -> int:
 HELPERS: Dict[str, object] = {
     "__sdiv": _sdiv, "__srem": _srem, "__udiv": _udiv, "__urem": _urem,
     "__fdiv_by_zero": _fdiv_by_zero, "__frem": _frem, "__fptoi": _fptoi,
+    "__f32": _f32,
     "__float_of_bits": _float_of_bits, "__bits_of_float": _bits_of_float,
 }
 
 #: Every operation, by key: a binop's opcode, ``"icmp <pred>"``,
 #: ``"fcmp <pred>"``, or a cast's opcode (a bitcast between an integer
-#: and a float is ``"bitcast to float"`` / ``"bitcast to int"``).
+#: and a float is ``"bitcast to float"`` / ``"bitcast to int"``), with
+#: `` to f32`` for a float binop or an integer-to-float cast whose
+#: result is an ``f32``, and `` by constant`` for a division by a
+#: nonzero constant.
 TEMPLATES: Dict[str, str] = {
     "add": "(({a} + {b}) & {mask})",
     "sub": "(({a} - {b}) & {mask})",
@@ -173,13 +209,31 @@ TEMPLATES: Dict[str, str] = {
     "bitcast": "{a}",
     "bitcast to float": "__float_of_bits({a}, {bits})",
     "bitcast to int": "__bits_of_float({a}, {bits})",
-    "fptrunc": "float({a})",
+    "fptrunc": "__f32({a})",
     "fpext": "float({a})",
     "sitofp": "float(({a} ^ {half}) - {half})",
     "uitofp": "float({a})",
+    "sitofp to f32": "__f32(({a} ^ {half}) - {half})",
+    "uitofp to f32": "__f32({a})",
     "fptosi": "__fptoi('fptosi', {a}, {mask})",
     "fptoui": "__fptoi('fptoui', {a}, {mask})",
+
+    # By a nonzero constant, whose magnitude is {d}: C's truncation, and
+    # for srem the dividend's sign, on the dividend's magnitude
+    # ``-{a} & {mask}`` when it is negative; INT_MIN / -1 wraps.
+    "udiv by constant": "({a} // {d})",
+    "urem by constant": "({a} % {d})",
+    "sdiv by constant": ("(({a} // {d}) if {a} < {half} else "
+                         "(-((-{a} & {mask}) // {d}) & {mask}))"),
+    "sdiv by negative constant": ("((-({a} // {d}) & {mask}) if {a} < {half}"
+                                  " else ((-{a} & {mask}) // {d}))"),
+    "srem by constant": ("(({a} % {d}) if {a} < {half} else "
+                         "(-((-{a} & {mask}) % {d}) & {mask}))"),
+    "fdiv by constant": "({a} / {d})",
 }
+TEMPLATES.update({f"{op} to f32": f"__f32({TEMPLATES[op]})"
+                  for op in ("fadd", "fsub", "fmul", "fdiv", "frem",
+                             "fdiv by constant")})
 
 #: The operations that can raise on some operands.
 TRAPPING = frozenset(("sdiv", "udiv", "srem", "urem", "fptosi", "fptoui"))
@@ -187,50 +241,75 @@ TRAPPING = frozenset(("sdiv", "udiv", "srem", "urem", "fptosi", "fptoui"))
 _U64_MASK = (1 << 64) - 1
 _BITCASTS = {(IntType, FloatType): "bitcast to float",
              (FloatType, IntType): "bitcast to int"}
+_DIVISIONS = frozenset(("sdiv", "udiv", "srem", "urem", "fdiv"))
 #: The globals of compiled evaluators (``eval`` adds ``__builtins__``).
 _GLOBALS = dict(HELPERS)
 
 
 def operation(inst: Instruction) -> Tuple[str, str]:
     """The table key of a BinOp, ICmp, FCmp or Cast, and its template
-    with the constants of its types filled in: an expression over
-    ``{a}`` and ``{b}`` alone."""
+    with the constants of its types (and of a constant divisor) filled
+    in: an expression over ``{a}`` and ``{b}`` alone."""
     cls = type(inst)
+    divisor = None
     if cls is Cast:
         src, dst, key = inst.value.type, inst.type, inst.opcode
         if key == "bitcast":
             key = _BITCASTS.get((type(src), type(dst)), key)
+        elif key in ("sitofp", "uitofp") and dst.bits == 32:
+            key += " to f32"
     elif cls is BinOp:
         src = dst = inst.type
         key = inst.opcode
         if key not in (FLOAT_BINOPS if type(src) is FloatType
                        else INT_BINOPS):
             raise VMError(f"binop {key} on {src}")
+        divisor = _nonzero(inst.rhs) if key in _DIVISIONS else None
+        if divisor is not None:
+            # The signed forms divide by the divisor's magnitude.
+            negative = key in ("sdiv", "srem") and divisor >> (src.bits - 1)
+            if negative:
+                divisor = -divisor & src.mask
+            key += (" by negative constant" if negative and key == "sdiv"
+                    else " by constant")
+        if type(src) is FloatType and src.bits == 32:
+            key += " to f32"
     else:
         src = dst = inst.lhs.type
         key = f"{inst.opcode} {inst.predicate}"
     return key, _filled(key, getattr(src, "bits", 64),
-                        dst.mask if type(dst) is IntType else _U64_MASK)
+                        dst.mask if type(dst) is IntType else _U64_MASK,
+                        divisor)
+
+
+def _nonzero(value) -> Optional[object]:
+    """A divisor's value when it is a nonzero, finite constant."""
+    if isinstance(value, (ConstantInt, ConstantFloat)) and value.value \
+            and math.isfinite(value.value):
+        return value.value
+    return None
 
 
 @functools.lru_cache(maxsize=None)
-def _filled(key: str, bits: int, mask: int) -> str:
+def _filled(key: str, bits: int, mask: int, d: Optional[object] = None) -> str:
     return TEMPLATES[key].format(a="{a}", b="{b}", bits=bits,
-                                 half=1 << (bits - 1), mask=mask)
+                                 half=1 << (bits - 1), mask=mask,
+                                 d=f"({d!r})" if d is not None and d < 0
+                                 else repr(d))
 
 
 @functools.lru_cache(maxsize=None)
-def compiled(template: str) -> Callable:
+def compiled(template: str, arity: int) -> Callable:
     """A filled template (:func:`operation`) compiled into a function
-    of its operands."""
-    params = "a, b" if "{b}" in template else "a"
+    of its ``arity`` operands."""
+    params = "a, b" if arity == 2 else "a"
     return eval(f"lambda {params}: {template.format(a='a', b='b')}",
                 _GLOBALS)
 
 
 def evaluator(inst: Instruction) -> Callable:
     """The compiled evaluator of a BinOp, ICmp, FCmp or Cast."""
-    return compiled(operation(inst)[1])
+    return compiled(operation(inst)[1], 1 if type(inst) is Cast else 2)
 
 
 def fold(inst: Instruction, *operands) -> Optional[object]:
@@ -246,6 +325,6 @@ def fold(inst: Instruction, *operands) -> Optional[object]:
 
 #: Every fcmp predicate's evaluator, by predicate.
 FCMP_EVAL: Dict[str, Callable] = {
-    key.split()[1]: compiled(_filled(key, 64, _U64_MASK))
+    key.split()[1]: compiled(_filled(key, 64, _U64_MASK), 2)
     for key in TEMPLATES if key.startswith("fcmp ")
 }

@@ -66,16 +66,21 @@ def region_base(region: int) -> int:
 
 
 #: ``allocation_size`` of every low-fat region, for the recoveries
-#: below: every check and witness computation runs one.
+#: below.
 CLASS_SIZES = {r: allocation_size(r) for r in range(1, NUM_REGIONS + 1)}
+
+#: The mask that recovers an allocation base in each region, by region
+#: index up to the last low-fat region: region 0 keeps no bit, so its
+#: addresses recover ``NO_BASE``, as addresses past the regions do.
+BASE_MASKS = [0] + [~(allocation_size(r) - 1)
+                    for r in range(1, NUM_REGIONS + 1)]
 
 
 def base_of(address: int) -> int:
     """Recover the allocation base from a pointer value (Figure 4)."""
-    size = CLASS_SIZES.get(address >> REGION_SHIFT)
-    if size is None:
+    if address >= LOWFAT_END:
         return NO_BASE
-    return address & ~(size - 1)
+    return address & BASE_MASKS[address >> REGION_SHIFT]
 
 
 def size_of_pointer(address: int) -> int:

@@ -9,7 +9,9 @@ instrumentation targets into calls to the natives registered here:
   ``alloca`` ("mirror, replace");
 * ``__lf_compute_base`` -- recover the witness base from a pointer
   value (Figure 4 arithmetic); returns the NO_BASE sentinel for
-  non-low-fat pointers (wide bounds);
+  non-low-fat pointers (wide bounds).  It and the two checks are
+  template natives (:class:`~repro.vm.native.TemplateNative`), which
+  generated code runs inline;
 * ``__lf_check`` -- the dereference check of Figure 5;
 * ``__lf_invariant_check`` -- the escape check establishing the
   in-bounds invariant at stores/calls/returns/ptr-to-int casts
@@ -25,7 +27,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from ..errors import MemSafetyViolation
 from ..vm import costs
-from ..vm.native import CheckNative, PositionalNative
+from ..vm.native import CheckNative, TemplateNative
 from ..vm.stats import RuntimeStats
 from . import layout
 from .allocator import LowFatAllocator
@@ -36,10 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 _CHECK_COST = costs.INTRINSIC_COSTS["__lf_check"]
 _INVARIANT_COST = costs.INTRINSIC_COSTS["__lf_invariant_check"]
 _U64 = (1 << 64) - 1
-#: The size the inline fail tests read for a base outside the low-fat
-#: regions: more than any u64 offset plus any u64 width, so such a
-#: check never fails (``check`` returns early on size 0 instead).
+#: The size the inline fail tests read for a base in region 0: more
+#: than any u64 offset plus any u64 width, so such a check never fails
+#: (``check`` returns early on size 0 instead).  A base past the
+#: regions never fails either: the tests compare it with LOWFAT_END
+#: before they index the table.
 _UNCHECKED = 1 << 65
+#: The size each inline fail test reads, by the base's region index.
+_CHECKED_SIZES = [_UNCHECKED] + [layout.allocation_size(r) for r in
+                                 range(1, layout.NUM_REGIONS + 1)]
 
 
 def _wide_reason(vm: "VirtualMachine", ptr: int) -> str:
@@ -80,27 +87,36 @@ class LowFatRuntime:
         vm.register_native("__lf_realloc", self._realloc)
         vm.register_native("__lf_free", self._free)
         vm.register_native("__lf_alloca", self._alloca)
-        vm.register_native("__lf_compute_base",
-                           PositionalNative(layout.base_of, pure=True))
-        # The inline forms of the checks below: the size lookup of
-        # layout.size_of_pointer, and a base outside the low-fat
-        # regions (size 0) is wide.
-        size = {"size": layout.CLASS_SIZES.get}
+        # layout.base_of, inline: a pure expression over the mask table.
+        vm.register_native("__lf_compute_base", TemplateNative(
+            self._compute_base, 1, pure=True,
+            helpers={"masks": layout.BASE_MASKS},
+            expr=f"({{0}} & {{masks}}[{{0}} >> {layout.REGION_SHIFT}]) "
+                 f"if {{0}} < {layout.LOWFAT_END} else {layout.NO_BASE}"))
+        # The inline forms of the checks below: the size of
+        # layout.size_of_pointer, read from a table where a base outside
+        # the low-fat regions (size 0) never fails.
+        size = {"sizes": _CHECKED_SIZES}
         vm.register_native("__lf_check", CheckNative(
             self.check, 3, "deref", fail=self.fail, helpers=size,
             # ptr {0}, width {1}, base {2}
-            fails=f"(({{0}} - {{2}}) & {_U64}) > "
-                  f"{{size}}({{2}} >> {layout.REGION_SHIFT}, {_UNCHECKED})"
-                  " - {1}",
+            fails=f"{{2}} < {layout.LOWFAT_END} and "
+                  f"(({{0}} - {{2}}) & {_U64}) > "
+                  f"{{sizes}}[{{2}} >> {layout.REGION_SHIFT}] - {{1}}",
             wide=f"not {layout.LOWFAT_BASE} <= {{2}} < {layout.LOWFAT_END}",
             reason=self._record_wide_reason))
         vm.register_native("__lf_invariant_check", CheckNative(
             self.invariant_check, 2, "invariant", fail=self.invariant_fail,
             helpers=size,
             # ptr {0}, base {1}
-            fails=f"(({{0}} - {{1}}) & {_U64}) > "
-                  f"{{size}}({{1}} >> {layout.REGION_SHIFT}, {_UNCHECKED})"))
+            fails=f"{{1}} < {layout.LOWFAT_END} and "
+                  f"(({{0}} - {{1}}) & {_U64}) > "
+                  f"{{sizes}}[{{1}} >> {layout.REGION_SHIFT}]"))
         vm.global_placer = self._place_global
+
+    # -- witness base ------------------------------------------------------
+    def _compute_base(self, vm: "VirtualMachine", args: List[int]) -> int:
+        return layout.base_of(args[0])
 
     # -- allocation ----------------------------------------------------------
     def _malloc(self, vm: "VirtualMachine", args: List[int]) -> int:

@@ -1,7 +1,10 @@
 """SoftBound runtime: trie + shadow stack natives and libc wrappers.
 
 The SoftBound mechanism (:mod:`repro.core.sb_mechanism`) lowers its
-instrumentation targets into calls to the natives registered here.
+instrumentation targets into calls to the natives registered here.  The
+trie and shadow-stack natives and the check are template natives
+(:class:`~repro.vm.native.TemplateNative`): generated code runs them
+inline, so a metadata operation makes no Python-level call there.
 
 Standard-library calls are redirected to *wrapper* natives
 (``__sb_wrap_malloc`` etc., paper Figure 6) that
@@ -17,15 +20,15 @@ Standard-library calls are redirected to *wrapper* natives
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import MemSafetyViolation
 from ..vm import costs
 from ..vm import native as libc
-from ..vm.native import CheckNative
+from ..vm.native import CheckNative, TemplateNative
 from ..vm.stats import RuntimeStats
-from .shadow_stack import ShadowStack, WIDE_BASE, WIDE_BOUND
-from .trie import MetadataTrie
+from .shadow_stack import ShadowStack, WIDE, WIDE_BOUND
+from .trie import SLOT_SHIFT, MetadataTrie
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..vm.interpreter import VirtualMachine
@@ -65,17 +68,54 @@ class SoftBoundRuntime:
     def install(self, vm: "VirtualMachine") -> None:
         self.vm = vm
         self.stats = vm.stats
-        vm.register_native("__sb_trie_load_base", self._trie_load_base)
-        vm.register_native("__sb_trie_load_bound", self._trie_load_bound)
-        vm.register_native("__sb_trie_store", self._trie_store)
-        vm.register_native("__sb_ss_enter", self._ss_enter)
-        vm.register_native("__sb_ss_exit", self._ss_exit)
-        vm.register_native("__sb_ss_set", self._ss_set)
-        vm.register_native("__sb_ss_get_base", self._ss_get_base)
-        vm.register_native("__sb_ss_get_bound", self._ss_get_bound)
-        vm.register_native("__sb_ss_set_ret", self._ss_set_ret)
-        vm.register_native("__sb_ss_get_ret_base", self._ss_get_ret_base)
-        vm.register_native("__sb_ss_get_ret_bound", self._ss_get_ret_bound)
+        # Generated code runs the metadata natives inline, from these
+        # templates over the trie's and the shadow stack's own
+        # containers; the tree-walker calls the methods below, which
+        # keep the same semantics through MetadataTrie and ShadowStack.
+        trie = {"trie": self.trie.slots}
+        load = (f"{{trie}}.get({{0}} >> {SLOT_SHIFT}, "
+                f"{self._missing_bounds()!r})")
+        vm.register_native("__sb_trie_load_base", TemplateNative(
+            self._trie_load_base, 1, expr=load + "[0]",
+            counter="trie_loads", helpers=trie))
+        vm.register_native("__sb_trie_load_bound", TemplateNative(
+            self._trie_load_bound, 1, expr=load + "[1]",
+            counter="trie_loads", helpers=trie))
+        vm.register_native("__sb_trie_store", TemplateNative(
+            self._trie_store, 3,
+            stmt=f"{{trie}}[{{0}} >> {SLOT_SHIFT}] = ({{1}}, {{2}})",
+            counter="trie_stores", helpers=trie))
+        ss = self.shadow_stack
+        stack = {"counter": "shadow_stack_ops",
+                 "helpers": {"slots": ss.slots, "marks": ss.marks}}
+        # The current frame's slot {0}, or wide bounds with no frame or
+        # past the slots.
+        slot = (f"({{slots}}[__ss] if (__ss := {{marks}}[-2] + {{0}}) < "
+                f"len({{slots}}) else {WIDE!r})")
+        vm.register_native("__sb_ss_enter", TemplateNative(
+            self._ss_enter, 1,
+            stmt=("{marks}.append({marks}[-1] + {0}); {slots}.extend("
+                  f"[{WIDE!r}] * ({{marks}}[-1] - len({{slots}})))"),
+            **stack))
+        vm.register_native("__sb_ss_exit", TemplateNative(
+            self._ss_exit, 0, stmt="if len({marks}) > 2: {marks}.pop()",
+            **stack))
+        vm.register_native("__sb_ss_set", TemplateNative(
+            self._ss_set, 3,
+            stmt=("if (__ss := {marks}[-2] + {0}) < len({slots}): "
+                  "{slots}[__ss] = ({1}, {2})"),
+            **stack))
+        vm.register_native("__sb_ss_get_base", TemplateNative(
+            self._ss_get_base, 1, expr=slot + "[0]", **stack))
+        vm.register_native("__sb_ss_get_bound", TemplateNative(
+            self._ss_get_bound, 1, expr=slot + "[1]", **stack))
+        ret = {"counter": "shadow_stack_ops", "helpers": {"ret": ss.ret}}
+        vm.register_native("__sb_ss_set_ret", TemplateNative(
+            self._ss_set_ret, 2, stmt="{ret}[0] = ({0}, {1})", **ret))
+        vm.register_native("__sb_ss_get_ret_base", TemplateNative(
+            self._ss_get_ret_base, 0, expr="{ret}[0][0]", **ret))
+        vm.register_native("__sb_ss_get_ret_bound", TemplateNative(
+            self._ss_get_ret_bound, 0, expr="{ret}[0][1]", **ret))
         vm.register_native("__sb_check", CheckNative(
             self.check, 4, "deref", fail=self.fail,
             # ptr {0}, width {1}, base {2}, bound {3}: check()'s tests.
@@ -85,14 +125,16 @@ class SoftBoundRuntime:
             vm.register_native(f"__sb_wrap_{name}", self._make_wrapper(name))
 
     # -- trie ----------------------------------------------------------------
-    def _bounds_for_load(self, location: int):
+    def _missing_bounds(self) -> Tuple[int, int]:
+        """Bounds of a pointer load with no trie entry."""
+        if self.missing_metadata_wide:
+            return WIDE
+        return (0, 0)  # NULL bounds: any dereference reports
+
+    def _bounds_for_load(self, location: int) -> Tuple[int, int]:
         entry = self.trie.load(location)
         self.vm.stats.trie_loads += 1
-        if entry is None:
-            if self.missing_metadata_wide:
-                return (WIDE_BASE, WIDE_BOUND)
-            return (0, 0)  # NULL bounds: any dereference reports
-        return entry
+        return self._missing_bounds() if entry is None else entry
 
     def _trie_load_base(self, vm: "VirtualMachine", args: List[int]) -> int:
         return self._bounds_for_load(args[0])[0]

@@ -1,9 +1,14 @@
-"""SoftBound's disjoint metadata store: a two-level trie.
+"""SoftBound's disjoint metadata store.
 
 Maps *pointer locations* (the address a pointer value is stored at) to
-the (base, bound) metadata of the pointer stored there, following
-Nagarakatte et al.'s trie organization: the primary table is indexed by
-the high bits of the location, secondary tables by the low bits.
+the (base, bound) metadata of the pointer stored there.  Nagarakatte et
+al. organise it as a two-level trie, a primary table indexed by the
+high bits of the location and secondary tables by the low bits; here it
+is one dict keyed by 8-byte slot (``location >> SLOT_SHIFT``), because
+the split is not observable: the cycles a trie access costs come from
+the cost model (``vm/costs.py``), not from this structure.  The dict is
+``slots``, which the runtime's natives read and write inline in
+generated code (``softbound/runtime.py``); it is never rebound.
 
 The key property the paper's usability analysis rests on is that the
 trie is updated **only** by instrumented pointer-typed stores and the
@@ -17,39 +22,22 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-PRIMARY_SHIFT = 22          # bits covered by a secondary table
-SECONDARY_MASK = (1 << PRIMARY_SHIFT) - 1
 SLOT_SHIFT = 3              # metadata per 8-byte-aligned slot
 
 
 class MetadataTrie:
     def __init__(self) -> None:
-        self._primary: Dict[int, Dict[int, Tuple[int, int]]] = {}
-
-    @staticmethod
-    def _split(location: int) -> Tuple[int, int]:
-        slot = location >> SLOT_SHIFT
-        return slot >> (PRIMARY_SHIFT - SLOT_SHIFT), slot & (
-            (1 << (PRIMARY_SHIFT - SLOT_SHIFT)) - 1
-        )
+        #: (base, bound) by slot, ``location >> SLOT_SHIFT``.
+        self.slots: Dict[int, Tuple[int, int]] = {}
 
     def store(self, location: int, base: int, bound: int) -> None:
         """Record metadata for the pointer stored at ``location``."""
-        hi, lo = self._split(location)
-        secondary = self._primary.get(hi)
-        if secondary is None:
-            secondary = {}
-            self._primary[hi] = secondary
-        secondary[lo] = (base, bound)
+        self.slots[location >> SLOT_SHIFT] = (base, bound)
 
     def load(self, location: int) -> Optional[Tuple[int, int]]:
         """Metadata for the pointer stored at ``location``, or None if
         no instrumented store ever wrote this slot."""
-        hi, lo = self._split(location)
-        secondary = self._primary.get(hi)
-        if secondary is None:
-            return None
-        return secondary.get(lo)
+        return self.slots.get(location >> SLOT_SHIFT)
 
     def copy_range(self, dest: int, src: int, nbytes: int) -> int:
         """``copy_metadata`` of the memcpy/memmove wrappers (paper
@@ -70,30 +58,24 @@ class MetadataTrie:
           its old trie entry behind resurrects dangling bounds
           (paper Section 4.5).
         """
+        slots = self.slots
         copied = 0
         # Iterate 8-byte slots covered by the range, in memmove order.
         first_slot = src >> SLOT_SHIFT
         last_slot = (src + max(nbytes, 1) - 1) >> SLOT_SHIFT
-        slots = range(first_slot, last_slot + 1)
+        walk = range(first_slot, last_slot + 1)
         if dest > src:
-            slots = reversed(slots)
-        for slot in slots:
-            location = slot << SLOT_SHIFT
-            entry = self.load(location)
-            dest_location = dest + (location - src)
+            walk = reversed(walk)
+        for slot in walk:
+            entry = slots.get(slot)
+            dest_slot = (dest + (slot << SLOT_SHIFT) - src) >> SLOT_SHIFT
             if entry is not None:
-                self.store(dest_location, *entry)
+                slots[dest_slot] = entry
                 copied += 1
             else:
-                self._clear(dest_location)
+                slots.pop(dest_slot, None)
         return copied
-
-    def _clear(self, location: int) -> None:
-        hi, lo = self._split(location)
-        secondary = self._primary.get(hi)
-        if secondary is not None:
-            secondary.pop(lo, None)
 
     @property
     def entry_count(self) -> int:
-        return sum(len(s) for s in self._primary.values())
+        return len(self.slots)

@@ -29,13 +29,16 @@ compiled bytecode over real local variables:
   only the absolute instruction count ``__ins`` is published to
   ``RuntimeStats`` eagerly -- before every call of program code
   (callees check the budget against it) and at frame exit;
-* a :class:`~repro.vm.native.CheckNative` (the dereference and
-  escape checks) is compared inline, from the expression templates its
-  runtime registered: a passing check makes no Python-level call, and
-  the runtime is called only to raise the violation;
-* other natives registered as
-  :class:`~repro.vm.native.PositionalNative` (witness arithmetic) are
-  one positional call per site, or a fused expression when pure.
+* a :class:`~repro.vm.native.TemplateNative` -- SoftBound's trie and
+  shadow-stack operations, Low-Fat's base recovery -- runs inline as
+  the expression or one-line statement its runtime registered, over
+  helpers bound per VM (the trie's dict, the shadow stack's lists, the
+  mask table), so it makes no Python-level call; a pure one is fused
+  into its consumer like an instruction;
+* a :class:`~repro.vm.native.CheckNative` (the dereference and escape
+  checks) is compared inline, from its test templates: a passing check
+  makes no Python-level call, and the runtime is called only to raise
+  the violation.
 
 Statistics contract: field-for-field :class:`RuntimeStats` equality
 with the tree-walker at every observable point.  The only points
@@ -49,16 +52,21 @@ vectors into ``RuntimeStats`` (:meth:`CodegenFunction.fold`).  An
 inline check is part of its call's charge, so the vector counts its
 executions -- ``checks_executed`` or ``invariant_checks`` and the
 site's ``per_site`` entry, through ``RuntimeStats``' bulk ``record_*``
-forms, which create no zero entry.  A check whose wide test is only
-known at run time counts its wide executions in the function's
-``__wd`` list, folded into ``checks_wide`` and the site's ``wide``;
+forms, which create no zero entry.  Likewise an inline template
+native's charge carries the counter its runtime adds to
+(``trie_loads``, ``trie_stores``, ``shadow_stack_ops``), so the vector
+adds one per execution, raising-step prefixes included.  A check
+whose wide test is only known at run time counts its wide executions
+in the function's ``__wd`` list, folded into ``checks_wide`` and the
+site's ``wide``;
 one whose wide test folds to true at emission is counted wide by its
-vector.  A native wrapped in a plain callable is no check native: it
-gets an ordinary call and its runtime records the check, so each
-check is counted on exactly one path.  A frame
+vector.  A native wrapped in a plain callable is no template native:
+it gets an ordinary call and its runtime records the check or counts
+the operation, so each is counted on exactly one path.  A frame
 has one ``except BaseException`` handler: the line an exception
 passed names the raising step (loads, stores, allocas, integer
-division, float-to-integer conversion, every call) in a static line
+division by anything but a nonzero constant, float-to-integer
+conversion, every call but an inline template's) in a static line
 table, so the raising block is charged its executed prefix instead of
 its whole vector -- a failing
 check's prefix includes the check itself, which the tree-walker
@@ -148,7 +156,7 @@ from ..ir.values import (
     Value,
 )
 from . import costs
-from .native import CheckNative, PositionalNative
+from .native import CheckNative, TemplateNative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
@@ -186,14 +194,17 @@ _TWICE = frozenset(key for key, template in TEMPLATES.items()
 def _native_code(impl) -> object:
     """What a native runs, as opposed to the per-VM object that runs
     it: a runtime registers bound methods of its own per-VM instance,
-    which share one code object across VMs."""
-    if isinstance(impl, CheckNative):
-        return (CheckNative, impl.arity, impl.kind, impl.fails, impl.wide,
-                tuple(impl.helpers), _native_code(impl.entry),
-                _native_code(impl.fail),
-                impl.reason and _native_code(impl.reason))
-    if isinstance(impl, PositionalNative):
-        return (PositionalNative, impl.pure, _native_code(impl.entry))
+    which share one code object across VMs.  A template native is keyed
+    on its templates and counter too, so runtimes whose templates differ
+    never share generated source."""
+    if isinstance(impl, TemplateNative):
+        key = (type(impl), impl.arity, impl.expr, impl.stmt, impl.counter,
+               impl.pure, tuple(impl.helpers), _native_code(impl.entry))
+        if isinstance(impl, CheckNative):
+            key += (impl.kind, impl.fails, impl.wide,
+                    _native_code(impl.fail),
+                    impl.reason and _native_code(impl.reason))
+        return key
     func = getattr(impl, "__func__", impl)
     return getattr(func, "__code__", func)
 
@@ -215,39 +226,45 @@ def _env_signature(vm: "VirtualMachine") -> Tuple:
 
 
 def _vectors(charges, cuts) -> List[Tuple]:
-    """What runs of ``(opcode, cycles, mi, check)`` charges add to
-    RuntimeStats, in one pass: for each ``(end, attributed)`` cut, in
+    """What runs of ``(opcode, cycles, mi, check, counter)`` charges add
+    to RuntimeStats, in one pass: for each ``(end, attributed)`` cut, in
     ascending order of ends, the vector of ``charges[:end]`` whose mi
     share covers only the first ``attributed`` charges; then the vector
     of all of them.  A vector is ``(cycles, mi cycles, ((opcode, count),
-    ...), ((check, count), ...))``, where a check is an inline check
-    site's ``(kind, site, always wide, call cost)``, counted once per
-    execution."""
+    ...), ((check, count), ...), ((counter, count), ...))``, where a
+    check is an inline check site's ``(kind, site, always wide, call
+    cost)``, counted once per execution, and a counter the
+    ``RuntimeStats`` field an inline template native adds one to."""
     vectors = []
     cycles = 0
     mi = [0]                 # mi cycles of charges[:i], by i
     counts: Dict[str, int] = {}
     checks: Dict[Tuple, int] = {}
+    counters: Dict[str, int] = {}
     done = 0
     for end, attributed in cuts + [(len(charges), len(charges))]:
-        for op, c, is_mi, check in charges[done:end]:
+        for op, c, is_mi, check, counter in charges[done:end]:
             cycles += c
             mi.append(mi[-1] + c if is_mi else mi[-1])
             counts[op] = counts.get(op, 0) + 1
             if check is not None:
                 key = check + (c,)
                 checks[key] = checks.get(key, 0) + 1
+            if counter is not None:
+                counters[counter] = counters.get(counter, 0) + 1
         done = end
         vectors.append((cycles, mi[attributed], tuple(counts.items()),
-                        tuple(checks.items())))
+                        tuple(checks.items()), tuple(counters.items())))
     return vectors
 
 
 def _add(stats, vector: Tuple, times: int) -> None:
     """Charge ``vector`` ``times`` times; loads, stores and native
-    calls are counted by their opcodes, and each inline check as many
-    times as the tree-walker would have recorded it."""
-    cycles, mi, counts, checks = vector
+    calls are counted by their opcodes, each inline check as many
+    times as the tree-walker would have recorded it, and each inline
+    template native's counter as often as its runtime would have
+    added to it."""
+    cycles, mi, counts, checks, counters = vector
     stats.cycles += times * cycles
     stats.instrumentation_cycles += times * mi
     opcode_counts = stats.opcode_counts
@@ -268,11 +285,13 @@ def _add(stats, vector: Tuple, times: int) -> None:
         stats.record_checks(site, count, cost)
         if wide:
             stats.record_wide(site, count)
+    for name, count in counters:
+        setattr(stats, name, getattr(stats, name) + times * count)
 
 
 @functools.lru_cache(maxsize=64)
 def _arguments_read(template: str) -> Tuple[int, ...]:
-    """The argument indices a check template names (``{0}``, ...)."""
+    """The argument indices a template names (``{0}``, ...)."""
     return tuple(int(f) for _, f, _, _ in string.Formatter().parse(template)
                  if f is not None and f.isdigit())
 
@@ -321,8 +340,7 @@ def _bind_vm(ns: Dict[str, object], vm: "VirtualMachine",
     """Add one VM's objects to a namespace copied from a cached,
     VM-independent template: the fixed helpers plus the emission's
     ``(name, kind, key)`` bindings -- a global's getter, a native, a
-    check native's helper, or an entry point of a positional native
-    (``entry``, or a check's ``fail`` and ``reason``)."""
+    template native's helper, or a check's ``fail`` or ``reason``."""
     stats = vm.stats
     ns.update(
         __vm=vm, __stats=stats, __site=vm.memory.site,
@@ -483,9 +501,10 @@ class _SourceEmitter:
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
-        #: (opcode, cycles, mi, inline check or None) per charged
-        #: instruction of the block.
-        self._charges: List[Tuple[str, int, bool, Optional[Tuple]]] = []
+        #: (opcode, cycles, mi, inline check or None, counter or None)
+        #: per charged instruction of the block.
+        self._charges: List[Tuple[str, int, bool, Optional[Tuple],
+                                  Optional[str]]] = []
         #: (lines, prefix end, own-charge index, is program call); the
         #: prefix end is None for a step that cannot raise.
         self._steps: List[Tuple[List[str], Optional[int], int, bool]] = []
@@ -588,7 +607,8 @@ class _SourceEmitter:
         return name
 
     def _bind_native(self, kind: str, key) -> str:
-        """One binding per native (or entry, or helper) per function."""
+        """One binding per native (or helper, or check entry) per
+        function."""
         name = self._native_binds.get((kind, key))
         if name is None:
             name = self._native_binds[(kind, key)] = \
@@ -672,8 +692,10 @@ class _SourceEmitter:
 
     # -- step / charge bookkeeping -------------------------------------
     def _charge(self, opcode: str, cycles: int, mi: bool = False,
-                check: Optional[Tuple] = None) -> None:
-        self._charges.append((opcode, cycles, mi and self.profile, check))
+                check: Optional[Tuple] = None,
+                counter: Optional[str] = None) -> None:
+        self._charges.append((opcode, cycles, mi and self.profile, check,
+                              counter))
 
     def _step(self, lines: List[str], raising: bool = False,
               call: bool = False) -> None:
@@ -881,7 +903,8 @@ class _SourceEmitter:
         exprs = [*map(self._expr, descs)]
         lines = []
         if key in _CALLED:
-            expr = f"{self._bind(compiled(template))}({', '.join(exprs)})"
+            expr = (f"{self._bind(compiled(template, len(exprs)))}"
+                    f"({', '.join(exprs)})")
         else:
             if key in _TWICE:
                 temps = [(t, d[0] not in ("s", "c"), e)
@@ -1125,16 +1148,19 @@ class _SourceEmitter:
                              tgt: str) -> None:
         """A direct native call: charged in the block vector and a
         raising step like a load (natives add to ``RuntimeStats`` but
-        never read it), one positional call for a
-        :class:`PositionalNative`, an inline comparison for a
-        :class:`CheckNative`.
+        never read it), or, for a :class:`TemplateNative` called the way
+        it is declared, its template inline.
         Plain and profiled emission share this path."""
         site = inst.meta.get("mi_site")
         impl = self.vm.natives.get(fn.name)
-        if (isinstance(impl, CheckNative) and not tgt
-                and len(descs) == impl.arity):
-            self._compile_check(inst, fn.name, impl, descs, site)
-            return
+        if isinstance(impl, TemplateNative) and len(descs) == impl.arity:
+            if isinstance(impl, CheckNative):
+                if not tgt:
+                    self._compile_check(inst, fn.name, impl, descs, site)
+                    return
+            elif site is None and bool(tgt) == (impl.expr is not None):
+                self._compile_template(inst, fn.name, impl, descs, tgt)
+                return
         args = [self._expr(d) for d in descs]
         if site is not None:
             args.append(self._site_expr(site))
@@ -1150,14 +1176,6 @@ class _SourceEmitter:
             return
         self._charge(f"native:{fn.name}", costs.call_cost(fn.name),
                      mi="mi" in inst.meta)
-        if isinstance(impl, PositionalNative):
-            call = f"{self._bind_native('entry', fn.name)}({arglist})"
-            if impl.pure and tgt and self._fusable(*descs):
-                depth = max(map(self._depth, descs), default=0) + 1
-                self._sink_value(inst, ("p", call, depth), descs)
-            else:
-                self._step([tgt + call], raising=True)
-            return
         name = self._bind_native("native", fn.name)
         self._step(self._attributed(
             inst, [f"{tgt}{name}(__vm, [{arglist}])"]), raising=True)
@@ -1165,6 +1183,44 @@ class _SourceEmitter:
     def _site_expr(self, site) -> str:
         return repr(site) if site is None or type(site) is str \
             else self._bind(site)
+
+    def _template_args(self, name: str, impl: TemplateNative, descs: List
+                       ) -> Tuple[List[str], List[str], Dict[str, str]]:
+        """What a template is formatted with: the lines that evaluate
+        each non-atomic argument once, in argument order, into a
+        temporary, as the tree-walker evaluates it; the argument
+        expressions; and the helpers' bindings by name."""
+        lines: List[str] = []
+        exprs: List[str] = []
+        for d in descs:
+            if d[0] in ("s", "c"):
+                exprs.append(self._expr(d))
+            else:
+                exprs.append(f"__t{len(lines)}")
+                lines.append(f"{exprs[-1]} = {self._expr(d)}")
+        helpers = {h: self._bind_native("helper", (name, h))
+                   for h in impl.helpers}
+        return lines, exprs, helpers
+
+    def _compile_template(self, inst: Call, name: str, impl: TemplateNative,
+                          descs: List, tgt: str) -> None:
+        """A template native, inline: its statement, or its expression
+        assigned to the call's local -- fused into the consumer instead
+        when it is pure and its arguments atomic.  It cannot raise, so
+        it is no raising step; its charge carries its counter, so the
+        block vector counts its executions.  It charges nothing else, so
+        a profiled emission attributes nothing around it either."""
+        lines, exprs, helpers = self._template_args(name, impl, descs)
+        self._charge(f"native:{name}", costs.call_cost(name),
+                     mi="mi" in inst.meta, counter=impl.counter)
+        if impl.stmt is not None:
+            self._step(lines + [impl.stmt.format(*exprs, **helpers)])
+            return
+        expr = impl.expr.format(*exprs, **helpers)
+        if impl.pure and not lines:
+            self._sink_value(inst, ("p", f"({expr})", 1), descs)
+        else:
+            self._step(lines + [tgt + expr])
 
     def _compile_check(self, inst: Call, name: str, impl: CheckNative,
                        descs: List, site) -> None:
@@ -1176,17 +1232,7 @@ class _SourceEmitter:
         before comparing.  Wide executions go to ``__wd``, unless the
         wide test folds at emission: then the vector counts them too.
         A profiled run also records each dynamic wide reason."""
-        lines: List[str] = []
-        exprs: List[str] = []
-        for d in descs:
-            if d[0] in ("s", "c"):
-                exprs.append(self._expr(d))
-            else:
-                # Evaluated once, in argument order, like the tree-walker.
-                exprs.append(f"__t{len(lines)}")
-                lines.append(f"{exprs[-1]} = {self._expr(d)}")
-        helpers = {h: self._bind_native("helper", (name, h))
-                   for h in impl.helpers}
+        lines, exprs, helpers = self._template_args(name, impl, descs)
         args = ", ".join(exprs + [self._site_expr(site)])
         reason = impl.reason is not None and self.profile
         always_wide = False

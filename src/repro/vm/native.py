@@ -12,10 +12,15 @@ The native-call contract, which every implementation registered with
 ``impl(vm, args)`` after the VM charged the call, it may *add* to
 ``RuntimeStats`` counters but never reads them, and it never re-enters
 the VM (no calls back into program code).  Both engines rely on it to
-charge native calls in whatever order suits them.  A
-:class:`CheckNative` narrows it further: its only effect on the
-counters is the one its ``kind`` names, so the codegen tier may count
-its executions instead of calling it.
+charge native calls in whatever order suits them.
+
+A :class:`TemplateNative` narrows it further, so that the codegen tier
+runs it inline instead of calling it: its only effect on the counters
+is one increment of the counter it names, and its effect on its
+runtime's state is what its template says.  The tree-walker still calls
+it through the list protocol, and so does generated code when the
+native is wrapped in a plain callable.  A :class:`CheckNative` is the
+template native whose templates are tests.
 """
 
 from __future__ import annotations
@@ -33,31 +38,49 @@ if TYPE_CHECKING:  # pragma: no cover
 I8P = PointerType(I8)
 
 
-class PositionalNative:
-    """A native that may also be called with positional arguments.
+class TemplateNative:
+    """A native that generated code runs inline, from a template.
 
-    Registered like any native and called through the list protocol
-    (``native(vm, args)``) by the tree-walker, while the codegen tier
-    calls ``native.entry(*args)`` directly -- one positional call per
-    site, no argument list.  Beyond the native-call contract it
-    promises that it never charges cycles itself, so generated code
-    needs no profiling snapshot around it.  A ``pure`` one also has no
-    side effects and cannot raise: generated code may compute it
-    wherever its value is consumed, like an inlined instruction.
+    ``entry(vm, args)`` is its list-protocol entry, the tree-walker's
+    path: it performs the operation on its runtime and adds one to the
+    ``RuntimeStats`` field ``counter`` names (``"trie_loads"``,
+    ``"trie_stores"``, ``"shadow_stack_ops"``), or to none when
+    ``counter`` is None.
+
+    The codegen tier instead runs one of two templates, written over the
+    argument expressions ``{0}``, ``{1}``, ... (``arity`` of them) and
+    the ``helpers`` by name (``{trie}``): ``expr``, an expression giving
+    the call's value, or ``stmt``, a one-line statement for a native
+    with no value.  A template may neither raise nor call Python-level
+    code; it may name an argument more than once, because generated
+    code evaluates a non-atomic argument once, in argument order, into
+    a temporary.  Executions are counted from block counts, so running
+    one makes no call.  A ``pure`` expression reads no state, so
+    generated code may compute it wherever its value is consumed.
     """
 
-    __slots__ = ("entry", "pure")
+    __slots__ = ("entry", "arity", "expr", "stmt", "counter", "pure",
+                 "helpers")
 
-    def __init__(self, entry: Callable, pure: bool = False):
+    def __init__(self, entry: Callable, arity: int,
+                 expr: Optional[str] = None, stmt: Optional[str] = None,
+                 counter: Optional[str] = None, pure: bool = False,
+                 helpers: Optional[Dict[str, object]] = None):
         self.entry = entry
+        self.arity = arity
+        self.expr = expr
+        self.stmt = stmt
+        self.counter = counter
         self.pure = pure
+        self.helpers = helpers or {}
 
     def __call__(self, vm: "VirtualMachine", args: List):
-        return self.entry(*args)
+        return self.entry(vm, args)
 
 
-class CheckNative(PositionalNative):
-    """A memory-safety check that generated code compares inline.
+class CheckNative(TemplateNative):
+    """A memory-safety check: the template native whose templates are
+    tests, compared inline by generated code.
 
     ``entry(*args, site)``, with ``arity`` arguments before the site,
     is the whole check, the tree-walker's path:
@@ -66,34 +89,32 @@ class CheckNative(PositionalNative):
     one), then calls ``fail(*args, site)`` when the comparison fails.
     ``fail`` only raises, so each violation is written once.
 
-    The codegen tier instead evaluates two expression templates over
-    the argument expressions (``{0}``, ``{1}``, ...) and the
-    ``helpers`` by name (``{size}``): ``fails`` is true exactly when
-    ``entry`` would call ``fail``, and ``wide`` (dereference checks
-    only) exactly when it records the check as wide.  Neither may have
-    side effects or call Python-level code.  Executions are counted from
-    block counts, so a passing check makes no call.  ``reason(*args,
-    site)``, when set, records a wide check's dynamic reason and is
-    called on the wide path of profiled runs only.
+    The codegen tier instead evaluates two test templates: ``fails`` is
+    true exactly when ``entry`` would call ``fail``, and ``wide``
+    (dereference checks only) exactly when it records the check as
+    wide.  They follow the template rules of :class:`TemplateNative`;
+    a passing check makes no call.  ``reason(*args, site)``, when set,
+    records a wide check's dynamic reason and is called on the wide
+    path of profiled runs only.
     """
 
-    __slots__ = ("arity", "kind", "fails", "wide", "helpers", "fail",
-                 "reason")
+    __slots__ = ("kind", "fails", "wide", "fail", "reason")
 
     def __init__(self, entry: Callable, arity: int, kind: str, fails: str,
                  fail: Callable, wide: Optional[str] = None,
                  helpers: Optional[Dict[str, object]] = None,
                  reason: Optional[Callable] = None):
-        super().__init__(entry)
+        super().__init__(entry, arity, helpers=helpers)
         if kind not in ("deref", "invariant"):
             raise ValueError(f"check kind {kind!r}")
-        self.arity = arity
         self.kind = kind
         self.fails = fails
         self.wide = wide
-        self.helpers = helpers or {}
         self.fail = fail
         self.reason = reason
+
+    def __call__(self, vm: "VirtualMachine", args: List):
+        return self.entry(*args)
 
 
 def _charged_bytes(vm: "VirtualMachine", name: str, nbytes: int) -> None:

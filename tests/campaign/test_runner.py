@@ -6,6 +6,7 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     Target,
+    axes_instances,
     run_campaign,
     shard_of,
     standard_instances,
@@ -70,6 +71,18 @@ class TestRun:
         assert set(overheads) == {"softbound@codegen",
                                   "softbound-unopt@codegen"}
         assert all(ratio >= 1.0 for ratio in overheads.values())
+
+    def test_baseline_shared_across_extension_points(self):
+        points = ("VectorizerStart", "ModuleOptimizerEarly")
+        spec = CampaignSpec(
+            "test", axes_instances(("baseline",), engines=("codegen",),
+                                   extension_points=points),
+            [Target("small", sources={"main.c": SMALL_SOURCE})],
+            max_instructions=MAX_INSTRUCTIONS)
+        result = run_campaign(spec, _engine())
+        assert result.executed_jobs == 1
+        assert sorted(c.result.extension_point
+                      for c in result.cells) == sorted(points)
 
     def test_progress_callback(self):
         calls = []

@@ -222,10 +222,12 @@ class TestDiskCache:
         # Version 5: the range analysis joins soundly, so results
         # cached before it (same package version) must miss.  Version
         # 6: keys hash no label or workload name, and entries hold run
-        # records without the request fields.
+        # records without the request fields.  Version 7: an
+        # uninstrumented build's key holds no extension point, and a
+        # record no ``extension_point``.
         from repro.experiments.cache import CACHE_FORMAT_VERSION
 
-        assert CACHE_FORMAT_VERSION == 6
+        assert CACHE_FORMAT_VERSION == 7
 
     def test_interp_cells_not_served_to_codegen(self, tmp_path):
         first = _engine(tmp_path, vm_engine="interp")
@@ -618,6 +620,21 @@ class TestOneJobPerConfiguration:
         assert engine.executed_jobs == 1
         assert figure is ablated
         assert figure.label == "softbound-unopt"
+
+    def test_baseline_runs_once_across_extension_points(self):
+        # An uninstrumented build plugs no pass in at any extension
+        # point; an instrumented one does, so it runs once per point.
+        parser = get("197parser")
+        points = ("VectorizerStart", "ModuleOptimizerEarly")
+        engine = ExperimentEngine()
+        results = engine.run_many(
+            [JobRequest(parser, None, ep) for ep in points])
+        assert engine.executed_jobs == 1
+        assert [r.extension_point for r in results] == list(points)
+        assert results[0].cycles == results[1].cycles
+        assert len({engine.fingerprint(JobRequest(parser, config, ep))
+                    for config in (None, InstrumentationConfig.softbound())
+                    for ep in points}) == 3
 
     def test_report_resolves_to_310_jobs(self):
         from repro.experiments import report

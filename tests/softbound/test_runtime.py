@@ -1,11 +1,18 @@
 """Tests for the SoftBound runtime natives and wrappers on the VM."""
 
+import dataclasses
+
 import pytest
 
 from repro import CompileOptions, compile_program, run_program
 from repro.core import InstrumentationConfig
+from repro.core.sb_mechanism import SoftBoundMechanism
 from repro.driver import make_vm
 from repro.errors import MemSafetyViolation
+from repro.ir import FunctionType, I64, IRBuilder, Module, VOID
+from repro.softbound import SoftBoundRuntime
+from repro.vm import VirtualMachine
+from repro.vm.engines import ENGINES
 
 SB = InstrumentationConfig.softbound()
 OPTS = CompileOptions(verify=True)
@@ -153,3 +160,129 @@ class TestShadowStackAcrossCalls:
             return 0;
         }""")
         assert result.violation is not None
+
+
+def _stale_slot_module() -> Module:
+    """Shadow-stack traffic no MiniC program makes: ``main`` reads
+    slots and the return slot with no frame pushed, then calls
+    ``callee`` after pushing one slot of two; ``callee`` reads the slot
+    its caller never pushed (stale, left by an earlier, wider frame),
+    one past every slot (wide), and writes past its frame (dropped)."""
+    mod = Module("stale")
+    natives = {}
+    for name, (fnty, _) in SoftBoundMechanism.runtime.items():
+        natives[name] = mod.get_or_declare_function(name, fnty)
+        natives[name].native = True
+    print_fn = mod.get_or_declare_function(
+        "print_i64", FunctionType(VOID, [I64]))
+    print_fn.native = True
+
+    def show(b, name, *args):
+        b.call(print_fn, [b.call(natives[name], [b.const_i64(a)
+                                                 for a in args])])
+
+    callee = mod.add_function("callee", FunctionType(VOID, []))
+    b = IRBuilder(callee.add_block("entry"))
+    show(b, "__sb_ss_get_base", 0)
+    show(b, "__sb_ss_get_bound", 1)       # never pushed: stale
+    show(b, "__sb_ss_get_bound", 9)       # past the slots: wide
+    b.call(natives["__sb_ss_set"], [b.const_i64(5), b.const_i64(1),
+                                    b.const_i64(2)])
+    show(b, "__sb_ss_get_base", 5)
+    b.call(natives["__sb_ss_set_ret"], [b.const_i64(70), b.const_i64(80)])
+    b.ret()
+
+    main = mod.add_function("main", FunctionType(I64, []))
+    b = IRBuilder(main.add_block("entry"))
+    show(b, "__sb_ss_get_base", 0)        # no frame: wide
+    show(b, "__sb_ss_get_ret_bound")      # never written: wide
+    b.call(natives["__sb_ss_set"], [b.const_i64(0), b.const_i64(3),
+                                    b.const_i64(4)])
+    b.call(natives["__sb_ss_exit"], [])   # no frame: nothing to pop
+    b.call(natives["__sb_ss_enter"], [b.const_i64(2)])
+    for slot in range(2):
+        b.call(natives["__sb_ss_set"], [b.const_i64(slot),
+                                        b.const_i64(10 + slot),
+                                        b.const_i64(20 + slot)])
+    b.call(natives["__sb_ss_exit"], [])
+    b.call(natives["__sb_ss_enter"], [b.const_i64(1)])
+    b.call(natives["__sb_ss_set"], [b.const_i64(0), b.const_i64(30),
+                                    b.const_i64(40)])
+    b.call(callee, [])
+    b.call(natives["__sb_ss_exit"], [])
+    show(b, "__sb_ss_get_ret_base")
+    show(b, "__sb_ss_get_ret_bound")
+    b.call(natives["__sb_trie_store"], [b.const_i64(0x1000),
+                                        b.const_i64(5), b.const_i64(6)])
+    show(b, "__sb_trie_load_bound", 0x1004)
+    show(b, "__sb_trie_load_base", 0x1008)   # a miss
+    b.ret(b.const_i64(0))
+    return mod
+
+
+class TestEnginesAgree:
+    """The inline templates generated code runs and the runtime methods
+    the tree-walker calls are one semantics: equal output and
+    ``RuntimeStats`` on both engines, plain and profiled."""
+
+    PROGRAMS = {
+        "missing-metadata": TestMissingMetadataPolicy.SRC,
+        "callee-checks": r"""
+        void poke(int *p, int i) { p[i] = 1; }
+        int main() {
+            int *a = (int *) malloc(sizeof(int) * 4);
+            poke(a, 3);
+            poke(a, 6);
+            return 0;
+        }""",
+        "returned-bounds": r"""
+        int *make() { return (int *) malloc(sizeof(int) * 2); }
+        int main() {
+            int *p = make();
+            p[1] = 1;
+            p[2] = 2;
+            return 0;
+        }""",
+    }
+
+    @staticmethod
+    def _outcome(result):
+        return (result.output, result.describe(),
+                dataclasses.asdict(result.stats))
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("wide", [False, True],
+                             ids=["null-miss", "wide-miss"])
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_programs(self, program, wide, profile):
+        config = SB.with_(sb_missing_metadata_wide=wide)
+        compiled = compile_program(self.PROGRAMS[program], config, OPTS)
+        outcomes = [self._outcome(run_program(
+            compiled, max_instructions=2_000_000, engine=engine,
+            profile=profile)) for engine in ENGINES]
+        assert all(o == outcomes[0] for o in outcomes)
+        assert outcomes[0][2]["shadow_stack_ops"] or program == \
+            "missing-metadata"
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("wide", [False, True],
+                             ids=["null-miss", "wide-miss"])
+    def test_slots_no_caller_pushed(self, wide, profile):
+        runs = []
+        for engine in ENGINES:
+            vm = VirtualMachine(_stale_slot_module(), engine=engine,
+                                profile=profile)
+            SoftBoundRuntime(missing_metadata_wide=wide).install(vm)
+            assert vm.run() == 0
+            runs.append((vm.output, dataclasses.asdict(vm.stats)))
+        assert all(r == runs[0] for r in runs)
+        wide_bound, miss = "-1", "0"      # print_i64 prints signed
+        assert runs[0][0] == [
+            "0", wide_bound,                  # main, no frame
+            "30", "21", wide_bound, "0",      # callee
+            "70", "80", "6", miss]
+        assert runs[0][1]["shadow_stack_ops"] == 19
+        assert runs[0][1]["trie_loads"] == 2
+        assert runs[0][1]["trie_stores"] == 1

@@ -34,7 +34,7 @@ from repro.ir.instructions import Load, Store
 from repro.vm import VirtualMachine
 from repro.vm.codegen import CodegenFunction
 from repro.vm.engines import ENGINES
-from repro.vm.native import CheckNative
+from repro.vm.native import CheckNative, TemplateNative
 from repro.errors import VMError
 from repro.workloads.registry import all_names
 
@@ -371,8 +371,9 @@ class TestProfiledEmission:
 class TestGeneratedShape:
     """Charges are data: a block entry is ``__ins += n`` and
     ``__bc[k] += 1``, a frame has one ``except`` clause, every line
-    that can raise is in the line table ``__unwind`` reads, and a check
-    site calls its runtime only to fail."""
+    that can raise is in the line table ``__unwind`` reads, a check
+    site calls its runtime only to fail, and a metadata native never
+    calls it."""
 
     _ACCUMULATOR = re.compile(r"\b__(?:cy|mi)\b|\b__o_")
     _RAISING_CALL = re.compile(r"__site\(|__alloca\(|__dc\(|__call\(")
@@ -436,6 +437,38 @@ class TestGeneratedShape:
                             guarded += 1
         assert guarded
 
+    #: The metadata natives generated code runs inline.
+    METADATA = re.compile(r"__sb_trie_|__sb_ss_|__lf_compute_base$")
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("label", ["softbound", "lowfat",
+                                       "softbound-hoist", "lowfat-hoist"])
+    def test_metadata_natives_inline(self, label, profile):
+        """No generated line calls or binds a trie, shadow-stack or
+        base-recovery native: each runs as its template, over helpers
+        its runtime registered."""
+        inline = 0
+        for name in all_names():
+            program = _compiled_program(name, label)
+            vm = make_vm(program, engine="codegen", profile=profile)
+            vm.load_globals()
+            metadata = {native for native, impl in vm.natives.items()
+                        if self.METADATA.match(native)}
+            assert metadata and all(
+                type(vm.natives[n]) is TemplateNative for n in metadata)
+            for fn in program.module.functions.values():
+                if fn.native or fn.is_declaration:
+                    continue
+                CodegenFunction(vm, fn)
+                binds = fn._codegen_cache[4]
+                where = f"{name}/{label}: @{fn.name}"
+                assert not [b for b in binds if b[1] != "helper"
+                            and b[2] in metadata], where
+                inline += sum(b[1] == "helper" and b[2][0] in metadata
+                              for b in binds)
+        assert inline
+
 
 class TestWrappedCheckNatives:
     """A check native wrapped in a plain ``impl(vm, args)`` callable,
@@ -468,6 +501,33 @@ class TestWrappedCheckNatives:
         assert result.stats.checks_executed
         if (name, label) == ("164gzip", "softbound"):
             assert result.stats.checks_wide
+
+    @pytest.mark.parametrize("label", ["softbound", "lowfat"])
+    @pytest.mark.parametrize("name", ["456hmmer", "164gzip", "183equake"])
+    def test_every_runtime_native_wrapped(self, name, label, monkeypatch):
+        """Wrapped as the tracer wraps them, every ``__sb_*``/``__lf_*``
+        native -- templates and checks alike -- is an ordinary call
+        whose runtime counts the operation."""
+        reference = _reference_run(name, label)
+        register = VirtualMachine.register_native
+        wrapped = []
+
+        def register_wrapped(vm, native, impl):
+            if native.startswith(("__sb_", "__lf_")):
+                wrapped.append(native)
+                impl = (lambda vm, args, impl=impl: impl(vm, args))
+            register(vm, native, impl)
+
+        monkeypatch.setattr(VirtualMachine, "register_native",
+                            register_wrapped)
+        result = run_program(_compiled_program(name, label),
+                             max_instructions=MAX_INSTRUCTIONS,
+                             engine="codegen")
+        assert "__sb_trie_load_base" in wrapped or label == "lowfat"
+        assert "__lf_compute_base" in wrapped or label == "softbound"
+        assert result.output == reference.output
+        assert (dataclasses.asdict(result.stats)
+                == dataclasses.asdict(reference.stats))
 
 
 class TestSourceDump:
@@ -563,6 +623,27 @@ class TestEmissionCache:
         gc.collect()
         assert finished() is None
         assert program.module.functions["main"]._codegen_cache is not None
+
+    @pytest.mark.parametrize("wide_first", [True, False],
+                             ids=["wide-first", "null-first"])
+    def test_runtimes_with_different_templates_keep_their_own(
+            self, wide_first):
+        # Two SoftBound VMs over one compiled module, differing only in
+        # the bounds a trie miss gives: each sees its own, in either
+        # order, however the emission cache is filled.
+        from tests.softbound.test_runtime import TestMissingMetadataPolicy
+
+        null = compile_program(TestMissingMetadataPolicy.SRC,
+                               config_for("softbound"))
+        wide = dataclasses.replace(null, config=null.config.with_(
+            sb_missing_metadata_wide=True))
+        order = [wide, null, wide] if wide_first else [null, wide, null]
+        for program in order:
+            result = run_program(program, engine="codegen")
+            if program is wide:
+                assert result.ok and result.output == ["5"]
+            else:
+                assert result.violation is not None
 
     def test_reused_emission_state_is_pristine(self):
         # The second VM must not observe the first VM's inline-cache

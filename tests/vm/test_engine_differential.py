@@ -99,3 +99,13 @@ def test_engines_bit_identical(name, label, engine):
         dataclasses.asdict(interp.stats), (
             f"{name}/{label}/{engine}: RuntimeStats diverge\n"
             + _diff_stats(interp.stats, candidate.stats, engine))
+
+
+#: SoftBound giving wide bounds, not NULL ones, on a trie miss.
+WIDE_MISS = "softbound-sb_missing_metadata_wide=True"
+
+
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+@pytest.mark.parametrize("name", all_names())
+def test_wide_missing_metadata_bit_identical(name, engine):
+    test_engines_bit_identical(name, WIDE_MISS, engine)

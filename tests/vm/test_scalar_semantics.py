@@ -11,11 +11,14 @@ ways, as fcmp is in ``test_fcmp.py``:
 (c) InstCombine's folded constant against the engines' run-time result.
 
 A trapping case raises the same error in the table and on both engines,
-and InstCombine leaves it unfolded.
+and InstCombine leaves it unfolded.  A division by a nonzero constant
+takes its own form, which cannot trap; an ``f32`` result is rounded to
+single precision.
 """
 
 import math
 import operator
+import re
 import struct
 
 import pytest
@@ -42,10 +45,11 @@ from repro.ir import (
 )
 from repro.ir.instructions import (CAST_OPS, FCMP_PREDICATES, FLOAT_BINOPS,
                                    ICMP_PREDICATES, INT_BINOPS)
-from repro.ir.semantics import TEMPLATES, evaluator
+from repro.ir.semantics import TEMPLATES, evaluator, operation
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.opt import InstCombine
 from repro.vm import VirtualMachine
+from repro.vm.codegen import CodegenFunction
 from repro.vm.engines import ENGINES
 
 NAN = float("nan")
@@ -104,6 +108,24 @@ def negative(x: float) -> bool:
     return math.copysign(1.0, x) < 0
 
 
+def f32(x) -> float:
+    """``x`` rounded once to the nearest ``f32``, ties to even: a float
+    through a ``struct`` round trip (an infinity past the range), an
+    integer in integer arithmetic."""
+    if isinstance(x, int):
+        m = abs(x)
+        shift = max(m.bit_length() - 24, 0)
+        q, r = divmod(m, 1 << shift)
+        half = (1 << shift) >> 1
+        if shift and (r > half or r == half and q & 1):
+            q += 1
+        return math.copysign(float(q << shift), x)
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return math.copysign(INF, x)
+
+
 def float_reference(op, a, b):
     """IEEE 754 arithmetic; ``frem`` is C's ``fmod``."""
     if op == "fdiv" and b == 0:
@@ -127,8 +149,8 @@ _FORMATS = {32: ("<f", "<I"), 64: ("<d", "<Q")}
 
 
 def cast_reference(op, a, src, dst):
-    """A float keeps double precision through ``fptrunc`` (ROADMAP item
-    1), and a non-finite ``fptosi``/``fptoui`` stops with a VMError."""
+    """A value becoming an ``f32`` rounds to single precision, and a
+    non-finite ``fptosi``/``fptoui`` stops with a VMError."""
     wrap = 1 << _bits(dst)
     if op in ("trunc", "zext", "ptrtoint", "inttoptr"):
         return a % wrap
@@ -140,12 +162,13 @@ def cast_reference(op, a, src, dst):
     if op == "bitcast" and isinstance(src, FloatType):
         real, whole = _FORMATS[src.bits]
         return struct.unpack(whole, struct.pack(real, a))[0]
-    if op in ("bitcast", "fptrunc", "fpext"):
+    if op in ("bitcast", "fpext"):
         return a
-    if op == "sitofp":
-        return float(signed(a, src.bits))
-    if op == "uitofp":
-        return float(a)
+    if op == "fptrunc":
+        return f32(a)
+    if op in ("sitofp", "uitofp"):
+        value = signed(a, src.bits) if op == "sitofp" else a
+        return f32(value) if dst.bits == 32 else float(value)
     if math.isnan(a) or math.isinf(a):
         return VMError
     return math.trunc(a) % wrap
@@ -268,12 +291,38 @@ class Case:
 
 
 def binop_case(op, ty, pairs):
-    if isinstance(ty, FloatType):
+    if isinstance(ty, FloatType) and ty.bits == 32:
+        reference = lambda a, b: f32(float_reference(op, a, b))  # noqa: E731
+    elif isinstance(ty, FloatType):
         reference = lambda a, b: float_reference(op, a, b)  # noqa: E731
     else:
         reference = lambda a, b: int_reference(op, a, b, ty.bits)  # noqa: E731
     return Case(lambda b, x, y: b.binop(op, x, y), [ty, ty], ty, pairs,
                 reference)
+
+
+class DivisorCase(Case):
+    """``op`` by the constant ``divisor``: ``@rt`` reads the dividend
+    from memory, ``@c<k>`` divides the constant ``dividends[k]``."""
+
+    def __init__(self, op, ty, divisor, dividends):
+        self.divisor = divisor
+        const = _constant(ty, divisor)
+        if isinstance(ty, FloatType):
+            round_ = f32 if ty.bits == 32 else float
+            reference = lambda a: round_(  # noqa: E731
+                float_reference(op, a, divisor))
+        else:
+            reference = lambda a: int_reference(  # noqa: E731
+                op, a, divisor, ty.bits)
+        super().__init__(lambda b, x: b.binop(op, x, const), [ty], ty,
+                         [(a,) for a in dividends], reference)
+
+    def check_table(self):
+        table = evaluator(self.inst)
+        for (a,), want in zip(self.operands, self.expected):
+            got = table(a, self.divisor)
+            assert same(got, want), (self.inst, a, got, want)
 
 
 def icmp_case(pred, ty, pairs):
@@ -305,6 +354,8 @@ CASTS = [
     ("fptrunc", F64, F32), ("fpext", F32, F64),
     ("sitofp", I8, F64), ("sitofp", I32, F64), ("sitofp", I64, F64),
     ("uitofp", I32, F64), ("uitofp", I64, F64),
+    ("sitofp", I32, F32), ("sitofp", I64, F32),
+    ("uitofp", I32, F32), ("uitofp", I64, F32),
     ("fptosi", F64, I64), ("fptosi", F64, I32), ("fptosi", F32, I8),
     ("fptoui", F64, I64), ("fptoui", F64, I16),
 ]
@@ -330,6 +381,9 @@ class TestTable:
                | {f"icmp {p}" for p in ICMP_PREDICATES}
                | {f"fcmp {p}" for p in FCMP_PREDICATES}
                | {"bitcast to float", "bitcast to int"})
+        ops |= {f"{op} to f32" for op in FLOAT_BINOPS | {"sitofp", "uitofp"}}
+        ops |= {f"{op} by constant" for op in DIVISIONS + ("fdiv",)}
+        ops |= {"sdiv by negative constant", "fdiv by constant to f32"}
         assert set(TEMPLATES) == ops
         assert {op for op, _, _ in CASTS} == CAST_OPS
 
@@ -344,6 +398,10 @@ class TestTable:
     @pytest.mark.parametrize("op", sorted(FLOAT_BINOPS))
     def test_float_binop(self, op):
         binop_case(op, F64, FLOAT_PAIRS).check_table()
+
+    @pytest.mark.parametrize("op", sorted(FLOAT_BINOPS))
+    def test_f32_binop(self, op):
+        binop_case(op, F32, FLOAT_PAIRS).check_table()
 
     @pytest.mark.parametrize("op,src,dst", CASTS, ids=_ids(CASTS))
     def test_cast(self, op, src, dst):
@@ -362,6 +420,10 @@ class TestBothEngines:
     @pytest.mark.parametrize("op", sorted(FLOAT_BINOPS))
     def test_float_binop(self, op):
         binop_case(op, F64, FLOAT_PAIRS).check_engines()
+
+    @pytest.mark.parametrize("op", sorted(FLOAT_BINOPS))
+    def test_f32_binop(self, op):
+        binop_case(op, F32, FLOAT_PAIRS).check_engines()
 
     @pytest.mark.parametrize("op,src,dst", CASTS, ids=_ids(CASTS))
     def test_cast(self, op, src, dst):
@@ -383,6 +445,10 @@ class TestInstCombineFolds:
     def test_float_binop(self, op):
         binop_case(op, F64, FLOAT_PAIRS).check_instcombine(True)
 
+    @pytest.mark.parametrize("op", sorted(FLOAT_BINOPS))
+    def test_f32_binop(self, op):
+        binop_case(op, F32, FLOAT_PAIRS).check_instcombine(True)
+
     @pytest.mark.parametrize("op,src,dst", CASTS, ids=_ids(CASTS))
     def test_cast(self, op, src, dst):
         cast_case(op, src, dst).check_instcombine(op in FOLDED_CASTS)
@@ -398,6 +464,94 @@ class TestInstCombineFolds:
     @given(st.sampled_from(sorted(ICMP_PREDICATES)), _U64, _U64)
     def test_drawn_i64_icmp(self, pred, a, b):
         icmp_case(pred, I64, [(a, b)]).check_instcombine(True)
+
+
+def _divisors(bits):
+    """Positive, INT_MAX, INT_MIN, -1 and -3 at ``bits``."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    return sorted({1, 3, 7, half - 1, half, mask, mask - 2})
+
+
+def _dividends(bits):
+    mask = (1 << bits) - 1
+    return sorted(set(edges(bits)) | {7, 20, mask - 6, mask - 19})
+
+
+DIVISOR_CASES = [(op, bits) for op in DIVISIONS for bits in (8, 32, 64)]
+FLOAT_DIVISORS = {32: (13.0, -0.5, 3.0), 64: (13.0, -0.5, 3.0, 1e-300)}
+#: What a division by a nonzero constant must never emit.
+_DIVISION_CALLS = re.compile(
+    r"__[su](?:div|rem)\(|__fdiv_by_zero|!= 0\.0|\b__k\d+\(")
+
+
+class TestConstantDivisors:
+    """A division by a nonzero constant takes its by-constant form: the
+    table, both engines and InstCombine agree with the reference, and
+    the generated code tests no divisor and calls nothing."""
+
+    @staticmethod
+    def _check(case, key):
+        assert operation(case.inst)[0] == key, case.inst
+        case.check_table()
+        case.check_engines()
+        vm = VirtualMachine(case.module, engine="codegen",
+                            install_default_libc=False)
+        vm.load_globals()
+        compiled = CodegenFunction(vm, case.module.get_function("rt"))
+        assert not _DIVISION_CALLS.search(compiled.source), compiled.source
+        for no, line in enumerate(compiled.source.splitlines(), 1):
+            if re.search(r"//|%| / ", line):
+                assert no not in compiled.steps, line
+        case.check_instcombine(True)
+
+    @pytest.mark.parametrize("op,bits", DIVISOR_CASES,
+                             ids=_ids(DIVISOR_CASES))
+    def test_int_division(self, op, bits):
+        half = 1 << (bits - 1)
+        for d in _divisors(bits):
+            key = f"{op} by constant"
+            if op == "sdiv" and d >= half:
+                key = "sdiv by negative constant"
+            self._check(DivisorCase(op, INT_TYPES[bits], d,
+                                     _dividends(bits)), key)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_fdiv(self, bits):
+        ty = F32 if bits == 32 else F64
+        for d in FLOAT_DIVISORS[bits]:
+            self._check(DivisorCase("fdiv", ty, d, FLOATS),
+                        "fdiv by constant" + (" to f32" if bits == 32
+                                              else ""))
+
+    def test_zero_and_non_finite_divisors_keep_the_general_form(self):
+        for op, ty, d in (("sdiv", I32, 0), ("urem", I64, 0),
+                          ("fdiv", F64, 0.0), ("fdiv", F64, INF),
+                          ("fdiv", F64, NAN)):
+            case = DivisorCase(op, ty, d, [1])
+            assert operation(case.inst)[0] == op
+
+
+class TestWideIntegerToF32:
+    """An integer wider than a double's 53 bits rounds to ``f32`` once,
+    as C converts it: rounding it to a double first would land exactly
+    between two ``f32`` values and round to even, the wrong way."""
+
+    CASES = [
+        ("sitofp", (1 << 60) + (1 << 36) + 1, 2.0 ** 60 + 2.0 ** 37),
+        ("sitofp", (-((1 << 60) + (1 << 36) + 1)) % (1 << 64),
+         -(2.0 ** 60 + 2.0 ** 37)),
+        ("uitofp", (1 << 63) + (1 << 39) + 1, 2.0 ** 63 + 2.0 ** 40),
+        ("uitofp", (1 << 64) - 1, 2.0 ** 64),
+    ]
+
+    @pytest.mark.parametrize("op,value,want", CASES)
+    def test_rounds_once(self, op, value, want):
+        case = Case(lambda b, x: b.cast(op, x, F32), [I64], F32, [(value,)],
+                    lambda a: cast_reference(op, a, I64, F32))
+        assert case.expected == [want]
+        case.check_table()
+        case.check_engines()
+        case.check_instcombine(True)
 
 
 @st.composite
@@ -514,3 +668,33 @@ class TestFloatEdgesInMiniC:
               print_i64(n);
               return 0;
             }""", engine, opt_level)
+
+    F32_ROUNDING = ("int main() { float a = 0.1; float b = a * 3.0; "
+                    "float c = b / 7.0; print_f64(c * 1000000.0); "
+                    "return 0; }")
+
+    @pytest.mark.parametrize("lto", [False, True], ids=["no-lto", "lto"])
+    @pytest.mark.parametrize("opt_level", LEVELS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_float_rounds_where_c_rounds(self, engine, opt_level, lto):
+        # C's answer; a float held in a register used to keep double
+        # precision wherever LTO's GVN forwarded a stored value.
+        result = compile_and_run(
+            self.F32_ROUNDING, NOOP,
+            CompileOptions(opt_level=opt_level, link_time_optimization=lto),
+            engine=engine)
+        assert result.output == ["42857.144028"]
+
+    @pytest.mark.parametrize("opt_level", LEVELS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_float_past_its_range_is_infinite(self, engine, opt_level):
+        result = run_minic(r"""
+        int main() {
+          double d = 1e300;
+          float f = d * 10.0;
+          print_f64(f);
+          float g = -d;
+          print_f64(g);
+          return 0;
+        }""", engine, opt_level)
+        assert result.output == ["inf", "-inf"]
