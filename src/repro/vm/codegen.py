@@ -225,6 +225,16 @@ def _env_signature(vm: "VirtualMachine") -> Tuple:
     )
 
 
+def cached_signature(vm: "VirtualMachine", fn: Function) -> Optional[Tuple]:
+    """``vm``'s environment signature when ``fn``'s emission is cached
+    for it, else None."""
+    cached = getattr(fn, "_codegen_cache", None)
+    if cached is None:
+        return None
+    signature = _env_signature(vm)
+    return signature if cached[0] == signature else None
+
+
 def _vectors(charges, cuts) -> List[Tuple]:
     """What runs of ``(opcode, cycles, mi, check, counter)`` charges add
     to RuntimeStats, in one pass: for each ``(end, attributed)`` cut, in
@@ -373,7 +383,8 @@ class CodegenFunction:
     __slots__ = ("vm", "fn", "arg_count", "source", "_run", "blocks",
                  "steps", "counts", "wide_sites", "wides")
 
-    def __init__(self, vm: "VirtualMachine", fn: Function, index: int = 0):
+    def __init__(self, vm: "VirtualMachine", fn: Function, index: int = 0,
+                 signature: Optional[Tuple] = None):
         self.vm = vm
         self.fn = fn
         self.arg_count = len(fn.args)
@@ -381,7 +392,7 @@ class CodegenFunction:
         # signature: a fresh VM over the same program (the common case
         # -- benchmarks, differential runs, fuzz cells) skips the whole
         # emitter and binds only its own objects.
-        sig = _env_signature(vm)
+        sig = signature or _env_signature(vm)
         cached = getattr(fn, "_codegen_cache", None)
         if cached is None or cached[0] != sig:
             source, template, binds, blocks, steps, wide_sites = \
@@ -453,7 +464,7 @@ class CodegenFunction:
         stats = self.vm.stats
         _add(stats, prefix, 1)
         # A callee published its exact count, even on a raise.
-        return (stats.instructions if call else ins) - suffix
+        return stats.instructions if call else ins - suffix
 
 
 class _SourceEmitter:
@@ -752,10 +763,14 @@ class _SourceEmitter:
                 out.extend(lines)
                 continue
             if is_call:
-                # Publish the exact instruction count to the callee and
-                # resync from the count it publishes.
-                lines = (["__stats.instructions = __ins"] + lines
-                         + ["__ins = __stats.instructions"])
+                # Publish the exact instruction count to the callee --
+                # without the block's suffix (the terminator at least),
+                # which has not run yet -- and resync from the count it
+                # publishes.
+                suffix = len(charges) - ci
+                lines = ([f"__stats.instructions = __ins - {suffix}"]
+                         + lines
+                         + [f"__ins = __stats.instructions + {suffix}"])
             # A raising instruction keeps its own charges but, like in
             # the tree-walker, never gets them attributed.  Each line
             # is marked with its entry; ``_assemble`` numbers them.

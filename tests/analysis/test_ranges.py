@@ -318,6 +318,7 @@ class TestRefinementEndsAtTheMerge:
     """
     SITE = "f:if.end.1:3"
 
+    @pytest.mark.usefixtures("tiering")
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("label", [
         "softbound-ranges", "softbound-hoist",

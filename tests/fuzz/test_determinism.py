@@ -8,6 +8,8 @@ representation results travel through (worker transport and the disk
 cache).
 """
 
+import pytest
+
 from repro.experiments.common import config_for
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.fuzz.generator import generate_program
@@ -41,6 +43,7 @@ class TestRuntimeDeterminism:
         """Worker-process transport must not perturb a single counter."""
         assert _run(jobs=1) == _run(jobs=4)
 
+    @pytest.mark.usefixtures("tiering")
     def test_engines_agree_on_everything(self):
         """The codegen tier and the reference tree-walker are
         bit-identical on results *and* statistics."""

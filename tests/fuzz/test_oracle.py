@@ -61,6 +61,7 @@ class TestMatrices:
         with pytest.raises(ConfigError, match="unknown fuzz matrix"):
             DifferentialOracle(matrix="bogus")
 
+    @pytest.mark.usefixtures("tiering")
     def test_multi_engine_matrix_caches_each_engine(self, tmp_path):
         """Cache keys carry the engine, so a multi-engine matrix caches
         every cell under its own engine and a warm rerun serves each
@@ -178,6 +179,7 @@ class TestCompare:
                    and "static filtered" in m.detail for m in found)
 
 
+@pytest.mark.usefixtures("tiering")
 class TestRealRuns:
     def test_quick_matrix_clean_program(self):
         oracle = DifferentialOracle(matrix=QUICK_MATRIX)

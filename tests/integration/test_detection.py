@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro import CompileOptions, compile_and_run, compile_program
+from repro import NOOP, CompileOptions, compile_and_run, compile_program
 from repro.core import InstrumentationConfig
 from repro.driver import make_vm
 from repro.errors import MemoryFault, MemSafetyViolation, ReproError
@@ -18,6 +18,7 @@ from repro.vm.engines import ENGINES
 SB = InstrumentationConfig.softbound()
 LF = InstrumentationConfig.lowfat()
 OPTS = CompileOptions(verify=True)
+O0 = CompileOptions(opt_level=0, link_time_optimization=False, verify=True)
 
 
 def classify(result):
@@ -198,11 +199,61 @@ RAISE_PROGRAMS.update({
 })
 
 
-def raise_point(program, engine, profile):
+#: Programs whose run stops in a callee on the other tier from its
+#: caller, in both directions: (source, instruction budget, outcome
+#: under baseline, SoftBound, Low-Fat).  Compiled at -O0 without LTO,
+#: nothing is inlined and every loop counts in memory, so a function
+#: with a loop has no trip bound and is emitted at its first call,
+#: while a loop-free one runs on the tree-walker for its first calls.
+CROSS_TIER_PROGRAMS = {
+    "oob-in-emitted-callee": (r"""
+        long fill(long *a, long n) { long s = 0; for (long i = 0; i < n; i += 700) { a[i] = i; s += a[i] * 2; } return s; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 8);
+            print_i64(fill(a, 4));
+            print_i64(fill(a, 5000) + 1);
+            return 0;
+        }""", 2_000_000, ("fault", "violation:deref", "violation:deref")),
+    "oob-in-interpreted-callee": (r"""
+        long get(long *a, long i) { long x = a[i]; return x * 2 + i; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 8);
+            long s = 0;
+            for (long i = 0; i < 12; i++) { s += get(a, i * 700) + 1; print_i64(s); }
+            return 0;
+        }""", 2_000_000, ("fault", "violation:deref", "violation:deref")),
+    "budget-in-emitted-callee": (r"""
+        long spin(long n) { long s = 0; for (long i = 0; i < n; i++) s += i; return s; }
+        int main() { long x = spin(3); print_i64(x); x = spin(100000) * 3 + x; print_i64(x); return 0; }
+        """, 1_500, ("error:VMError",) * 3),
+    "budget-in-interpreted-callee": (r"""
+        long step(long x) { if (x > 5) x = x - 5; else x = x + 7; if (x % 2) x = x * 3; return x + 1; }
+        int main() { long s = 0; for (long i = 0; i < 100000; i++) s += step(i) * 2; print_i64(s); return 0; }
+        """, 347, ("error:VMError",) * 3),
+    "exit-in-emitted-callee": (r"""
+        long finish(long *a, long n) { for (long i = 0; i < n; i++) { a[i] = i; if (i == 5) exit(3); } return 0; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 8);
+            print_i64(finish(a, 2));
+            print_i64(finish(a, 8) + 1);
+            return 0;
+        }""", 2_000_000, ("ok",) * 3),
+    "exit-in-interpreted-callee": (r"""
+        long stop(long *a, long i) { a[i] = i; if (i == 4) exit(5); return a[i] + 1; }
+        int main() {
+            long *a = (long *) malloc(sizeof(long) * 8);
+            long s = 0;
+            for (long i = 0; i < 8; i++) { s += stop(a, i) * 3; print_i64(s); }
+            return 0;
+        }""", 2_000_000, ("ok",) * 3),
+}
+
+
+def raise_point(program, engine, profile, max_instructions=2_000_000):
     """Everything observable when a run stops: the exit code, or the
     error that stopped it (a violation's fields included), the output
     and the full RuntimeStats."""
-    vm = make_vm(program, max_instructions=2_000_000, engine=engine,
+    vm = make_vm(program, max_instructions=max_instructions, engine=engine,
                  profile=profile)
     exit_code = stop = None
     try:
@@ -269,11 +320,13 @@ class TestWidthAwareChecks:
         assert outcome(src, LF) == "violation:deref"
 
 
+@pytest.mark.usefixtures("tiering")
 class TestRaisePointsOnEveryEngine:
     """Codegen charges checks in the block batch and rolls the batch
     back when one fires; every engine must stop at the tree-walker's
     violation (kind, pointer, base, bound, site) with field-for-field
-    identical RuntimeStats, plain and profiled."""
+    identical RuntimeStats, plain and profiled -- tiered, and with
+    every function emitted at its first call."""
 
     @pytest.mark.parametrize("profile", [False, True],
                              ids=["plain", "profile"])
@@ -289,6 +342,29 @@ class TestRaisePointsOnEveryEngine:
                                       else lf_expected)
         for engine, run in runs.items():
             assert run == reference, engine
+
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["plain", "profile"])
+    @pytest.mark.parametrize("config", [NOOP, SB, LF],
+                             ids=["baseline", "softbound", "lowfat"])
+    @pytest.mark.parametrize("name", sorted(CROSS_TIER_PROGRAMS))
+    def test_raise_crossing_tiers(self, name, config, profile, tiering):
+        src, budget, expected = CROSS_TIER_PROGRAMS[name]
+        program = compile_program(src, config, O0)
+        runs = {engine: raise_point(program, engine, profile, budget)
+                for engine in ENGINES}
+        reference = runs["interp"]
+        assert reference["class"] == expected[[NOOP, SB, LF].index(config)]
+        for engine, run in runs.items():
+            assert run == reference, engine
+        if tiering == "tiered":
+            vm = make_vm(program, max_instructions=budget)
+            try:
+                vm.run()
+            except ReproError:
+                pass
+            assert {tier for tier, _ in vm.tiers.values()} == {
+                "codegen", "interp"}
 
 
 class TestModes:

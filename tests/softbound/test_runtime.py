@@ -220,6 +220,7 @@ def _stale_slot_module() -> Module:
     return mod
 
 
+@pytest.mark.usefixtures("tiering")
 class TestEnginesAgree:
     """The inline templates generated code runs and the runtime methods
     the tree-walker calls are one semantics: equal output and

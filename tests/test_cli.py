@@ -141,6 +141,7 @@ class TestRun:
             rf"error: line \d+: nested deeper than {MAX_NESTING} levels",
             err[0])
 
+    @pytest.mark.usefixtures("tiering")
     @pytest.mark.parametrize("engine", ENGINES)
     def test_refused_mapping_is_one_line(self, tmp_path, capsys, monkeypatch,
                                          engine):
@@ -159,6 +160,7 @@ class TestRun:
             "error: cannot map a 4194304-byte allocation: "
             "[Errno 12] Cannot allocate memory"]
 
+    @pytest.mark.usefixtures("tiering")
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("source, expected", [
         (nested_parens(63), 1), (nested_sums(63), 64), (nested_ifs(127), 2),

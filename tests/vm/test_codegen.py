@@ -9,6 +9,10 @@ tuple assignments (including swap cycles), exact cycle rollback on
 raising steps (profiled or not), per-predicate fcmp NaN semantics,
 profiled emission, source dumping, and the per-function emission
 cache.
+
+Every test here runs with every function emitted at its first call
+(``TIER_K = 0``): the programs are small enough that the codegen
+engine's tiering would otherwise run them on the tree-walker.
 """
 
 import dataclasses
@@ -45,6 +49,8 @@ from .test_engine_differential import (
     _reference_run,
 )
 from .test_fcmp import OPERANDS, PREDICATES, _fcmp_module, reference
+
+pytestmark = pytest.mark.usefixtures("emit_all")
 
 
 def _stats_dict(vm):

@@ -28,6 +28,9 @@ from repro.workloads.registry import all_names
 LABELS = ("baseline", "softbound", "lowfat")
 MAX_INSTRUCTIONS = 100_000_000
 
+#: Each comparison runs tiered and with every function emitted.
+pytestmark = pytest.mark.usefixtures("tiering")
+
 #: Every engine checked against the tree-walker reference.
 CANDIDATE_ENGINES = tuple(e for e in ENGINES if e != "interp")
 

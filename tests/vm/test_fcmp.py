@@ -34,6 +34,11 @@ OPERANDS = [NAN, INF, -INF, -0.0, 0.0, 1.5, -2.5]
 PREDICATES = sorted(FCMP_PREDICATES)
 
 
+#: The programs here are small enough to run on the tree-walker under
+#: the codegen engine's tiering: emit every function at its first call.
+pytestmark = pytest.mark.usefixtures("emit_all")
+
+
 def reference(pred: str, a: float, b: float) -> int:
     """LLVM LangRef semantics, written independently of FCMP_EVAL."""
     unordered = math.isnan(a) or math.isnan(b)

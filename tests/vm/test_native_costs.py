@@ -145,6 +145,7 @@ class TestCostModel:
         for op in ("ptrtoint", "inttoptr", "bitcast"):
             assert costs.INSTRUCTION_COSTS[op] == 0
 
+    @pytest.mark.usefixtures("tiering")
     def test_every_charge_reads_the_cost_table(self, monkeypatch):
         # A 16-iteration loop that executes every opcode the engines
         # charge, with no native call (a native's charge also includes

@@ -62,6 +62,11 @@ POINTERS = [0, 1, 0x1000, 1 << 63, (1 << 64) - 1]
 
 # -- the reference -------------------------------------------------------
 
+#: The programs here are small enough to run on the tree-walker under
+#: the codegen engine's tiering: emit every function at its first call.
+pytestmark = pytest.mark.usefixtures("emit_all")
+
+
 def signed(x: int, bits: int) -> int:
     """``x``'s two's-complement reading at ``bits``."""
     return x - (1 << bits) if x >> (bits - 1) else x
