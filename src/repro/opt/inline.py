@@ -90,10 +90,6 @@ def _clone_shallow(
     return clone
 
 
-def _function_size(fn: Function) -> int:
-    return sum(len(b.instructions) for b in fn.blocks)
-
-
 def _is_directly_recursive(fn: Function) -> bool:
     for inst in fn.instructions():
         if isinstance(inst, Call) and inst.callee_function is fn:
@@ -228,4 +224,4 @@ class Inliner(Pass):
             return False
         if "noinline" in callee.attributes:
             return False
-        return _function_size(callee) <= self.threshold
+        return callee.instruction_count() <= self.threshold

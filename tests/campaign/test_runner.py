@@ -50,6 +50,7 @@ class TestRun:
         assert len(result.cells) == 2
         assert {c.label for c in result.cells} == {"baseline", "softbound"}
 
+    @pytest.mark.usefixtures("tiering")
     def test_mixed_engines_bit_identical(self):
         result = run_campaign(_spec(engines=("codegen", "interp")),
                               _engine())

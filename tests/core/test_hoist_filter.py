@@ -116,6 +116,7 @@ class TestHoistStatistics:
             assert prog.instrumentation == before
 
 
+@pytest.mark.usefixtures("tiering")
 class TestHoistBehaviourPreserving:
     @pytest.mark.parametrize("mechanism", ["softbound", "lowfat"])
     @pytest.mark.parametrize("engine", ENGINES)
@@ -309,6 +310,7 @@ class TestRotatedLoopHoist:
         except MemSafetyViolation as violation:
             return None, violation, vm.stats
 
+    @pytest.mark.usefixtures("tiering")
     @pytest.mark.parametrize("engine", ENGINES)
     def test_final_entry_oob_still_detected(self, engine):
         # 8 elements, bound 8: the final header entry stores a[8].
@@ -324,6 +326,7 @@ class TestRotatedLoopHoist:
         assert base_violation is not None
         assert hoist_violation is not None
 
+    @pytest.mark.usefixtures("tiering")
     @pytest.mark.parametrize("engine", ENGINES)
     def test_valid_variant_identical_and_cheaper(self, engine):
         # 9 elements, bound 8: accesses a[0..8] are all in bounds.

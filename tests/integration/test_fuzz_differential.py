@@ -10,7 +10,10 @@ every observable and counter invariant:
   the dominance and value-range check-elimination filters, must
   reproduce the baseline's output exactly;
 * engine equivalence: the codegen tier and the reference
-  tree-walker must agree bit-for-bit on outputs *and* statistics;
+  tree-walker must agree bit-for-bit on outputs *and* statistics,
+  with the codegen engine tiered and with every function emitted at
+  its first call (a fuzz program's ``main`` runs interpreted when
+  tiered);
 * filter soundness: dynamic check counts obey
   ranges <= dominance <= unfiltered, and the baseline executes zero
   checks.
@@ -36,8 +39,11 @@ _CORPUS = generate_corpus(CORPUS_SEED, CORPUS_SIZE)
 _CHUNKS = [_CORPUS[i:i + CHUNK] for i in range(0, len(_CORPUS), CHUNK)]
 
 
-@pytest.fixture(scope="module")
-def oracle():
+@pytest.fixture
+def oracle(tiering):
+    """A fresh oracle per run, tiered or with every function emitted
+    at its first call: one oracle's memo would serve the first run's
+    results to the second."""
     jobs = min(4, os.cpu_count() or 1)
     return DifferentialOracle(matrix=FULL_MATRIX, jobs=jobs,
                               max_instructions=5_000_000)

@@ -166,10 +166,12 @@ class TestReallocMetadataMigration:
         assert grown.stats.trie_stores > 0
 
 
+@pytest.mark.usefixtures("tiering")
 class TestFixesKeepEnginesIdentical:
     """The wrapper fixes ride inside native wrappers, whose charging
     differs between the tree-walker and the codegen tier; the stats
-    must still agree field for field."""
+    must still agree field for field -- tiered, and with every
+    function emitted at its first call."""
 
     @pytest.mark.parametrize("src,config", [
         (STRCPY_OVERFLOW, SB_WRAP),
